@@ -100,7 +100,11 @@ def _as_plane_array(plane) -> np.ndarray:
 
 class TranslationSolver:
     """FFT cross-correlation solver with the plane spectrum precomputed, for
-    repeated solves against rotated copies of a fixed-shape volume."""
+    repeated solves against rotated copies of a fixed-shape volume.
+
+    The plane is a single slice, so the correlation along z is the identity:
+    each volume slice is correlated with the plane by a 2-D transform over
+    (y, x)."""
 
     def __init__(self, vol_shape, plane):
         p = _as_plane_array(plane)
@@ -114,14 +118,10 @@ class TranslationSolver:
         if self.empty:
             return
         self.pad = (
-            sfft.next_fast_len(nz, real=True),
             sfft.next_fast_len(ny + ph - 1, real=True),
             sfft.next_fast_len(nx + pw - 1, real=True),
         )
-        self.fp_conj = np.conj(sfft.rfftn(p.astype(np.float64)[None, :, :], s=self.pad))
-        self.xs = np.arange(-(pw - 1), nx) % self.pad[2]
-        self.ys = np.arange(-(ph - 1), ny) % self.pad[1]
-        self.zs = np.arange(nz)
+        self.fp_conj = np.conj(sfft.rfft2(p.astype(np.float64), s=self.pad))
 
     def solve(self, vol: np.ndarray) -> TranslationResult:
         if vol.shape != self.vol_shape:
@@ -129,16 +129,21 @@ class TranslationSolver:
         if self.empty:
             return TranslationResult((0, 0, 0), 0, empty_plane=True)
         ph, pw = self.plane_shape
-        fv = sfft.rfftn(vol.astype(np.float64), s=self.pad)
-        corr = sfft.irfftn(fv * self.fp_conj, s=self.pad)
-        ints = np.rint(corr).astype(np.int64)
-        grid = ints[np.ix_(self.zs, self.ys, self.xs)]
-        ordered = np.ascontiguousarray(grid.transpose(2, 1, 0))  # [ix, iy, iz]
-        flat = int(np.argmax(ordered))
-        ix, rem = divmod(flat, ordered.shape[1] * ordered.shape[2])
-        iy, iz = divmod(rem, ordered.shape[2])
-        shift = (int(ix - (pw - 1)), int(iy - (ph - 1)), int(iz))
-        return TranslationResult(shift, int(ordered[ix, iy, iz]))
+        nz, ny, nx = self.vol_shape
+        pad_y, pad_x = self.pad
+        fv = sfft.rfft2(vol.astype(np.float64), s=self.pad)
+        fv *= self.fp_conj
+        corr = sfft.irfft2(fv, s=self.pad)
+        # entries outside the window of shifts -(pw-1)..nx-1, -(ph-1)..ny-1
+        # have no overlap and hold only FFT noise around 0
+        best = int(np.rint(corr.max()))
+        if best <= 0:
+            return TranslationResult((-(pw - 1), -(ph - 1), 0), 0)
+        zs, ys, xs = np.nonzero(corr > best - 0.5)
+        sx = np.where(xs < nx, xs, xs - pad_x)
+        sy = np.where(ys < ny, ys, ys - pad_y)
+        k = np.lexsort((zs, sy, sx))[0]  # smallest (x, y, z)
+        return TranslationResult((int(sx[k]), int(sy[k]), int(zs[k])), best)
 
 
 def best_translation(volR, plane) -> TranslationResult:
@@ -327,15 +332,16 @@ def register_section(vol: BinaryVolume, plane, opts: RegisterOptions = RegisterO
             nonlocal full_solver
             key = tuple(round(v, 12) for v in a3)
             if key not in cache:
-                volR = rotate_volume(vol_l, a3)
-                res = solver.solve(volR.data[z0:z1])
+                rinv = RigidTransform(a3, (0.0, 0.0, 0.0)).rotation().T
+                center = volume_center(vol_l.data.shape)
+                res = solver.solve(rotate_nearest(vol_l.data, rinv, center, z0, z1))
                 sx, sy, sz = res.shift
                 if z0 > 0 or z1 < nz_l:
                     # re-solve over the full height if the band boundary wins
                     if (sz == 0 and z0 > 0) or (sz == z1 - z0 - 1 and z1 < nz_l):
                         if full_solver is None:
                             full_solver = TranslationSolver(vol_l.data.shape, plane_l)
-                        res = full_solver.solve(volR.data)
+                        res = full_solver.solve(rotate_nearest(vol_l.data, rinv, center))
                     else:
                         res = TranslationResult((sx, sy, sz + z0), res.overlap, res.empty_plane)
                 cache[key] = res

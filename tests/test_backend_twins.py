@@ -129,10 +129,11 @@ def test_rotate_twins(rng):
     from tomoseg.register import RigidTransform, volume_center
 
     rinv = RigidTransform((0.3, -0.5, 0.2), (0, 0, 0)).rotation().T
-    a = rotate._rotate_numba(np.ascontiguousarray(vol), np.ascontiguousarray(rinv),
-                             *volume_center(vol.shape))
-    b = rotate._rotate_numpy(vol, rinv, *volume_center(vol.shape))
-    np.testing.assert_array_equal(a, b)
+    for z0, z1 in ((0, 9), (3, 7)):
+        a = rotate._rotate_numba(np.ascontiguousarray(vol), np.ascontiguousarray(rinv),
+                                 *volume_center(vol.shape), z0, z1)
+        b = rotate._rotate_numpy(vol, rinv, *volume_center(vol.shape), z0, z1)
+        np.testing.assert_array_equal(a, b)
 
 
 def test_render_twins(rng):

@@ -73,6 +73,48 @@ def test_rotate_roundtrip_mostly_self_inverse():
     assert agree >= 0.98
 
 
+def test_rotate_z_range_is_slab_of_full_rotation(rng):
+    from tomoseg._kernels import rotate
+    from tomoseg.register import volume_center
+
+    # without numba, _rotate_numba runs as plain Python under the njit shim
+    vol = rng.random((9, 8, 7)) > 0.5
+    center = volume_center(vol.shape)
+    rinv = RigidTransform((0.3, -0.5, 0.2), (0, 0, 0)).rotation().T
+    full = rotate.rotate_nearest(vol, rinv, center)
+    for z0, z1 in ((0, 9), (2, 5), (4, 5), (6, 9), (3, 3)):
+        band = rotate.rotate_nearest(vol, rinv, center, z0, z1)
+        np.testing.assert_array_equal(band, full[z0:z1])
+        for twin in (rotate._rotate_numpy, rotate._rotate_numba):
+            np.testing.assert_array_equal(twin(vol, rinv, *center, z0, z1), full[z0:z1])
+    with pytest.raises(ValueError):
+        rotate.rotate_nearest(vol, rinv, center, 5, 10)
+
+
+def test_translation_solver_ties_match_brute_force(rng):
+    from tomoseg.register import TranslationSolver
+
+    # the plane is planted at several shifts of a sparse multi-slice band, so
+    # the maximum overlap is tied; both solvers pick the smallest (x, y, z)
+    for _ in range(4):
+        vol = rng.random((5, 14, 16)) > 0.9
+        plane = rng.random((4, 5)) > 0.3
+        for _ in range(3):
+            z = int(rng.integers(0, 5))
+            y = int(rng.integers(0, 10))
+            x = int(rng.integers(0, 11))
+            vol[z, y : y + 4, x : x + 5] = plane
+        fft_res = TranslationSolver(vol.shape, plane).solve(vol)
+        bf_res = brute_force_translation(vol, plane)
+        assert fft_res.shift == bf_res.shift
+        assert fft_res.overlap == bf_res.overlap == int(plane.sum())
+    # an empty band has overlap 0 everywhere: the smallest shift wins
+    empty = np.zeros((3, 6, 6), bool)
+    res = TranslationSolver(empty.shape, plane).solve(empty)
+    assert (res.shift, res.overlap) == ((-4, -3, 0), 0)
+    assert res.shift == brute_force_translation(empty, plane).shift
+
+
 def test_best_translation_self_slice_exact(rng):
     m = rng.random((16, 20, 22)) > 0.6
     vol = binary(m)
