@@ -6,7 +6,8 @@ Usage:
 
 The numbers justify the split: loops that numba compiles to tight machine
 code (NLM, flooding, EDT) are far ahead of what vectorized numpy can do,
-while table-driven kernels (Sauvola) stay close.
+while table-driven kernels (Sauvola) stay close. Without numba only the
+numpy column is printed.
 """
 
 from __future__ import annotations
@@ -36,10 +37,9 @@ def main():
     os.environ.pop("TOMOSEG_BACKEND", None)
     import tomoseg.backend as backend
 
-    if not backend.HAVE_NUMBA:
-        raise SystemExit("numba is not importable; nothing to compare")
+    have_numba = backend.HAVE_NUMBA
 
-    from tomoseg._kernels import cc, convsep, edt, flood, nlm, recon, sauvola
+    from tomoseg._kernels import cc, convsep, edt, flood, nlm, recon, rotate, sauvola
     from tomoseg._kernels.recon import neighbor_offsets
     from scipy import ndimage
 
@@ -53,8 +53,10 @@ def main():
     rows = []
 
     def add(name, f_numba, f_numpy):
-        f_numba()  # compile
-        t_nb = timed(f_numba, args.repeats)
+        t_nb = None
+        if have_numba:
+            f_numba()  # compile
+            t_nb = timed(f_numba, args.repeats)
         t_np = timed(f_numpy, args.repeats)
         rows.append((name, t_nb, t_np))
 
@@ -95,7 +97,7 @@ def main():
         lambda: ndimage.distance_transform_edt(mask),
     )
 
-    inv = -np.sqrt(edt._edt_sq_numba(mask))
+    inv = -ndimage.distance_transform_edt(mask)
     inv[~mask] = 0.0
     fwd, bwd = recon._split_scan_offsets(offs26)
 
@@ -141,8 +143,27 @@ def main():
         lambda: flood._flood_python(inv, markers, mask, offs26),
     )
 
+    from tomoseg.register import RigidTransform, volume_center
+
+    rinv = RigidTransform((0.05, -0.03, 0.04), (0, 0, 0)).rotation().T
+    center = volume_center(mask.shape)
+    z0 = max(0, n // 2 - 16)
+    z1 = min(n, z0 + 33)
+    for label, lo, hi in (("full height", 0, n), (f"{z1 - z0}-slice band", z0, z1)):
+        add(
+            f"rotate ({label})",
+            lambda lo=lo, hi=hi: rotate._rotate_numba(mask, rinv, *center, lo, hi),
+            lambda lo=lo, hi=hi: rotate._rotate_numpy(mask, rinv, *center, lo, hi),
+        )
+
     width = max(len(r[0]) for r in rows)
     print(f"\nkernel benchmark at {n}^3 ({args.repeats} repeats, best of)")
+    if not have_numba:
+        print("numba is not importable; numpy path only")
+        print(f"{'kernel'.ljust(width)}  {'numpy':>10}")
+        for name, _, t_np in rows:
+            print(f"{name.ljust(width)}  {t_np * 1e3:9.1f}ms")
+        return
     print(f"{'kernel'.ljust(width)}  {'numba':>10}  {'numpy':>10}  {'speedup':>8}")
     for name, t_nb, t_np in rows:
         print(f"{name.ljust(width)}  {t_nb * 1e3:9.1f}ms  {t_np * 1e3:9.1f}ms  {t_np / t_nb:7.1f}x")

@@ -105,7 +105,9 @@ def erode_phase(plane: LabelPlane, code: int, table: MineralTable, radius_px: in
     Voxel-scale registration error flips boundary pixels onto neighboring
     material, which biases phase means toward the surroundings; eroding by
     about one voxel's worth of section pixels removes that partial-volume
-    band. Falls back to the full phase when erosion would empty it."""
+    band. A phase present only in slivers thinner than the band has no
+    interior: erosion empties it and the result is empty, so callers skip
+    it rather than average a boundary-biased sliver."""
     from scipy import ndimage
 
     if radius_px <= 0:
@@ -115,8 +117,6 @@ def erode_phase(plane: LabelPlane, code: int, table: MineralTable, radius_px: in
     yy, xx = np.mgrid[-radius_px : radius_px + 1, -radius_px : radius_px + 1]
     footprint = yy * yy + xx * xx <= radius_px * radius_px
     eroded = ndimage.binary_erosion(mask, structure=footprint)
-    if not eroded.any():
-        eroded = mask
     ys, xs = np.nonzero(eroded)
     return np.column_stack([xs, ys]).astype(np.int64)
 
@@ -231,7 +231,7 @@ class ValidationRow:
 @dataclass(frozen=True)
 class ValidationReport:
     rows: tuple[ValidationRow, ...]
-    skipped: tuple[str, ...]  # minerals absent from the section
+    skipped: tuple[str, ...]  # minerals absent from the section or eroded away
 
     @property
     def max_rel_error(self) -> float:
@@ -250,7 +250,9 @@ def validate_section(
     """Predicted vs true rho*mu_m per mineral present on a held-out section.
 
     ``erode_px`` peels a boundary band off each phase before averaging (see
-    erode_phase); 0 uses the phases verbatim.
+    erode_phase); 0 uses the phases verbatim. Minerals absent from the
+    section, or present only in slivers that erosion empties, are listed in
+    ``skipped``.
     """
     rows = []
     skipped = []

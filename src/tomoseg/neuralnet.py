@@ -172,8 +172,13 @@ def train_detailed(X: np.ndarray, y: np.ndarray, hidden_units: int, cfg: TrainCo
     perm = rng.permutation(n)
     n_val = int(round(cfg.validation_fraction * n))
     val_idx, tr_idx = perm[:n_val], perm[n_val:]
-    if len(tr_idx) == 0 or len(np.unique(y[tr_idx])) < 2:
-        raise ValueError("training split lost one class; lower validation_fraction")
+    for c in classes:
+        if not (y[tr_idx] == c).any():
+            # the split sent the whole class to validation: train on its
+            # first validation sample instead
+            k = int(np.flatnonzero(y[val_idx] == c)[0])
+            tr_idx = np.append(tr_idx, val_idx[k])
+            val_idx = np.delete(val_idx, k)
     mean = X[tr_idx].mean(axis=0)
     std = X[tr_idx].std(axis=0)
     std[std == 0.0] = 1.0
@@ -208,14 +213,14 @@ def train_detailed(X: np.ndarray, y: np.ndarray, hidden_units: int, cfg: TrainCo
                 beta0=model.beta0 - lr * g_b0,
                 beta=model.beta - lr * g_b,
             )
-        if n_val:
+        if len(val_idx):
             vloss = _mean_ce(model, Xval, yval)
             history.append(vloss)
             if vloss < best_val:
                 best_val = vloss
                 best = model
                 best_epoch = epoch
-    if n_val:
+    if len(val_idx):
         return TrainResult(best, best_val, best_epoch, tuple(history))
     return TrainResult(model, float("nan"), cfg.epochs - 1, tuple(history))
 

@@ -18,7 +18,6 @@ import numpy as np
 
 from ._kernels.render import stamp_superellipsoid
 from .attenuation import REFERENCE_MEAN_GRAY, MineralTable, load_mineral_table
-from .descriptors import block_downsample_labels
 from .mergegraph import RegionGraph
 from .register import RigidTransform
 from .volgrid import BinaryVolume, LabelPlane, LabelVolume, ScalarVolume
@@ -335,13 +334,27 @@ def render_section_mask(
 
 def section_to_voxel_mask(plane: LabelPlane, pixel_to_voxel: float, spacing: float) -> BinaryVolume:
     """Binarize a mineral-code section and majority-coarsen it onto the voxel
-    lattice, as a single-slice BinaryVolume ready for registration."""
-    binary = (plane.data > 0).astype(np.uint8)
+    lattice, as a single-slice BinaryVolume ready for registration.
+
+    Fine pixel i sits at i * pixel_to_voxel in voxel units, as in
+    render_mla_section, and votes for the nearest voxel,
+    floor(i * pixel_to_voxel + 0.5); a voxel is foreground when more than
+    half of its votes are (ties go to background)."""
+    binary = plane.data > 0
     factor = 1.0 / pixel_to_voxel
-    if factor > 1.0:
-        coarse = block_downsample_labels(binary, factor).astype(bool)
-    else:
-        coarse = binary.astype(bool)
+    if factor <= 1.0:
+        return BinaryVolume(binary[None, :, :], spacing)
+    ph, pw = binary.shape
+    out_ny = max(1, int(np.ceil(ph / factor)))
+    out_nx = max(1, int(np.ceil(pw / factor)))
+    iy = np.floor(np.arange(ph) * pixel_to_voxel + 0.5).astype(np.int64)
+    ix = np.floor(np.arange(pw) * pixel_to_voxel + 0.5).astype(np.int64)
+    # the last fine pixels may round past the last voxel; their votes drop
+    keep = (iy < out_ny)[:, None] & (ix < out_nx)[None, :]
+    cell = (iy[:, None] * out_nx + ix[None, :])[keep]
+    votes = np.bincount(cell, minlength=out_ny * out_nx)
+    fg_votes = np.bincount(cell, weights=binary[keep], minlength=out_ny * out_nx)
+    coarse = (2 * fg_votes > votes).reshape(out_ny, out_nx)
     return BinaryVolume(coarse[None, :, :], spacing)
 
 

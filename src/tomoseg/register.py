@@ -274,8 +274,8 @@ class RegisterOptions:
     # fractional
     joint_polish: bool = True
     polish_iter: int = 200
-    # extra polish starts (one axis nudged by +-1 degree) tried when the
-    # first polish still looks weak
+    # the polish restarts from its best point, and from that point with one
+    # axis nudged by +-1 degree, while the first polish still looks weak
     polish_restart_below: float = 0.98
 
     def __post_init__(self):
@@ -294,77 +294,124 @@ class RegistrationResult:
     flagged: bool = False
 
 
+# Simplex starts taken from the ranked coarse seed grid and carried down the
+# pyramid. At the coarsest level a wrong basin can outscore the true one
+# (from a single start, the section of
+# test_register_three_starts_escape_wrong_coarse_basin ended 15 degrees
+# off), so the runner-up basins are kept until a finer level separates them.
+COARSE_STARTS = 3
+
+
+def _prefer(key, res):
+    """Sort key of a lattice evaluation: larger overlap first; ties prefer
+    the smallest rotation, so flat stretches stay centered, then
+    lexicographic order."""
+    return (-res.overlap, sum(abs(v) for v in key), key)
+
+
+class _BandObjective:
+    """Negated lattice overlap at one pyramid level, with the translation's
+    z searched in the band [z0, z1) of the rotated volume; the full height
+    is rotated and solved only when the band edge wins."""
+
+    def __init__(self, vol_l: np.ndarray, plane_l: np.ndarray, z0: int, z1: int, trace: list):
+        self.vol = vol_l
+        self.plane = plane_l
+        self.z0, self.z1 = z0, z1
+        self.center = volume_center(vol_l.shape)
+        self.solver = TranslationSolver((z1 - z0,) + vol_l.shape[1:], plane_l)
+        self.full_solver = self.solver if (z0, z1) == (0, vol_l.shape[0]) else None
+        self.trace = trace
+        self.cache = {}
+        self.touched = set()  # keys evaluated or looked up by the current run
+
+    def result(self, a3) -> TranslationResult:
+        key = tuple(round(v, 12) for v in a3)
+        self.touched.add(key)
+        if key not in self.cache:
+            z0, z1, nz = self.z0, self.z1, self.vol.shape[0]
+            rinv = RigidTransform(a3, (0.0, 0.0, 0.0)).rotation().T
+            res = self.solver.solve(rotate_nearest(self.vol, rinv, self.center, z0, z1))
+            sx, sy, sz = res.shift
+            if z0 > 0 or z1 < nz:
+                # re-solve over the full height if the band boundary wins
+                if (sz == 0 and z0 > 0) or (sz == z1 - z0 - 1 and z1 < nz):
+                    if self.full_solver is None:
+                        self.full_solver = TranslationSolver(self.vol.shape, self.plane)
+                    res = self.full_solver.solve(rotate_nearest(self.vol, rinv, self.center))
+                else:
+                    res = TranslationResult((sx, sy, sz + z0), res.overlap, res.empty_plane)
+            self.cache[key] = res
+            self.trace.append((len(self.trace), res.overlap))
+        return self.cache[key]
+
+    def __call__(self, a3) -> int:
+        return -self.result(a3).overlap
+
+    def simplex(self, start, step: float, max_iter: int):
+        """Run the simplex from ``start``; return the best (key, result) the
+        run evaluated."""
+        self.touched = set()
+        nelder_mead(self, start, step, max_iter, ftol=1.0)
+        key = min(self.touched, key=lambda k: _prefer(k, self.cache[k]))
+        return key, self.cache[key]
+
+
 def register_section(vol: BinaryVolume, plane, opts: RegisterOptions = RegisterOptions()):
     """Coarse-to-fine rotation search with the exact translation solve inside.
 
-    The coarsest level seeds the simplex from a small angle grid; each finer
-    level starts from the coarser optimum, so the final overlap can never
-    fall below the coarse solution re-evaluated at full resolution.
+    The coarsest level ranks a small angle grid and runs the simplex from
+    the best COARSE_STARTS seeds; each finer level runs it again from every
+    carried optimum, each with its own z band. At full resolution every
+    carried optimum is scored once and only the best is refined, so the
+    final overlap can never fall below the best carried optimum re-evaluated
+    at full resolution.
     """
     p = _as_plane_array(plane)
     if not p.any():
         raise ValueError("plane is empty")
     plane_count = int(p.sum())
     trace = []
-    angles = (0.0, 0.0, 0.0)
-    best_at_level = {}
-    tz_estimate = None  # carried across levels to restrict the z search band
+    starts = None  # (angles, z estimate at this level's scale or None)
 
     for level, factor in enumerate(opts.pyramid):
-        vol_l = BinaryVolume(block_or_downsample(vol.data, factor), vol.spacing * factor)
+        vol_l = block_or_downsample(vol.data, factor)
         plane_l = block_or_downsample(p, factor)
         if not plane_l.any():
             raise ValueError(f"plane vanished at pyramid factor {factor}")
-        nz_l, ny_l, nx_l = vol_l.data.shape
+        nz_l = vol_l.shape[0]
         diag = math.hypot(*plane_l.shape)
         margin = max(12, int(0.12 * diag))
-        if tz_estimate is None:
-            z0 = 0
-            z1 = nz_l
-        else:
-            z0 = max(0, int(round(tz_estimate)) - margin)
-            z1 = min(nz_l, int(round(tz_estimate)) + margin + 1)
-        solver = TranslationSolver((z1 - z0, ny_l, nx_l), plane_l)
-        full_solver = solver if (z0, z1) == (0, nz_l) else None
-        cache = {}
+        bands = {}
 
-        def objective(a3):
-            nonlocal full_solver
-            key = tuple(round(v, 12) for v in a3)
-            if key not in cache:
-                rinv = RigidTransform(a3, (0.0, 0.0, 0.0)).rotation().T
-                center = volume_center(vol_l.data.shape)
-                res = solver.solve(rotate_nearest(vol_l.data, rinv, center, z0, z1))
-                sx, sy, sz = res.shift
-                if z0 > 0 or z1 < nz_l:
-                    # re-solve over the full height if the band boundary wins
-                    if (sz == 0 and z0 > 0) or (sz == z1 - z0 - 1 and z1 < nz_l):
-                        if full_solver is None:
-                            full_solver = TranslationSolver(vol_l.data.shape, plane_l)
-                        res = full_solver.solve(rotate_nearest(vol_l.data, rinv, center))
-                    else:
-                        res = TranslationResult((sx, sy, sz + z0), res.overlap, res.empty_plane)
-                cache[key] = res
-                trace.append((len(trace), res.overlap))
-            return -cache[key].overlap
+        def objective_at(tz):
+            if tz is None:
+                z0, z1 = 0, nz_l
+            else:
+                z0 = max(0, int(round(tz)) - margin)
+                z1 = min(nz_l, int(round(tz)) + margin + 1)
+            if (z0, z1) not in bands:
+                bands[z0, z1] = _BandObjective(vol_l, plane_l, z0, z1, trace)
+            return bands[z0, z1]
 
-        if level == 0:
+        if starts is None:
+            full = objective_at(None)
             s = math.radians(opts.coarse_seed_deg)
             steps = (-s, -0.5 * s, 0.0, 0.5 * s, s)
             seeds = [(za, yb, xg) for za in steps for yb in steps for xg in steps]
-            # ties prefer the smallest rotation, then lexicographic order
-            angles = min(seeds, key=lambda a: (objective(a), sum(abs(v) for v in a), a))
+            ranked = sorted(seeds, key=lambda a: _prefer(a, full.result(a)))
+            starts = [(a, None) for a in ranked[:COARSE_STARTS]]
+        if level == len(opts.pyramid) - 1:
+            # score each carried optimum once; refine only the best
+            starts = [min(starts, key=lambda st: _prefer(st[0], objective_at(st[1]).result(st[0])))]
         step = math.radians(opts.simplex_step_deg[level])
-        nelder_mead(objective, angles, step, opts.max_iter, ftol=1.0)
-        # keep the best evaluation ever seen at this level; overlap ties
-        # prefer the smallest rotation so flat stretches stay centered
-        best_key = min(cache, key=lambda k: (-cache[k].overlap, sum(abs(v) for v in k), k))
-        angles = tuple(best_key)
-        best_at_level[factor] = (angles, cache[best_key])
+        optima = [objective_at(tz).simplex(angles, step, opts.max_iter) for angles, tz in starts]
         next_factor = opts.pyramid[level + 1] if level + 1 < len(opts.pyramid) else factor
-        tz_estimate = cache[best_key].shift[2] * factor / next_factor
+        starts = list(dict.fromkeys(
+            (key, res.shift[2] * factor / next_factor) for key, res in optima
+        ))
 
-    final_angles, final_res = best_at_level[1]
+    final_angles, final_res = min(optima, key=lambda o: _prefer(*o))
     transform = RigidTransform(final_angles, tuple(float(v) for v in final_res.shift))
     overlap = final_res.overlap
 
@@ -395,14 +442,27 @@ def register_section(vol: BinaryVolume, plane, opts: RegisterOptions = RegisterO
 
         best_params, best_ov = polish_from(x0)
         if best_ov < opts.polish_restart_below * plane_count:
+            # the overlap is piecewise constant, so a simplex stalls on
+            # plateaus; restart it from the best point, then from the best
+            # point nudged by 1 degree about each axis, until no start gains
             nudge = math.radians(1.0)
-            for axis in range(3):
-                for sign in (-1.0, 1.0):
-                    start = x0.copy()
-                    start[axis] += sign * nudge
+
+            def starts_around(center):
+                yield center
+                for axis in range(3):
+                    for sign in (-1.0, 1.0):
+                        start = center.copy()
+                        start[axis] += sign * nudge
+                        yield start
+
+            improved = True
+            while improved:
+                improved = False
+                for start in starts_around(best_params):
                     params, ov = polish_from(start)
                     if ov > best_ov:
-                        best_params, best_ov = params, ov
+                        best_params, best_ov, improved = params, ov, True
+                        break
         if best_ov >= overlap:
             transform = RigidTransform(tuple(best_params[:3]), tuple(best_params[3:]))
             overlap = best_ov

@@ -208,10 +208,10 @@ def test_erode_phase_peels_boundary():
     # eroded pixels sit at least 2 pixels from the phase boundary
     assert eroded[:, 0].min() >= 6 and eroded[:, 0].max() <= 13
     assert eroded[:, 1].min() >= 6 and eroded[:, 1].max() <= 13
-    # erosion that would empty the phase falls back to the full set
+    # a phase that erosion empties has no interior: nothing is kept
     tiny = np.zeros((8, 8), np.uint8)
     tiny[3, 3] = 19
     kept = erode_phase(LabelPlane(tiny, 1.0), 19, table, 3)
-    assert len(kept) == 1
+    assert kept.shape == (0, 2)
     # radius 0 is the verbatim phase
     np.testing.assert_array_equal(erode_phase(lp, 19, table, 0), full)

@@ -187,6 +187,21 @@ def test_single_class_rejected(rng):
         train(x, np.ones(10), 4, TrainConfig(epochs=1))
 
 
+def test_split_keeps_both_classes_in_training(rng):
+    # one edge of label 0; seed 4 sends index 0 to the validation split,
+    # which used to end training with "training split lost one class"
+    n, seed = 20, 4
+    assert 0 in np.random.default_rng(seed).permutation(n)[: int(round(0.2 * n))]
+    x = rng.normal(size=(n, 3))
+    y = np.ones(n)
+    y[0] = 0.0
+    result = train_detailed(x, y, 4, TrainConfig(epochs=20, rng_seed=seed))
+    assert np.isfinite(result.val_loss)
+    # the lone 0 was trained on: its prediction moved below the 1s' mean
+    p = forward_many(result.model, x)
+    assert p[0] < p[1:].mean()
+
+
 def test_grid_search_singleton():
     rng = np.random.default_rng(4)
     x = rng.normal(size=(40, 2))

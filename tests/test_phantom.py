@@ -15,6 +15,7 @@ from tomoseg.phantom import (
     section_to_voxel_mask,
 )
 from tomoseg.register import RigidTransform
+from tomoseg.volgrid import LabelPlane
 
 
 def small_spec(**kw):
@@ -144,7 +145,25 @@ def test_section_to_voxel_mask_consistent():
         out, sec.transform, plane_dims=(mask.data.shape[2], mask.data.shape[1])
     )
     agree = (mask.data[0] == direct).mean()
-    assert agree > 0.97  # majority coarsening vs direct sampling differ at rims only
+    assert agree > 0.99  # majority coarsening vs direct sampling differ at rims only
+
+
+def test_section_to_voxel_mask_places_fine_pixel_at_nearest_voxel():
+    # fine pixel i sits at i * ptv voxels and votes for voxel
+    # floor(i * ptv + 0.5); at ptv 0.75 some voxels get one vote per axis,
+    # others two (a 2x2 tie, which goes to background)
+    ptv, n = 0.75, 12
+    nearest = np.floor(np.arange(n) * ptv + 0.5).astype(int)
+    votes = np.bincount(nearest)
+    for i in range(n):
+        fine = np.zeros((n, n), np.uint8)
+        fine[i, i] = 3
+        coarse = section_to_voxel_mask(LabelPlane(fine, 1.0), ptv, 1.0).data[0]
+        assert coarse.shape == (9, 9)
+        k = nearest[i]
+        expect = np.zeros((9, 9), bool)
+        expect[k, k] = votes[k] == 1
+        np.testing.assert_array_equal(coarse, expect)
 
 
 def test_edge_training_labels():

@@ -192,6 +192,30 @@ def test_register_recovers_known_transform():
         assert abs(got - want) <= 1.0
 
 
+def test_register_three_starts_escape_wrong_coarse_basin():
+    # a 96^3 phantom whose first section the 24^3 level scores higher at a
+    # wrong optimum; a single coarse start ended 15.3 degrees off
+    from tomoseg import attenuation, binarize, phantom
+
+    spec = phantom.PhantomSpec(
+        dims=(96, 96, 96), count=500, size_range_um=(20.0, 35.0), aspect_range=(1.0, 2.0),
+        elongated_fraction=0.0, noise_std=400.0, rng_seed=31337088, n_sections=2,
+        contact_fraction=0.2, section_max_angle_deg=3.0, section_max_shift=8.0,
+        section_extent=0.95,
+        mineral_fractions={"quartz": 0.3, "kaolinite": 0.15, "muscovite": 0.15,
+                           "zinnwaldite": 0.25, "topaz": 0.15},
+    )
+    out = phantom.generate(spec, attenuation.load_mineral_table())
+    mask = binarize.sauvola_binarize(out.gray, binarize.SauvolaParams())
+    mask = binarize.morphological_opening(mask, 1.0)
+    mask = binarize.remove_small_components(mask, 30)
+    sec = out.sections[0]
+    plane = phantom.section_to_voxel_mask(sec.plane, out.pixel_to_voxel, spec.spacing)
+    res = register_section(mask, plane.data[0])
+    for got, want in zip(res.transform.angles, sec.transform.angles):
+        assert abs(math.degrees(got - want)) <= 1.0
+
+
 def test_register_mirrored_plane_flagged():
     from tomoseg import phantom
 
