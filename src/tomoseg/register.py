@@ -129,7 +129,7 @@ class TranslationSolver:
         if self.empty:
             return TranslationResult((0, 0, 0), 0, empty_plane=True)
         ph, pw = self.plane_shape
-        nz, ny, nx = self.vol_shape
+        _, ny, nx = self.vol_shape
         pad_y, pad_x = self.pad
         fv = sfft.rfft2(vol.astype(np.float64), s=self.pad)
         fv *= self.fp_conj
@@ -137,7 +137,7 @@ class TranslationSolver:
         # entries outside the window of shifts -(pw-1)..nx-1, -(ph-1)..ny-1
         # have no overlap and hold only FFT noise around 0
         best = int(np.rint(corr.max()))
-        if best <= 0:
+        if best <= 0:  # no overlap anywhere: the smallest shift wins
             return TranslationResult((-(pw - 1), -(ph - 1), 0), 0)
         zs, ys, xs = np.nonzero(corr > best - 0.5)
         sx = np.where(xs < nx, xs, xs - pad_x)
