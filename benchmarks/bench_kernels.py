@@ -4,10 +4,10 @@
 Usage:
     python benchmarks/bench_kernels.py [--size N] [--repeats K]
 
-The numbers justify the split: loops that numba compiles to tight machine
-code (NLM, flooding, EDT) are far ahead of what vectorized numpy can do,
-while table-driven kernels (Sauvola) stay close. Without numba only the
-numpy column is printed.
+Regional minima (plateau components) and flooding (a bucket queue) use
+their own algorithms on the numpy path, with results identical to the
+numba twins; flooding is the one numpy kernel that still steps voxel by
+voxel in Python. Without numba only the numpy column is printed.
 """
 
 from __future__ import annotations
@@ -120,7 +120,7 @@ def main():
     add(
         "regional minima",
         lambda: recon._minima_numba(inv, mask, offs26),
-        lambda: recon._minima_python(inv, mask, offs26),
+        lambda: recon._minima_numpy(inv, mask, offs26),
     )
 
     def cc_numpy():
@@ -140,7 +140,7 @@ def main():
     add(
         "watershed flood",
         lambda: flood._flood_numba(inv, markers, mask, offs26),
-        lambda: flood._flood_python(inv, markers, mask, offs26),
+        lambda: flood._flood_numpy(inv, markers, mask, offs26),
     )
 
     from tomoseg.register import RigidTransform, volume_center

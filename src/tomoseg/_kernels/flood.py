@@ -4,15 +4,22 @@ Candidates pop in increasing height order; equal heights resolve by queue
 insertion order (fronts advance breadth-first across plateaus, so the exact
 Euclidean distances' massive value ties split geometrically between
 markers), with (label, voxel index) completing the total order at seeding
-time. The whole flood is a single sequential queue, so the result is
-bit-identical across runs, backends and thread counts. Each pop assigns a
-voxel permanently; the dividing surface is recovered afterwards from label
-adjacency.
+time. Each pop assigns a voxel permanently; the dividing surface is
+recovered afterwards from label adjacency.
+
+The numba twin keeps one binary heap ordered by (height, insertion seq).
+The numpy path is a bucket queue that pops in exactly that order: one FIFO
+per distinct height, always drained from the lowest non-empty one, so a
+voxel queued below the level being flooded pops next (the "pit" case of
+Barnes et al., Computers & Geosciences 2014). Both are a single sequential
+queue, so the result is bit-identical across runs, backends and thread
+counts.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import deque
 
 import numpy as np
 
@@ -148,41 +155,55 @@ def _flood_numba(height, markers, mask, offs):
     return out
 
 
-def _flood_python(height, markers, mask, offs):
-    nz, ny, nx = height.shape
-    out = markers.copy()
-    h = height.ravel()
-    msk = mask.ravel()
-    flat = out.ravel()
-    heap = []
-    seq = 0
-    offs_flat = offs[:, 0] * (ny * nx) + offs[:, 1] * nx + offs[:, 2]
+def _flood_numpy(height, markers, mask, offs):
+    # Every entry the heap would hold for a voxel carries that voxel's
+    # height, so its first entry pops first and the later ones are no-ops:
+    # a voxel is queued once, taking the label of the voxel that queued it.
+    # One FIFO per height keeps equal heights in insertion order, and a heap
+    # of the heights whose FIFO is non-empty always yields the lowest one,
+    # also when a voxel lower than the current level is queued. The volume
+    # is padded by one voxel that is never free, so flat neighbor offsets
+    # need no bounds check.
+    inner = (slice(1, -1),) * 3
+    shape = tuple(n + 2 for n in height.shape)
+    lab_arr = np.zeros(shape, np.int32)
+    lab_arr[inner] = markers
+    free_arr = np.zeros(shape, np.uint8)
+    free_arr[inner] = mask & (markers == 0)
+    h_arr = np.zeros(shape, np.float64)
+    h_arr[inner] = height
+    strides = tuple(int(k) for k in offs @ np.array([shape[1] * shape[2], shape[2], 1]))
+    lab = memoryview(lab_arr.reshape(-1))
+    free = memoryview(free_arr.reshape(-1))
+    h = memoryview(h_arr.reshape(-1))
+    fifos = {}
+    active = []
 
-    def neighbors(i):
-        z, rem = divmod(i, ny * nx)
-        y, x = divmod(rem, nx)
-        for k in range(len(offs)):
-            zz = z + offs[k, 0]
-            yy = y + offs[k, 1]
-            xx = x + offs[k, 2]
-            if 0 <= zz < nz and 0 <= yy < ny and 0 <= xx < nx:
-                yield i + offs_flat[k]
+    def spread(i):
+        label = lab[i]
+        for d in strides:
+            j = i + d
+            if free[j]:
+                free[j] = 0
+                lab[j] = label
+                hj = h[j]
+                q = fifos.get(hj)
+                if q is None:
+                    q = fifos[hj] = deque()
+                    heapq.heappush(active, hj)
+                q.append(j)
 
-    for i in np.flatnonzero(flat):
-        for j in neighbors(int(i)):
-            if msk[j] and flat[j] == 0:
-                heapq.heappush(heap, (h[j], seq, int(flat[i]), int(j)))
-                seq += 1
-    while heap:
-        _, _, label, i = heapq.heappop(heap)
-        if flat[i] != 0:
-            continue
-        flat[i] = label
-        for j in neighbors(i):
-            if msk[j] and flat[j] == 0:
-                heapq.heappush(heap, (h[j], seq, label, int(j)))
-                seq += 1
-    return out
+    for i in np.flatnonzero(lab_arr).tolist():
+        spread(i)
+    while active:
+        level = active[0]
+        q = fifos[level]
+        i = q.popleft()
+        if not q:
+            del fifos[level]
+            heapq.heappop(active)
+        spread(i)
+    return np.ascontiguousarray(lab_arr[inner])
 
 
 def priority_flood(height: np.ndarray, markers: np.ndarray, mask: np.ndarray, offs: np.ndarray):
@@ -191,4 +212,4 @@ def priority_flood(height: np.ndarray, markers: np.ndarray, mask: np.ndarray, of
     mask = np.ascontiguousarray(mask, bool)
     if use_numba():
         return _flood_numba(height, markers, mask, offs)
-    return _flood_python(height, markers, mask, offs)
+    return _flood_numpy(height, markers, mask, offs)

@@ -3,11 +3,13 @@ to a mask (non-mask voxels act as an impassable +inf wall).
 
 Reconstruction has a unique fixpoint, so the two paths (sequential raster
 sweeps vs parallel erosion iterations) converge to identical results.
+Regional minima are a set, too: the numba twin spreads "not minimal" from
+every voxel with a strictly lower neighbor across equal-valued neighbors,
+while the numpy path labels the equal-valued plateaus as graph components
+and keeps those without such a voxel.
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 import numpy as np
 from scipy import ndimage
@@ -152,32 +154,48 @@ def _minima_numba(val, mask, offs):
     return out
 
 
-def _minima_python(val, mask, offs):
-    nz, ny, nx = val.shape
-    nonmin = np.zeros(val.shape, bool)
-    q = deque()
-    # seed: strictly lower neighbor exists
-    for dz, dy, dx in offs:
-        a_lo = [max(0, -d) for d in (dz, dy, dx)]
-        a_hi = [n - max(0, d) for n, d in zip((nz, ny, nx), (dz, dy, dx))]
-        ctr = tuple(slice(lo, hi) for lo, hi in zip(a_lo, a_hi))
-        nbr = tuple(slice(lo + d, hi + d) for lo, hi, d in zip(a_lo, a_hi, (dz, dy, dx)))
-        hit = mask[ctr] & mask[nbr] & (val[nbr] < val[ctr])
-        sub = np.zeros(val.shape, bool)
-        sub[ctr] = hit
-        nonmin |= sub
-    for z, y, x in np.argwhere(nonmin):
-        q.append((int(z), int(y), int(x)))
-    while q:
-        z, y, x = q.popleft()
-        v = val[z, y, x]
-        for dz, dy, dx in offs:
-            zz, yy, xx = z + dz, y + dy, x + dx
-            if 0 <= zz < nz and 0 <= yy < ny and 0 <= xx < nx:
-                if mask[zz, yy, xx] and not nonmin[zz, yy, xx] and val[zz, yy, xx] == v:
-                    nonmin[zz, yy, xx] = True
-                    q.append((zz, yy, xx))
-    return mask & ~nonmin
+def _shifted_slices(shape, d):
+    """Slices selecting every voxel whose neighbor at offset ``d`` lies in
+    the volume, and those neighbors."""
+    ctr = tuple(slice(max(0, -k), n - max(0, k)) for n, k in zip(shape, d))
+    nbr = tuple(slice(s.start + k, s.stop + k) for s, k in zip(ctr, d))
+    return ctr, nbr
+
+
+def _minima_numpy(val, mask, offs):
+    # A plateau (a connected set of equal-valued mask voxels) is minimal iff
+    # none of its voxels has a strictly lower mask neighbor. Each unordered
+    # neighbor pair is visited once, through the offsets after the center.
+    # scipy.sparse is imported here: loading it adds about 11 MB of
+    # resident memory to every process that imports this module,
+    # registration too.
+    from scipy.sparse import coo_matrix, csgraph
+
+    out = np.zeros(val.shape, bool)
+    n = int(mask.sum())
+    if n == 0:
+        return out
+    node = np.full(val.shape, -1, np.int64)
+    node[mask] = np.arange(n)
+    lower = np.zeros(val.shape, bool)
+    rows, cols = [], []
+    for d in _split_scan_offsets(offs)[1]:
+        ctr, nbr = _shifted_slices(val.shape, d)
+        both = mask[ctr] & mask[nbr]
+        a, b = val[ctr], val[nbr]
+        lower[ctr] |= both & (b < a)
+        lower[nbr] |= both & (a < b)
+        eq = both & (a == b)
+        rows.append(node[ctr][eq])
+        cols.append(node[nbr][eq])
+    rows = np.concatenate(rows)
+    cols = np.concatenate(cols)
+    graph = coo_matrix((np.ones(len(rows), np.int8), (rows, cols)), shape=(n, n))
+    _, plateau = csgraph.connected_components(graph, directed=False)
+    has_lower = np.zeros(plateau.max() + 1, bool)
+    has_lower[plateau[lower[mask]]] = True
+    out[mask] = ~has_lower[plateau]
+    return out
 
 
 def regional_minima(val: np.ndarray, mask: np.ndarray, connectivity: int) -> np.ndarray:
@@ -188,4 +206,4 @@ def regional_minima(val: np.ndarray, mask: np.ndarray, connectivity: int) -> np.
     mask = np.asarray(mask, bool)
     if use_numba():
         return _minima_numba(val, mask, offs)
-    return _minima_python(val, mask, offs)
+    return _minima_numpy(val, mask, offs)

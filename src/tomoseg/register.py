@@ -244,15 +244,23 @@ def nelder_mead(f, x0, step: float, max_iter: int, ftol: float):
     return simplex[order[0]], values[order[0]]
 
 
-def direct_overlap(vol: BinaryVolume, plane, transform: RigidTransform) -> int:
+def plane_points(plane) -> np.ndarray:
+    """(u, v) lattice coordinates (N, 2) of the plane's foreground pixels."""
+    ys, xs = np.nonzero(_as_plane_array(plane))
+    return np.column_stack([xs, ys]).astype(np.float64)
+
+
+def direct_overlap(vol: BinaryVolume, plane, transform: RigidTransform, uv=None) -> int:
     """Overlap evaluated by mapping the plane's foreground pixels through the
     transform and sampling the volume at the nearest voxel; supports
-    fractional shifts, unlike the lattice correlation."""
-    p = _as_plane_array(plane)
-    ys, xs = np.nonzero(p)
-    if len(xs) == 0:
+    fractional shifts, unlike the lattice correlation. ``uv``, when given,
+    is ``plane_points(plane)``, computed once by a caller that evaluates
+    the same plane many times."""
+    if uv is None:
+        uv = plane_points(plane)
+    if len(uv) == 0:
         return 0
-    pts = transform.map_plane_points(np.column_stack([xs, ys]).astype(np.float64), vol.data.shape)
+    pts = transform.map_plane_points(uv, vol.data.shape)
     idx = np.floor(pts + 0.5).astype(np.int64)
     nz, ny, nx = vol.data.shape
     ok = (
@@ -417,12 +425,13 @@ def register_section(vol: BinaryVolume, plane, opts: RegisterOptions = RegisterO
 
     if opts.joint_polish:
         polish_cache = {}
+        uv = plane_points(p)
 
         def joint_objective(params):
             key = tuple(round(v, 12) for v in params)
             if key not in polish_cache:
                 t = RigidTransform(tuple(params[:3]), tuple(params[3:]))
-                ov = direct_overlap(vol, p, t)
+                ov = direct_overlap(vol, p, t, uv)
                 polish_cache[key] = ov
                 trace.append((len(trace), ov))
             return -polish_cache[key]

@@ -68,13 +68,17 @@ def marker_watershed(
     order. Equal heights resolve by queue insertion order (breadth-first
     fronts, seeded in raster order with (label, voxel) fixed), so equal
     inputs give bit-identical labelings on any backend or thread count.
+    inv_dist must be finite on the mask.
     """
     mk = markers.data
     m = mask.data
     if ((mk > 0) & ~m).any():
         raise ValueError("marker voxels must lie inside the mask")
+    inv = np.asarray(inv_dist, np.float64)
+    if not np.isfinite(inv[m]).all():
+        raise ValueError("inverted distance must be finite on the mask")
     offs = neighbor_offsets(connectivity)
-    out = priority_flood(np.asarray(inv_dist, np.float64), mk, m, offs)
+    out = priority_flood(inv, mk, m, offs)
     return LabelVolume(out, mask.spacing)
 
 

@@ -1,6 +1,8 @@
 """The numba kernels and their numpy fallbacks must agree; TOMOSEG_BACKEND
 only selects a path, never a result. Twin implementations are exercised
-directly so the suite covers both regardless of the active backend."""
+directly so the suite covers both regardless of the active backend; without
+numba the identity ``njit`` shim runs the numba twins as plain Python, so
+only the tests that force TOMOSEG_BACKEND=numba need numba itself."""
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ import pytest
 from tomoseg._kernels import cc, convsep, edt, flood, nlm, recon, render, rotate, sauvola
 from tomoseg.backend import HAVE_NUMBA
 
-pytestmark = pytest.mark.skipif(not HAVE_NUMBA, reason="numba unavailable")
+needs_numba = pytest.mark.skipif(not HAVE_NUMBA, reason="numba unavailable")
 
 
 def test_correlate_twins(rng):
@@ -86,13 +88,35 @@ def test_recon_twins(rng):
     np.testing.assert_array_equal(a[mask], b[mask])
 
 
-def test_minima_twins(rng):
+def _minima_both(vals, mask, connectivity):
+    offs = recon.neighbor_offsets(connectivity)
+    a = recon._minima_numba(vals, mask, offs)
+    b = recon._minima_numpy(vals, mask, offs)
+    np.testing.assert_array_equal(a, b)
+    return b
+
+
+@pytest.mark.parametrize("connectivity", [6, 26])
+def test_minima_twins(rng, connectivity):
     vals = rng.integers(0, 5, (9, 9, 9)).astype(np.float64)
     mask = rng.random((9, 9, 9)) > 0.25
-    offs = recon.neighbor_offsets(26)
-    a = recon._minima_numba(vals, mask, offs)
-    b = recon._minima_python(vals, mask, offs)
-    np.testing.assert_array_equal(a, b)
+    _minima_both(vals, mask, connectivity)
+
+
+@pytest.mark.parametrize("connectivity", [6, 26])
+def test_minima_twins_flat_and_border_plateaus(connectivity):
+    mask = np.ones((5, 6, 7), bool)
+    mask[2, 3, 3] = False
+    flat = np.full(mask.shape, 4.0)
+    assert np.array_equal(_minima_both(flat, mask, connectivity), mask)
+    assert not _minima_both(flat, np.zeros(mask.shape, bool), connectivity).any()
+    # a low plateau along the x = 0 face is a minimum; one on the x = 6
+    # face drains into the interior and is not
+    vals = np.full(mask.shape, 3.0)
+    vals[:, :, 0] = 1.0
+    vals[:, :, 6] = 5.0
+    got = _minima_both(vals, mask, connectivity)
+    np.testing.assert_array_equal(got, mask & (vals == 1.0))
 
 
 def test_cc_twins(rng):
@@ -111,17 +135,83 @@ def test_cc_twins(rng):
         np.testing.assert_array_equal(a, b)
 
 
-def test_flood_twins(rng):
+def _flood_both(height, markers, mask, connectivity):
+    offs = recon.neighbor_offsets(connectivity)
+    a = flood._flood_numba(height, markers, mask, offs)
+    b = flood._flood_numpy(height, markers, mask, offs)
+    np.testing.assert_array_equal(a, b)
+    return b
+
+
+@pytest.mark.parametrize("connectivity", [6, 26])
+def test_flood_twins(rng, connectivity):
     mask = rng.random((10, 10, 10)) > 0.3
     height = rng.integers(0, 6, (10, 10, 10)).astype(np.float64)
     markers = np.zeros((10, 10, 10), np.int32)
     seeds = np.argwhere(mask)[:4]
     for i, (z, y, x) in enumerate(seeds, start=1):
         markers[z, y, x] = i
-    offs = recon.neighbor_offsets(26)
-    a = flood._flood_numba(height, markers, mask, offs)
-    b = flood._flood_python(height, markers, mask, offs)
-    np.testing.assert_array_equal(a, b)
+    _flood_both(height, markers, mask, connectivity)
+
+
+@pytest.mark.parametrize("connectivity", [6, 26])
+def test_flood_twins_wide_plateaus_touching_markers(connectivity):
+    # every voxel of a wide step ties with its level, so insertion order
+    # alone splits each step between the touching markers
+    mask = np.ones((6, 14, 16), bool)
+    height = np.broadcast_to(np.arange(16) // 5, mask.shape).astype(np.float64)
+    markers = np.zeros(mask.shape, np.int32)
+    markers[3, 7, 2] = 1
+    markers[3, 7, 3] = 2
+    markers[2, 6, 3] = 3
+    markers[3, 8, 1] = 1
+    out = _flood_both(height, markers, mask, connectivity)
+    assert set(np.unique(out)) == {1, 2, 3}
+
+
+@pytest.mark.parametrize("connectivity", [6, 26])
+def test_flood_twins_pit_below_current_level(connectivity):
+    # both labels reach their ridge at height 5, label 1 first; crossing it
+    # reaches a pit at height 1, which pops at once and fills with label 1
+    # before label 2's ridge voxel pops
+    height = np.array([0, 0, 0, 0, 0, 5, 1, 1, 2, 1, 5, 0, 0, 0, 0, 0], np.float64)
+    height = np.tile(height, (2, 3, 1))
+    mask = np.ones(height.shape, bool)
+    markers = np.zeros(height.shape, np.int32)
+    markers[0, 1, 0] = 1
+    markers[0, 1, 15] = 2
+    out = _flood_both(height, markers, mask, connectivity)
+    np.testing.assert_array_equal(out, np.broadcast_to(np.where(np.arange(16) < 10, 1, 2), out.shape))
+
+
+@pytest.mark.parametrize("connectivity", [6, 26])
+def test_flood_twins_no_markers_or_empty_mask(rng, connectivity):
+    mask = rng.random((5, 6, 7)) > 0.3
+    height = rng.random(mask.shape)
+    none = np.zeros(mask.shape, np.int32)
+    assert not _flood_both(height, none, mask, connectivity).any()
+    assert not _flood_both(height, none, np.zeros(mask.shape, bool), connectivity).any()
+
+
+def test_watershed_kernel_twins_on_touching_balls():
+    # EDT heights of touching balls at about 32^3, like the pipeline's masks
+    from conftest import ball_mask, binary
+    from tomoseg.binarize import distance_transform
+    from tomoseg.watershed import WatershedParams
+
+    shape = (30, 32, 34)
+    m = (
+        ball_mask(shape, (15, 12, 11), 8)
+        | ball_mask(shape, (15, 19, 23), 9)
+        | ball_mask(shape, (9, 22, 12), 6)
+    )
+    inv = np.where(m, -distance_transform(binary(m)), 0.0)
+    rec = recon.reconstruct_erosion(inv + WatershedParams().h_depth, inv, m, 26)
+    minima = _minima_both(rec, m, 26)
+    markers = cc.connected_components_mask(minima, 26)
+    assert markers.max() >= 2
+    out = _flood_both(inv, markers, m, 26)
+    np.testing.assert_array_equal(out > 0, m)
 
 
 def test_rotate_twins(rng):
@@ -151,6 +241,7 @@ def test_render_twins(rng):
         np.testing.assert_array_equal(la, lb)
 
 
+@needs_numba
 def test_backend_env_flag(monkeypatch):
     import tomoseg.backend as backend
 
@@ -163,6 +254,7 @@ def test_backend_env_flag(monkeypatch):
         backend.selected()
 
 
+@needs_numba
 def test_watershed_identical_across_backends(monkeypatch):
     # end-to-end determinism: the public pipeline gives bit-identical labels
     # under both backends

@@ -109,6 +109,20 @@ def test_marker_outside_mask_rejected():
         marker_watershed(np.zeros((3, 3, 3)), labels(mk), m)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_height_in_mask_rejected(bad):
+    m = np.zeros((3, 3, 3), bool)
+    m[1] = True
+    mk = np.zeros((3, 3, 3), np.int32)
+    mk[1, 0, 0] = 1
+    height = np.zeros((3, 3, 3))
+    height[0, 1, 1] = bad  # outside the mask: ignored
+    assert marker_watershed(height, labels(mk), binary(m)).data[1].min() == 1
+    height[1, 2, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        marker_watershed(height, labels(mk), binary(m))
+
+
 def test_single_marker_floods_whole_ball():
     m = binary(ball_mask((20, 20, 20), (10, 10, 10), 7))
     mk = np.zeros((20, 20, 20), np.int32)
