@@ -7,7 +7,9 @@ Usage:
 Regional minima (plateau components) and flooding (a bucket queue) use
 their own algorithms on the numpy path, with results identical to the
 numba twins; flooding is the one numpy kernel that still steps voxel by
-voxel in Python. Without numba only the numpy column is printed.
+voxel in Python. Non-local means on the numpy path splits its z-rows over
+worker threads (the usable CPUs); its row names the worker count. Without
+numba only the numpy column is printed.
 """
 
 from __future__ import annotations
@@ -70,8 +72,9 @@ def main():
     nlm_img = imgf[: min(n, 32), : min(n, 32), : min(n, 32)]
     g1 = np.exp(-(np.arange(-1, 2) ** 2) / 2.0)
     g1 = g1 / g1.sum()
+    nlm_workers = backend.worker_count(nlm_img.shape[0])
     add(
-        f"non-local means ({nlm_img.shape[0]}^3, search 2)",
+        f"non-local means ({nlm_img.shape[0]}^3, search 2, numpy {nlm_workers} workers)",
         lambda: nlm._nlm_numba(nlm_img, 800.0**2, g1, 2),
         lambda: nlm._nlm_numpy(nlm_img, 800.0**2, 1, 1.0, 2),
     )

@@ -9,16 +9,35 @@ over patch offsets z where BOTH x+z and y+z fall inside the volume; offsets
 falling outside are simply dropped, without reweighting. The output is
 
     out(x) = sum_y w(x,y) I(y) / sum_y w(x,y),   w = exp(-d / h^2).
+
+Both paths accumulate offset-major: for each search offset s, in a fixed
+order, the squared differences are patch-weighted by a separable zero-fill
+Gaussian correlation (z, then y, then x) and the weights are added into the
+per-voxel sums.
+
+The numpy path does each offset only on its valid box, the voxels x where
+both x and x+s lie in the volume; outside it the weight is exactly zero, so
+skipping those voxels drops only additions of 0.0. The output z-rows are
+split into disjoint slabs, one per worker thread (``backend.worker_count``:
+the ``--threads`` bound, the usable CPUs and nz, whichever is least). Each
+worker runs every offset in the original order over its own rows, reading
+patch-radius halo rows for the z pass, so every voxel sees the same sequence
+of floating-point operations as in a single full-volume pass, and the result
+is bitwise independent of the worker count. numpy ufuncs and scipy's
+correlate1d release the GIL, so the slabs run in parallel. Workers call only
+private functions (perfbench's span tracer wraps the public ones on a single,
+thread-unsafe stack) and write into buffers the calling thread allocated.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy import ndimage
 
-from ..backend import njit, use_numba
+from ..backend import njit, use_numba, worker_count
 
 
 def patch_weights(patch_radius: int, sigma: float):
@@ -100,45 +119,88 @@ def _nlm_numba(img, h2, g1, search):
     return acc / norm
 
 
-def _shift_valid(img: np.ndarray, s):
-    """img translated by -s with a validity mask (True where source existed)."""
+def _box_view(buf: np.ndarray, shape) -> np.ndarray:
+    """Contiguous array of ``shape`` over the front of the flat buffer."""
+    return buf[: math.prod(shape)].reshape(shape)
+
+
+def _nlm_slab(img, h2, g1, search, norm, acc, z0, z1, buf_a, buf_b):
+    # Every search offset in order, for output rows [z0, z1) only, on the box
+    # where both x and x+s lie in the volume. dsq is computed on the own rows
+    # plus the patch-radius halo rows the z pass reads; the y and x passes and
+    # the weight updates touch the own rows alone.
     nz, ny, nx = img.shape
-    out = np.zeros_like(img)
-    valid = np.zeros(img.shape, bool)
-    src = []
-    dst = []
-    for n, d in zip(img.shape, s):
-        lo_dst, hi_dst = max(0, -d), min(n, n - d)
-        if lo_dst >= hi_dst:
-            return out, valid
-        dst.append(slice(lo_dst, hi_dst))
-        src.append(slice(lo_dst + d, hi_dst + d))
-    out[tuple(dst)] = img[tuple(src)]
-    valid[tuple(dst)] = True
-    return out, valid
-
-
-def _nlm_numpy(img, h2, patch_radius, patch_sigma, search):
-    # Per search offset s: squared differences, masked outside the window,
-    # then a zero-fill separable Gaussian patch correlation. Zero filling
-    # reproduces the "invalid patch offsets are dropped" rule exactly.
-    # Per-axis normalization makes the 3D product sum to 1 over the patch,
-    # matching patch_weights().
-    g1 = np.exp(-(np.arange(-patch_radius, patch_radius + 1) ** 2) / (2.0 * patch_sigma**2))
-    g1 = g1 / g1.sum()
-    norm = np.zeros(img.shape, np.float64)
-    acc = np.zeros(img.shape, np.float64)
+    r = g1.shape[0] // 2
     rng = range(-search, search + 1)
     for sz in rng:
+        lo, hi = max(0, -sz), min(nz, nz - sz)
+        oz0, oz1 = max(z0, lo), min(z1, hi)
+        if oz0 >= oz1:
+            continue
+        ez0, ez1 = max(lo, oz0 - r), min(hi, oz1 + r)
         for sy in rng:
+            y0, y1 = max(0, -sy), min(ny, ny - sy)
+            if y0 >= y1:
+                continue
             for sx in rng:
-                shifted, valid = _shift_valid(img, (sz, sy, sx))
-                dsq = np.where(valid, (img - shifted) ** 2, 0.0)
-                for axis in range(3):
-                    dsq = ndimage.correlate1d(dsq, g1, axis=axis, mode="constant", cval=0.0)
-                w = np.where(valid, np.exp(-dsq / h2), 0.0)
-                norm += w
-                acc += w * shifted
+                x0, x1 = max(0, -sx), min(nx, nx - sx)
+                if x0 >= x1:
+                    continue
+                ext = (ez1 - ez0, y1 - y0, x1 - x0)
+                own = (oz1 - oz0, y1 - y0, x1 - x0)
+                dsq = _box_view(buf_a, ext)
+                np.subtract(
+                    img[ez0:ez1, y0:y1, x0:x1],
+                    img[ez0 + sz : ez1 + sz, y0 + sy : y1 + sy, x0 + sx : x1 + sx],
+                    out=dsq,
+                )
+                np.square(dsq, out=dsq)
+                zpass = _box_view(buf_b, ext)
+                ndimage.correlate1d(dsq, g1, axis=0, mode="constant", cval=0.0, output=zpass)
+                dsq = _box_view(buf_a, own)
+                ndimage.correlate1d(
+                    zpass[oz0 - ez0 : oz1 - ez0], g1, axis=1, mode="constant", cval=0.0, output=dsq
+                )
+                w = _box_view(buf_b, own)
+                ndimage.correlate1d(dsq, g1, axis=2, mode="constant", cval=0.0, output=w)
+                # -dsq / h2 == dsq / -h2 bitwise: IEEE division rounds sign-symmetrically
+                np.divide(w, -h2, out=w)
+                np.exp(w, out=w)
+                norm_box = norm[oz0:oz1, y0:y1, x0:x1]
+                np.add(norm_box, w, out=norm_box)
+                np.multiply(
+                    w, img[oz0 + sz : oz1 + sz, y0 + sy : y1 + sy, x0 + sx : x1 + sx], out=w
+                )
+                acc_box = acc[oz0:oz1, y0:y1, x0:x1]
+                np.add(acc_box, w, out=acc_box)
+
+
+def _nlm_numpy(img, h2, patch_radius, patch_sigma, search, workers=None):
+    # Per search offset s: squared differences on the valid box, then a
+    # zero-fill separable Gaussian patch correlation. Zero filling reproduces
+    # the "invalid patch offsets are dropped" rule exactly. Per-axis
+    # normalization makes the 3D product sum to 1 over the patch, matching
+    # patch_weights(). ``workers`` overrides the worker count (tests).
+    g1 = np.exp(-(np.arange(-patch_radius, patch_radius + 1) ** 2) / (2.0 * patch_sigma**2))
+    g1 = g1 / g1.sum()
+    nz, ny, nx = img.shape
+    n = worker_count(nz) if workers is None else max(1, min(workers, nz))
+    cuts = [nz * i // n for i in range(n + 1)]
+    norm = np.zeros(img.shape, np.float64)
+    acc = np.zeros(img.shape, np.float64)
+    # all buffers are allocated here, not in the workers: memory a worker
+    # thread allocates lands in a glibc per-thread arena that keeps it
+    jobs = []
+    for z0, z1 in zip(cuts[:-1], cuts[1:]):
+        size = min(nz, z1 - z0 + 2 * patch_radius) * ny * nx
+        jobs.append((z0, z1, np.empty(size, np.float64), np.empty(size, np.float64)))
+    if n == 1:
+        _nlm_slab(img, h2, g1, search, norm, acc, *jobs[0])
+    else:
+        with ThreadPoolExecutor(max_workers=n) as pool:
+            futures = [pool.submit(_nlm_slab, img, h2, g1, search, norm, acc, *job) for job in jobs]
+            for future in futures:
+                future.result()
     return acc / norm
 
 

@@ -4,6 +4,10 @@ Every hot voxel kernel ships in two implementations: a numba @njit version
 and a pure numpy (or scipy-backed) fallback. The environment variable
 TOMOSEG_BACKEND forces one of "numba" or "numpy"; when unset, numba is used
 if it imports. ``benchmarks/bench_kernels.py`` compares the two paths.
+
+The global ``--threads N`` option sets a bound on kernel worker threads
+(``set_thread_bound``); ``worker_count`` applies it, capped at the usable
+CPUs. Non-local means on the numpy path is the kernel that honours it.
 """
 
 from __future__ import annotations
@@ -27,6 +31,25 @@ except ImportError:  # pragma: no cover - numba is a declared dependency
 
 
 ENV_VAR = "TOMOSEG_BACKEND"
+
+_thread_bound: int | None = None
+
+
+def set_thread_bound(n: int | None) -> None:
+    """Bound the kernel worker threads at ``n`` (at least 1); None lifts it."""
+    global _thread_bound
+    _thread_bound = None if n is None else max(1, int(n))
+
+
+def worker_count(parts: int) -> int:
+    """Workers for a kernel split into ``parts`` pieces: the thread bound,
+    capped at the usable CPUs and at ``parts``, and at least 1."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:  # pragma: no cover - platforms without CPU affinity
+        cpus = os.cpu_count() or 1
+    bound = cpus if _thread_bound is None else min(_thread_bound, cpus)
+    return max(1, min(bound, parts))
 
 
 def selected() -> str:

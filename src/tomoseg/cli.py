@@ -18,6 +18,7 @@ import time
 import numpy as np
 
 from . import attenuation as atn
+from . import backend
 from . import binarize as bz
 from . import descriptors as ds
 from . import mergegraph as mg
@@ -53,14 +54,14 @@ def _sha256(path) -> str:
 
 
 def _set_threads(n: int | None) -> None:
-    if n is None:
-        return
-    try:
+    """Bound the kernel worker threads at ``n``; None restores the default
+    (the usable CPUs), so a bound from an earlier call does not carry over."""
+    backend.set_thread_bound(n)
+    if backend.HAVE_NUMBA:
         import numba
 
-        numba.set_num_threads(max(1, n))
-    except (ImportError, ValueError):
-        pass
+        limit = numba.config.NUMBA_NUM_THREADS
+        numba.set_num_threads(limit if n is None else min(max(1, n), limit))
 
 
 # ---------------------------------------------------------------- stages
@@ -393,7 +394,9 @@ def _add_io(sub, *names):
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="tomoseg", description=__doc__)
-    p.add_argument("--threads", type=int, default=None, help="worker pool size for the kernels")
+    p.add_argument(
+        "--threads", type=int, default=None, help="bound on kernel worker threads (non-local means)"
+    )
     sub = p.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("phantom", help="generate a synthetic ground-truth volume")

@@ -61,9 +61,6 @@ class RegionGraph:
     region_sizes: np.ndarray  # voxel count per region id (index 0 = background)
     shape: tuple
 
-    def neighbors(self, v: int):
-        return [e for e in self.edges if v in e]
-
 
 def build_region_graph(labels: LabelVolume) -> RegionGraph:
     """Vertices are region ids; an edge joins every 26-adjacent region pair.

@@ -7,6 +7,7 @@ only the tests that force TOMOSEG_BACKEND=numba need numba itself."""
 import numpy as np
 import pytest
 
+from tomoseg import backend
 from tomoseg._kernels import cc, convsep, edt, flood, nlm, recon, render, rotate, sauvola
 from tomoseg.backend import HAVE_NUMBA
 
@@ -30,6 +31,22 @@ def test_correlate_twins_tiny_volume(rng):
         a = convsep._correlate_axis_numba(vol, k, axis)
         b = convsep._correlate_axis_numpy(vol, k, axis)
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+
+
+def test_worker_count_bounds(monkeypatch):
+    monkeypatch.setattr(backend.os, "sched_getaffinity", lambda pid: {0, 1})
+    try:
+        backend.set_thread_bound(None)
+        assert backend.worker_count(64) == 2  # usable CPUs
+        assert backend.worker_count(1) == 1  # never more than the parts
+        backend.set_thread_bound(8)
+        assert backend.worker_count(64) == 2  # never more than the CPUs
+        backend.set_thread_bound(1)
+        assert backend.worker_count(64) == 1
+        backend.set_thread_bound(0)
+        assert backend.worker_count(64) == 1
+    finally:
+        backend.set_thread_bound(None)
 
 
 def test_nlm_twins(rng):

@@ -153,6 +153,31 @@ def test_watershed_deterministic_across_threads(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_denoise_bit_identical_across_threads(tmp_path, tiny_volume):
+    outs = []
+    for threads in ("1", "8"):
+        out = tmp_path / f"den_{threads}.raw"
+        rc = cli.main(
+            ["--threads", threads, "denoise", "--in", str(tiny_volume), "--out", str(out),
+             "--search", "2"]
+        )
+        assert rc == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
+def test_threads_bound_resets_between_calls(tmp_path, tiny_volume, monkeypatch):
+    from tomoseg import backend
+
+    monkeypatch.setattr(backend.os, "sched_getaffinity", lambda pid: set(range(4)))
+    out = str(tmp_path / "den.raw")
+    args = ["denoise", "--in", str(tiny_volume), "--out", out, "--search", "1"]
+    assert cli.main(["--threads", "1"] + args) == 0
+    assert backend.worker_count(24) == 1
+    assert cli.main(args) == 0
+    assert backend.worker_count(24) == 4
+
+
 def test_train_and_merge_cli(tmp_path):
     from tomoseg import binarize, mergegraph, phantom, watershed
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from tomoseg.descriptors import (
     ClampStats,
@@ -190,6 +191,46 @@ def test_particles_from_labels_splits_disconnected():
     lab[5:7, 5:7] = 1  # same label, disconnected in-plane
     secs = particles_from_labels(lab, 1.0)
     assert len(secs) == 2
+
+
+def test_particles_from_labels_pieces_order_and_coords():
+    lab = np.zeros((12, 14), np.uint32)
+    lab[1:3, 1:3] = 5
+    lab[3, 3] = 5  # touches the first block diagonally: same 8-connected piece
+    lab[1:4, 8:10] = 5
+    lab[9:11, 0:2] = 5
+    lab[6:8, 4:12] = 2  # inside label 5's bounding box
+    lab[10, 12] = 9
+    lab[0, 13] = 9
+    secs = particles_from_labels(lab, 0.5)
+    # (label, component) order, each piece with its pixels in raster order
+    want = []
+    for value in (2, 5, 9):
+        comp, n = ndimage.label(lab == value, structure=np.ones((3, 3), bool))
+        for c in range(1, n + 1):
+            ys, xs = np.nonzero(comp == c)
+            want.append(np.column_stack([xs, ys]))
+    assert len(want) == 6
+    assert [s.particle_id for s in secs] == [1, 2, 3, 4, 5, 6]
+    for sec, coords in zip(secs, want):
+        np.testing.assert_array_equal(sec.coords, coords)
+        assert sec.spacing == 0.5
+    assert secs[1].coords.shape[0] == 5  # the diagonal pixel joined the block
+
+
+def test_compute_descriptors_rows_match_public_functions(rng):
+    for _ in range(5):
+        mask = rng.random((16, 16)) > 0.45
+        secs = particles_from_labels(mask.astype(np.int32), 1.5)
+        rows, stats = compute_descriptors(secs)
+        want_stats = ClampStats()
+        for row, sec in zip(rows, secs):
+            assert row.perimeter == perimeter_cornercount(sec)
+            assert row.mean_width == mean_width(sec)
+            assert (row.sphericity, row.convexity, row.elongation) == shape_factors(
+                sec, want_stats
+            )
+        assert stats == want_stats
 
 
 def test_boundary_chain_closed_on_random_blobs(rng):

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
+from tomoseg._kernels import nlm
 from tomoseg.prefilter import (
     NlmParams,
     UnsharpParams,
@@ -83,6 +85,63 @@ def test_nlm_matches_oracle_exactly(rng):
         np.testing.assert_array_equal(
             out.data, np.clip(np.floor(expect + 0.5), 0, 65535).astype(np.uint16)
         )
+
+
+def _nlm_full_volume(img, h2, patch_radius, patch_sigma, search):
+    """The earlier numpy kernel, kept as the reference: every search offset
+    is computed on the whole volume and masked where x+s leaves it."""
+
+    def shift_valid(img, s):
+        out = np.zeros_like(img)
+        valid = np.zeros(img.shape, bool)
+        src = []
+        dst = []
+        for n, d in zip(img.shape, s):
+            lo_dst, hi_dst = max(0, -d), min(n, n - d)
+            if lo_dst >= hi_dst:
+                return out, valid
+            dst.append(slice(lo_dst, hi_dst))
+            src.append(slice(lo_dst + d, hi_dst + d))
+        out[tuple(dst)] = img[tuple(src)]
+        valid[tuple(dst)] = True
+        return out, valid
+
+    g1 = np.exp(-(np.arange(-patch_radius, patch_radius + 1) ** 2) / (2.0 * patch_sigma**2))
+    g1 = g1 / g1.sum()
+    norm = np.zeros(img.shape, np.float64)
+    acc = np.zeros(img.shape, np.float64)
+    rng = range(-search, search + 1)
+    for sz in rng:
+        for sy in rng:
+            for sx in rng:
+                shifted, valid = shift_valid(img, (sz, sy, sx))
+                dsq = np.where(valid, (img - shifted) ** 2, 0.0)
+                for axis in range(3):
+                    dsq = ndimage.correlate1d(dsq, g1, axis=axis, mode="constant", cval=0.0)
+                w = np.where(valid, np.exp(-dsq / h2), 0.0)
+                norm += w
+                acc += w * shifted
+    return acc / norm
+
+
+@pytest.mark.parametrize("shape", [(5, 5, 5), (7, 4, 9), (3, 11, 6), (1, 6, 5), (2, 3, 13)])
+def test_nlm_slabs_bit_identical_to_full_volume(rng, shape):
+    # valid boxes and z slabs keep every voxel's sums in the same order, so
+    # the result is bitwise equal for any worker count, also when nz < workers
+    img = rng.integers(0, 65536, shape).astype(np.float64)
+    for search in (1, 2, 5):
+        for h in (300.0, 900.0, 1e12):
+            for patch_radius in (1, 2):
+                want = _nlm_full_volume(img, h * h, patch_radius, 1.0, search)
+                for workers in (1, 2, 3, 5):
+                    got = nlm._nlm_numpy(img, h * h, patch_radius, 1.0, search, workers=workers)
+                    assert np.array_equal(got, want), (search, h, patch_radius, workers)
+
+
+def test_nlm_default_workers_bit_identical(rng):
+    img = rng.integers(0, 65536, (12, 9, 10)).astype(np.float64)
+    want = _nlm_full_volume(img, 700.0**2, 1, 1.0, 3)
+    np.testing.assert_array_equal(nlm._nlm_numpy(img, 700.0**2, 1, 1.0, 3), want)
 
 
 def test_nlm_preserves_range(rng):
