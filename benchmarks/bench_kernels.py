@@ -72,7 +72,7 @@ def main():
     nlm_img = imgf[: min(n, 32), : min(n, 32), : min(n, 32)]
     g1 = np.exp(-(np.arange(-1, 2) ** 2) / 2.0)
     g1 = g1 / g1.sum()
-    nlm_workers = backend.worker_count(nlm_img.shape[0])
+    nlm_workers = nlm._slab_workers(nlm_img.shape[0], 1)
     add(
         f"non-local means ({nlm_img.shape[0]}^3, search 2, numpy {nlm_workers} workers)",
         lambda: nlm._nlm_numba(nlm_img, 800.0**2, g1, 2),

@@ -18,9 +18,10 @@ per-voxel sums.
 The numpy path does each offset only on its valid box, the voxels x where
 both x and x+s lie in the volume; outside it the weight is exactly zero, so
 skipping those voxels drops only additions of 0.0. The output z-rows are
-split into disjoint slabs, one per worker thread (``backend.worker_count``:
-the ``--threads`` bound, the usable CPUs and nz, whichever is least). Each
-worker runs every offset in the original order over its own rows, reading
+split into disjoint slabs, one per worker thread. The worker count
+(``backend.worker_count``) is the least of the ``--threads`` bound, the
+usable CPUs and nz // (2 * patch_radius + 1); the last keeps every slab at
+least as thick as its halo. Each worker runs every offset in the original order over its own rows, reading
 patch-radius halo rows for the z pass, so every voxel sees the same sequence
 of floating-point operations as in a single full-volume pass, and the result
 is bitwise independent of the worker count. numpy ufuncs and scipy's
@@ -175,16 +176,21 @@ def _nlm_slab(img, h2, g1, search, norm, acc, z0, z1, buf_a, buf_b):
                 np.add(acc_box, w, out=acc_box)
 
 
-def _nlm_numpy(img, h2, patch_radius, patch_sigma, search, workers=None):
+def _slab_workers(nz: int, patch_radius: int) -> int:
+    # no slab thinner than its 2 * patch_radius halo rows
+    return worker_count(nz // (2 * patch_radius + 1))
+
+
+def _nlm_numpy(img, h2, patch_radius, patch_sigma, search):
     # Per search offset s: squared differences on the valid box, then a
     # zero-fill separable Gaussian patch correlation. Zero filling reproduces
     # the "invalid patch offsets are dropped" rule exactly. Per-axis
     # normalization makes the 3D product sum to 1 over the patch, matching
-    # patch_weights(). ``workers`` overrides the worker count (tests).
+    # patch_weights().
     g1 = np.exp(-(np.arange(-patch_radius, patch_radius + 1) ** 2) / (2.0 * patch_sigma**2))
     g1 = g1 / g1.sum()
     nz, ny, nx = img.shape
-    n = worker_count(nz) if workers is None else max(1, min(workers, nz))
+    n = _slab_workers(nz, patch_radius)
     cuts = [nz * i // n for i in range(n + 1)]
     norm = np.zeros(img.shape, np.float64)
     acc = np.zeros(img.shape, np.float64)
@@ -194,13 +200,10 @@ def _nlm_numpy(img, h2, patch_radius, patch_sigma, search, workers=None):
     for z0, z1 in zip(cuts[:-1], cuts[1:]):
         size = min(nz, z1 - z0 + 2 * patch_radius) * ny * nx
         jobs.append((z0, z1, np.empty(size, np.float64), np.empty(size, np.float64)))
-    if n == 1:
-        _nlm_slab(img, h2, g1, search, norm, acc, *jobs[0])
-    else:
-        with ThreadPoolExecutor(max_workers=n) as pool:
-            futures = [pool.submit(_nlm_slab, img, h2, g1, search, norm, acc, *job) for job in jobs]
-            for future in futures:
-                future.result()
+    with ThreadPoolExecutor(max_workers=n) as pool:
+        futures = [pool.submit(_nlm_slab, img, h2, g1, search, norm, acc, *job) for job in jobs]
+        for future in futures:
+            future.result()
     return acc / norm
 
 

@@ -76,26 +76,16 @@ def particles_from_labels(labels_2d: np.ndarray, spacing: float) -> list[Particl
     component) order.
     """
     labels_2d = np.asarray(labels_2d)
-    # relabel to 1..k in sorted label order, background 0, so every label's
-    # bounding box comes from one find_objects pass over the plane
-    _, inverse = np.unique(labels_2d, return_inverse=True)
-    dense = inverse.reshape(labels_2d.shape) + 1
-    dense[labels_2d == 0] = 0
-    eight = np.ones((3, 3), bool)
     sections = []
-    for i, box in enumerate(ndimage.find_objects(dense), start=1):
-        if box is None:
+    next_id = 1
+    for lab in np.unique(labels_2d):
+        if lab == 0:
             continue
-        comp, _ = ndimage.label(dense[box] == i, structure=eight)
-        ys, xs = np.nonzero(comp)
-        ids = comp[ys, xs]
-        # stable sort by component keeps each piece's pixels in raster order
-        order = np.argsort(ids, kind="stable")
-        cuts = np.flatnonzero(np.diff(ids[order])) + 1
-        xs = xs[order] + box[1].start
-        ys = ys[order] + box[0].start
-        for px, py in zip(np.split(xs, cuts), np.split(ys, cuts)):
-            sections.append(ParticleSection(len(sections) + 1, np.column_stack([px, py]), spacing))
+        comp, n = ndimage.label(labels_2d == lab, structure=np.ones((3, 3), bool))
+        for c in range(1, n + 1):
+            ys, xs = np.nonzero(comp == c)
+            sections.append(ParticleSection(next_id, np.column_stack([xs, ys]), spacing))
+            next_id += 1
     return sections
 
 
@@ -186,10 +176,7 @@ def mean_width(section: ParticleSection, n_angles: int = 180) -> float:
     hull of the pixel centers; each direction adds the extent of the unit
     pixel square (|cos| + |sin|) so the value describes the pixel region,
     not the center lattice."""
-    return _mean_width(section, convex_hull(section.coords), n_angles)
-
-
-def _mean_width(section: ParticleSection, hull: np.ndarray, n_angles: int = 180) -> float:
+    hull = convex_hull(section.coords)
     theta = (np.arange(n_angles) + 0.5) * np.pi / n_angles
     c, s = np.cos(theta), np.sin(theta)
     proj = hull @ np.vstack([c, s])
@@ -217,22 +204,17 @@ def shape_factors(section: ParticleSection, stats: ClampStats | None = None):
     coordinates, each eigenvalue carrying the 1/12 within-pixel variance.
     Values pushed above 1 by discretization are clamped and counted.
     """
-    return _shape_factors(
-        section, perimeter_cornercount(section), convex_hull(section.coords), stats
-    )
-
-
-def _shape_factors(section: ParticleSection, l: float, hull: np.ndarray, stats: ClampStats | None):
-    # shape_factors() given the section's perimeter and convex hull
+    sp = section.spacing
     if section.coords.shape[0] == 1:
         return 1.0, 1.0, 1.0
-    sp = section.spacing
     a = area(section)
+    l = perimeter_cornercount(section)
     s = 4.0 * np.pi * a / (l * l)
     if s > 1.0:
         s = 1.0
         if stats is not None:
             stats.sphericity_clamped += 1
+    hull = convex_hull(section.coords)
     hull_a, hull_l = _polygon_area_perimeter(hull * sp)
     hull_area = hull_a + 0.5 * hull_l * sp + np.pi / 4.0 * sp * sp
     c = a / hull_area
@@ -251,16 +233,13 @@ def compute_descriptors(sections) -> tuple[list[DescriptorRow], ClampStats]:
     stats = ClampStats()
     rows = []
     for sec in sections:
-        # perimeter and hull are computed once and shared by the row's values
-        perim = perimeter_cornercount(sec)
-        hull = convex_hull(sec.coords)
-        s, c, e = _shape_factors(sec, perim, hull, stats)
+        s, c, e = shape_factors(sec, stats)
         rows.append(
             DescriptorRow(
                 particle_id=sec.particle_id,
                 area=area(sec),
-                perimeter=perim,
-                mean_width=_mean_width(sec, hull),
+                perimeter=perimeter_cornercount(sec),
+                mean_width=mean_width(sec),
                 sphericity=s,
                 convexity=c,
                 elongation=e,

@@ -153,7 +153,11 @@ def test_watershed_deterministic_across_threads(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_denoise_bit_identical_across_threads(tmp_path, tiny_volume):
+def test_denoise_bit_identical_across_threads(tmp_path, tiny_volume, monkeypatch):
+    from tomoseg import backend
+
+    # eight usable CPUs, so --threads 8 runs eight slabs of the 24 z-rows
+    monkeypatch.setattr(backend.os, "sched_getaffinity", lambda pid: set(range(8)))
     outs = []
     for threads in ("1", "8"):
         out = tmp_path / f"den_{threads}.raw"

@@ -124,24 +124,45 @@ def _nlm_full_volume(img, h2, patch_radius, patch_sigma, search):
     return acc / norm
 
 
-@pytest.mark.parametrize("shape", [(5, 5, 5), (7, 4, 9), (3, 11, 6), (1, 6, 5), (2, 3, 13)])
-def test_nlm_slabs_bit_identical_to_full_volume(rng, shape):
+@pytest.mark.parametrize(
+    "shape", [(5, 5, 5), (7, 4, 9), (3, 11, 6), (1, 6, 5), (2, 3, 13), (16, 3, 4), (26, 4, 3)]
+)
+def test_nlm_slabs_bit_identical_to_full_volume(rng, shape, monkeypatch):
     # valid boxes and z slabs keep every voxel's sums in the same order, so
-    # the result is bitwise equal for any worker count, also when nz < workers
+    # the result is bitwise equal for any worker count; the short volumes
+    # fall back to fewer slabs than the bound asks for
+    from tomoseg import backend
+
+    monkeypatch.setattr(backend.os, "sched_getaffinity", lambda pid: set(range(8)))
     img = rng.integers(0, 65536, shape).astype(np.float64)
-    for search in (1, 2, 5):
-        for h in (300.0, 900.0, 1e12):
-            for patch_radius in (1, 2):
-                want = _nlm_full_volume(img, h * h, patch_radius, 1.0, search)
-                for workers in (1, 2, 3, 5):
-                    got = nlm._nlm_numpy(img, h * h, patch_radius, 1.0, search, workers=workers)
-                    assert np.array_equal(got, want), (search, h, patch_radius, workers)
+    try:
+        for search in (1, 2, 5):
+            for h in (300.0, 900.0, 1e12):
+                for patch_radius in (1, 2):
+                    want = _nlm_full_volume(img, h * h, patch_radius, 1.0, search)
+                    for workers in (1, 2, 3, 5):
+                        backend.set_thread_bound(workers)
+                        got = nlm._nlm_numpy(img, h * h, patch_radius, 1.0, search)
+                        assert np.array_equal(got, want), (search, h, patch_radius, workers)
+    finally:
+        backend.set_thread_bound(None)
 
 
 def test_nlm_default_workers_bit_identical(rng):
     img = rng.integers(0, 65536, (12, 9, 10)).astype(np.float64)
     want = _nlm_full_volume(img, 700.0**2, 1, 1.0, 3)
     np.testing.assert_array_equal(nlm._nlm_numpy(img, 700.0**2, 1, 1.0, 3), want)
+
+
+def test_nlm_slab_workers_keep_halo_thickness(monkeypatch):
+    from tomoseg import backend
+
+    monkeypatch.setattr(backend.os, "sched_getaffinity", lambda pid: set(range(8)))
+    assert nlm._slab_workers(26, 2) == 5  # the tall test shape really runs 5 slabs
+    assert nlm._slab_workers(16, 1) == 5
+    assert nlm._slab_workers(64, 1) == 8  # capped at the CPUs
+    assert nlm._slab_workers(9, 2) == 1  # two slabs would be thinner than 5 rows
+    assert nlm._slab_workers(1, 1) == 1
 
 
 def test_nlm_preserves_range(rng):
