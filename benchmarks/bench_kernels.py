@@ -8,8 +8,11 @@ Regional minima (plateau components) and flooding (a bucket queue) use
 their own algorithms on the numpy path, with results identical to the
 numba twins; flooding is the one numpy kernel that still steps voxel by
 voxel in Python. Non-local means on the numpy path splits its z-rows over
-worker threads (the usable CPUs); its row names the worker count. Without
-numba only the numpy column is printed.
+worker threads (the usable CPUs); its row names the worker count. The
+registration's translation solve (float32 FFT correlation plus an exact
+count of each candidate shift) has no numba twin, so its rows, at the band
+and plane shapes of the three pyramid levels of a 96^3 registration, have
+a numpy column only. Without numba only the numpy column is printed.
 """
 
 from __future__ import annotations
@@ -61,6 +64,9 @@ def main():
             t_nb = timed(f_numba, args.repeats)
         t_np = timed(f_numpy, args.repeats)
         rows.append((name, t_nb, t_np))
+
+    def add_numpy(name, f_numpy):
+        rows.append((name, None, timed(f_numpy, args.repeats)))
 
     k = convsep.gaussian_kernel(1.5)
     add(
@@ -159,6 +165,16 @@ def main():
             lambda lo=lo, hi=hi: rotate._rotate_numpy(mask, rinv, *center, lo, hi),
         )
 
+    from tomoseg.register import TranslationSolver
+
+    for (bz, by, bx), (ph, pw) in (
+        ((24, 24, 24), (23, 23)), ((25, 48, 48), (46, 46)), ((31, 96, 96), (92, 92)),
+    ):
+        band = rng.random((bz, by, bx)) > 0.85
+        solver = TranslationSolver(band.shape, rng.random((ph, pw)) > 0.85)
+        add_numpy(f"translation solve ({bz}x{by}x{bx} band, {ph}x{pw} plane)",
+                  lambda solver=solver, band=band: solver.solve(band))
+
     width = max(len(r[0]) for r in rows)
     print(f"\nkernel benchmark at {n}^3 ({args.repeats} repeats, best of)")
     if not have_numba:
@@ -169,6 +185,9 @@ def main():
         return
     print(f"{'kernel'.ljust(width)}  {'numba':>10}  {'numpy':>10}  {'speedup':>8}")
     for name, t_nb, t_np in rows:
+        if t_nb is None:
+            print(f"{name.ljust(width)}  {'-':>10}  {t_np * 1e3:9.1f}ms")
+            continue
         print(f"{name.ljust(width)}  {t_nb * 1e3:9.1f}ms  {t_np * 1e3:9.1f}ms  {t_np / t_nb:7.1f}x")
 
 

@@ -11,6 +11,15 @@ cross-correlation, and a Nelder-Mead search handles the three rotation
 angles, coarse-to-fine over a block-OR pyramid. Splitting the search this
 way removes the three translation dimensions from the simplex search
 exactly.
+
+The correlation runs in float32. Its values are integer overlaps, but at
+the finest level the proven float32 error bound (``_fft_error_bound``)
+exceeds 0.5, so the rounded maximum alone could be wrong. The float32
+values therefore only nominate the shifts within twice the bound of the
+computed maximum, which always include every true maximizer; each nominee's
+overlap is counted exactly in integers. A solve with more than
+MAX_CANDIDATES nominees reruns in float64, whose bound is below 1e-6 here,
+so rounding it is exact.
 """
 
 from __future__ import annotations
@@ -98,59 +107,151 @@ def _as_plane_array(plane) -> np.ndarray:
     return np.asarray(plane, bool)
 
 
+# A float32 solve nominating more candidate shifts than this reruns in
+# float64 (a tie plateau, or a correlation with no clear peak).
+MAX_CANDIDATES = 64
+
+# First-order FFT error terms in units of the unit roundoff u: ETA per
+# transform stage (Higham, Accuracy and Stability of Numerical Algorithms,
+# 2nd ed., Thm 24.2), and the spectrum rounding, the complex product and the
+# 1/N scaling together; SAFETY covers the second-order terms and the
+# mixed-radix real-input transforms scipy runs, which the radix-2 theorem
+# does not.
+_FFT_ETA = 8.0
+_FFT_PRODUCT = 5.0
+_FFT_SAFETY = 4.0
+
+
+def _fft_error_bound(a: int, b: int, n: int, unit: float) -> float:
+    """Bound on |computed - exact| over every entry of the correlation of
+    one slice with ``b`` foreground pixels and a plane with ``a``, over a
+    padded transform of ``n`` points, in a precision of unit roundoff
+    ``unit``.
+
+    With L = log2(n), Thm 24.2 gives a forward error of at most
+    L*eta*||x||_2 for a transform of x, eta = mu + gamma_4*(sqrt(2) + mu)
+    <= 8u with twiddles accurate to u. The slice's spectrum S has
+    ||S||_2 = sqrt(n*b) (Parseval) and the plane's |P_k| <= ||p||_1 = a, so
+    the product S*conj(P) is off by at most a*sqrt(n*b)*(L*eta + 5u): the
+    forward transform, rounding P, and the complex product with its
+    sqrt(2)*gamma_2 (Lemma 3.5). The inverse transform scales 2-norms by
+    1/sqrt(n) and adds its own L*eta, and the max norm is at most the 2-norm,
+    so every entry is off by at most a*sqrt(b)*(2*L*eta + 5u). The float64
+    error of P itself is below 1e-9 of that and left to the safety factor:
+
+        E = SAFETY * u * a * sqrt(b) * (2*L*ETA + PRODUCT),
+
+    with ETA and PRODUCT in units of u. At the finest registration level
+    (a = 1 335, b = 1 841, n = 192^2) E is 3.4 in float32, too large to
+    round the float32 maximum, and 6e-9 in float64.
+    """
+    return _FFT_SAFETY * unit * a * math.sqrt(b) * (
+        2.0 * _FFT_ETA * math.log2(n) + _FFT_PRODUCT
+    )
+
+
 class TranslationSolver:
     """FFT cross-correlation solver with the plane spectrum precomputed, for
-    repeated solves against rotated copies of a fixed-shape volume.
+    repeated solves against rotated bands of volumes with the same (ny, nx);
+    the band height may change from solve to solve.
 
     The plane is a single slice, so the correlation along z is the identity:
     each volume slice is correlated with the plane by a 2-D transform over
-    (y, x)."""
+    (y, x). The transform runs in float32, which only nominates candidates:
+    every entry within 2E of the float32 maximum, E being
+    ``_fft_error_bound``. The exact maximum is within E of its computed
+    value, and the computed maximum within E of the exact one, so every
+    maximizer is nominated. Each candidate's overlap is then counted exactly
+    in integers. A solve that nominates more than MAX_CANDIDATES shifts
+    reruns in float64, where E stays below 1e-6 at these sizes and rounding
+    the correlation is exact."""
 
     def __init__(self, vol_shape, plane):
         p = _as_plane_array(plane)
-        nz, ny, nx = vol_shape
+        ny, nx = vol_shape[-2:]
         ph, pw = p.shape
         if pw > nx or ph > ny:
             raise ValueError("plane must not exceed the volume in x or y")
-        self.vol_shape = (nz, ny, nx)
-        self.plane_shape = (ph, pw)
+        self.slice_shape = (ny, nx)
+        self.plane = p
         self.empty = not p.any()
         if self.empty:
             return
+        self.count = int(np.count_nonzero(p))
         self.pad = (
             sfft.next_fast_len(ny + ph - 1, real=True),
             sfft.next_fast_len(nx + pw - 1, real=True),
         )
-        self.fp_conj = np.conj(sfft.rfft2(p.astype(np.float64), s=self.pad))
+        self.fp_conj64 = np.conj(sfft.rfft2(p.astype(np.float64), s=self.pad))
+        self.fp_conj32 = self.fp_conj64.astype(np.complex64)
+
+    def _correlate(self, vol: np.ndarray, fp_conj: np.ndarray) -> np.ndarray:
+        """Correlation of every slice with the plane, in the precision of
+        ``fp_conj``: entry [z, y, x] is the overlap at shift (x, y, z), with
+        negative shifts wrapped to the end of each axis."""
+        fv = sfft.rfft2(vol.astype(fp_conj.real.dtype), s=self.pad)
+        fv *= fp_conj
+        return sfft.irfft2(fv, s=self.pad)
+
+    def _no_overlap(self) -> TranslationResult:
+        ph, pw = self.plane.shape
+        return TranslationResult((-(pw - 1), -(ph - 1), 0), 0)
+
+    def _shifts(self, zs, ys, xs):
+        """(x, y, z) shifts of correlation entries, negative ones unwrapped."""
+        ny, nx = self.slice_shape
+        pad_y, pad_x = self.pad
+        return np.where(xs < nx, xs, xs - pad_x), np.where(ys < ny, ys, ys - pad_y), zs
+
+    def _overlap(self, vol: np.ndarray, sx: int, sy: int, sz: int) -> int:
+        ny, nx = self.slice_shape
+        ph, pw = self.plane.shape
+        x0, x1 = max(0, sx), min(nx, sx + pw)
+        y0, y1 = max(0, sy), min(ny, sy + ph)
+        if x0 >= x1 or y0 >= y1:
+            return 0
+        window = self.plane[y0 - sy : y1 - sy, x0 - sx : x1 - sx]
+        return int(np.count_nonzero(vol[sz, y0:y1, x0:x1] & window))
+
+    def _solve_float64(self, vol: np.ndarray) -> TranslationResult:
+        corr = self._correlate(vol, self.fp_conj64)
+        best = int(np.rint(corr.max()))
+        if best <= 0:
+            return self._no_overlap()
+        sx, sy, sz = self._shifts(*np.nonzero(corr > best - 0.5))
+        k = np.lexsort((sz, sy, sx))[0]  # smallest (x, y, z)
+        return TranslationResult((int(sx[k]), int(sy[k]), int(sz[k])), best)
 
     def solve(self, vol: np.ndarray) -> TranslationResult:
-        if vol.shape != self.vol_shape:
-            raise ValueError(f"expected volume shape {self.vol_shape}, got {vol.shape}")
+        if vol.ndim != 3 or vol.shape[1:] != self.slice_shape:
+            raise ValueError(f"expected volume slices of shape {self.slice_shape}, got {vol.shape}")
         if self.empty:
             return TranslationResult((0, 0, 0), 0, empty_plane=True)
-        ph, pw = self.plane_shape
-        _, ny, nx = self.vol_shape
-        pad_y, pad_x = self.pad
-        fv = sfft.rfft2(vol.astype(np.float64), s=self.pad)
-        fv *= self.fp_conj
-        corr = sfft.irfft2(fv, s=self.pad)
-        # entries outside the window of shifts -(pw-1)..nx-1, -(ph-1)..ny-1
-        # have no overlap and hold only FFT noise around 0
-        best = int(np.rint(corr.max()))
-        if best <= 0:  # no overlap anywhere: the smallest shift wins
-            return TranslationResult((-(pw - 1), -(ph - 1), 0), 0)
-        zs, ys, xs = np.nonzero(corr > best - 0.5)
-        sx = np.where(xs < nx, xs, xs - pad_x)
-        sy = np.where(ys < ny, ys, ys - pad_y)
-        k = np.lexsort((zs, sy, sx))[0]  # smallest (x, y, z)
-        return TranslationResult((int(sx[k]), int(sy[k]), int(zs[k])), best)
+        b = int(np.count_nonzero(vol, axis=(1, 2)).max(initial=0))
+        if b == 0:
+            return self._no_overlap()
+        corr = self._correlate(vol, self.fp_conj32)
+        flat = corr.ravel()
+        err = _fft_error_bound(self.count, b, self.pad[0] * self.pad[1], 2.0**-24)
+        thr = np.nextafter(np.float32(float(flat.max()) - 2.0 * err), np.float32(-np.inf))
+        hits = np.flatnonzero(flat >= thr)
+        if hits.size > MAX_CANDIDATES:
+            return self._solve_float64(vol)
+        shifts = list(zip(*(a.tolist() for a in self._shifts(*np.unravel_index(hits, corr.shape)))))
+        counts = [self._overlap(vol, *s) for s in shifts]
+        best = max(counts)
+        if best == 0:  # no overlap anywhere: the smallest shift wins
+            return self._no_overlap()
+        return TranslationResult(min(s for s, c in zip(shifts, counts) if c == best), best)
 
 
 def best_translation(volR, plane) -> TranslationResult:
     """Exact integer-shift maximizer of the overlap, via zero-padded FFT
-    cross-correlation (values are integers; FFT noise stays far below 0.5 at
-    these sizes, so rounding restores them exactly). Ties resolve to the
-    lexicographically smallest (x, y, z) shift."""
+    cross-correlation in float32. The float32 values only nominate the
+    shifts within twice a proven error bound of the computed maximum; each
+    is then counted exactly, and a solve nominating more than
+    MAX_CANDIDATES reruns in float64. Ties resolve to the lexicographically
+    smallest (x, y, z) shift."""
     vol = volR.data if isinstance(volR, BinaryVolume) else np.asarray(volR, bool)
     return TranslationSolver(vol.shape, plane).solve(vol)
 
@@ -322,13 +423,11 @@ class _BandObjective:
     z searched in the band [z0, z1) of the rotated volume; the full height
     is rotated and solved only when the band edge wins."""
 
-    def __init__(self, vol_l: np.ndarray, plane_l: np.ndarray, z0: int, z1: int, trace: list):
+    def __init__(self, vol_l: np.ndarray, solver: TranslationSolver, z0: int, z1: int, trace: list):
         self.vol = vol_l
-        self.plane = plane_l
+        self.solver = solver  # shared by every band of the level
         self.z0, self.z1 = z0, z1
         self.center = volume_center(vol_l.shape)
-        self.solver = TranslationSolver((z1 - z0,) + vol_l.shape[1:], plane_l)
-        self.full_solver = self.solver if (z0, z1) == (0, vol_l.shape[0]) else None
         self.trace = trace
         self.cache = {}
         self.touched = set()  # keys evaluated or looked up by the current run
@@ -344,9 +443,7 @@ class _BandObjective:
             if z0 > 0 or z1 < nz:
                 # re-solve over the full height if the band boundary wins
                 if (sz == 0 and z0 > 0) or (sz == z1 - z0 - 1 and z1 < nz):
-                    if self.full_solver is None:
-                        self.full_solver = TranslationSolver(self.vol.shape, self.plane)
-                    res = self.full_solver.solve(rotate_nearest(self.vol, rinv, self.center))
+                    res = self.solver.solve(rotate_nearest(self.vol, rinv, self.center))
                 else:
                     res = TranslationResult((sx, sy, sz + z0), res.overlap, res.empty_plane)
             self.cache[key] = res
@@ -390,6 +487,7 @@ def register_section(vol: BinaryVolume, plane, opts: RegisterOptions = RegisterO
         nz_l = vol_l.shape[0]
         diag = math.hypot(*plane_l.shape)
         margin = max(12, int(0.12 * diag))
+        solver = TranslationSolver(vol_l.shape, plane_l)
         bands = {}
 
         def objective_at(tz):
@@ -399,7 +497,7 @@ def register_section(vol: BinaryVolume, plane, opts: RegisterOptions = RegisterO
                 z0 = max(0, int(round(tz)) - margin)
                 z1 = min(nz_l, int(round(tz)) + margin + 1)
             if (z0, z1) not in bands:
-                bands[z0, z1] = _BandObjective(vol_l, plane_l, z0, z1, trace)
+                bands[z0, z1] = _BandObjective(vol_l, solver, z0, z1, trace)
             return bands[z0, z1]
 
         if starts is None:

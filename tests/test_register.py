@@ -115,6 +115,122 @@ def test_translation_solver_ties_match_brute_force(rng):
     assert res.shift == brute_force_translation(empty, plane).shift
 
 
+def _float32_bound(solver, vol):
+    from tomoseg.register import _fft_error_bound
+
+    b = int(np.count_nonzero(vol, axis=(1, 2)).max())
+    return _fft_error_bound(solver.count, b, solver.pad[0] * solver.pad[1], 2.0**-24)
+
+
+@pytest.mark.parametrize("fill", ["dense", "ones"])
+@pytest.mark.parametrize(
+    "vol_shape, plane_shape",
+    [((24, 24, 24), (23, 23)), ((25, 48, 48), (46, 46)), ((31, 96, 96), (92, 92))],
+)
+def test_float32_correlation_within_bound(rng, fill, vol_shape, plane_shape):
+    from tomoseg.register import TranslationSolver, _fft_error_bound
+
+    # the band and plane shapes of the three registration levels
+    if fill == "ones":
+        vol, plane = np.ones(vol_shape, bool), np.ones(plane_shape, bool)
+    else:
+        vol, plane = rng.random(vol_shape) < 0.5, rng.random(plane_shape) < 0.5
+    solver = TranslationSolver(vol.shape, plane)
+    corr64 = solver._correlate(vol, solver.fp_conj64)
+    exact = np.rint(corr64)
+    # float64 rounding is proven here, so the rounded values are the overlaps
+    b = int(np.count_nonzero(vol, axis=(1, 2)).max())
+    assert _fft_error_bound(solver.count, b, solver.pad[0] * solver.pad[1], 2.0**-53) < 1e-6
+    assert np.abs(corr64 - exact).max() < 1e-6
+    ph, pw = plane_shape
+    assert exact[-1, 0, 0] == np.count_nonzero(vol[-1, :ph, :pw] & plane)
+    corr32 = solver._correlate(vol, solver.fp_conj32)
+    assert corr32.dtype == np.float32
+    assert np.abs(corr32 - exact).max() <= _float32_bound(solver, vol)
+
+
+def test_translation_solver_exact_where_float32_rounding_is_unproven(rng, monkeypatch):
+    from tomoseg.register import TranslationSolver
+
+    fallbacks = []
+    real_fallback = TranslationSolver._solve_float64
+    monkeypatch.setattr(
+        TranslationSolver, "_solve_float64",
+        lambda self, v: fallbacks.append(v.shape) or real_fallback(self, v),
+    )
+    vol = rng.random((2, 40, 40)) < 0.5
+    plane = rng.random((36, 36)) < 0.7
+    # the plane planted whole at (2, 3, 1), and less one pixel at the
+    # smaller shift (0, 1, 0)
+    planted = vol.copy()
+    planted[1, 3:39, 2:38] |= plane
+    planted[0, 1:37, 0:36] = plane
+    planted[0, 1:37, 0:36].flat[np.flatnonzero(plane)[0]] = False
+    real_correlate = TranslationSolver._correlate
+
+    def perturbed(self, v, fp_conj):
+        # any float32 error up to the bound: the maxima pushed down by
+        # nearly all of it, the runners-up pushed up as far, every other
+        # entry moved at random within it
+        corr = real_correlate(self, v, fp_conj)
+        if corr.dtype != np.float32:
+            return corr
+        exact = np.rint(real_correlate(self, v, self.fp_conj64))
+        err = 0.99 * _float32_bound(self, v)
+        noise = rng.uniform(-err, err, corr.shape)
+        top = exact.max()
+        noise[exact == top] = -err
+        noise[exact == exact[exact < top].max()] = err
+        return (corr + noise).astype(np.float32)
+
+    for v in (vol, planted):
+        solver = TranslationSolver(v.shape, plane)
+        assert _float32_bound(solver, v) >= 0.5  # rounding the float32 max is unproven
+        bf_res = brute_force_translation(v, plane)
+        for correlate in (real_correlate, perturbed):
+            monkeypatch.setattr(TranslationSolver, "_correlate", correlate)
+            res = solver.solve(v)
+            assert (res.shift, res.overlap) == (bf_res.shift, bf_res.overlap)
+    assert bf_res.shift == (2, 3, 1) and bf_res.overlap == int(plane.sum())
+    assert fallbacks == []
+
+
+def test_translation_solver_tie_plateau_falls_back_to_float64(monkeypatch):
+    from tomoseg import register
+
+    fallbacks = []
+    real_fallback = register.TranslationSolver._solve_float64
+    monkeypatch.setattr(
+        register.TranslationSolver, "_solve_float64",
+        lambda self, v: fallbacks.append(v.shape) or real_fallback(self, v),
+    )
+    # every shift with the plane fully inside ties: 3 * 17 * 17 candidates
+    vol = np.ones((3, 20, 20), bool)
+    vol[1, 5, 7] = False
+    plane = np.ones((4, 4), bool)
+    plane[2, 1] = False
+    assert 3 * 17 * 17 > register.MAX_CANDIDATES
+    res = register.TranslationSolver(vol.shape, plane).solve(vol)
+    bf_res = brute_force_translation(vol, plane)
+    assert fallbacks == [vol.shape]
+    assert (res.shift, res.overlap) == (bf_res.shift, bf_res.overlap) == ((0, 0, 0), 15)
+
+
+def test_translation_solver_serves_bands_of_any_height(rng):
+    from tomoseg.register import TranslationSolver
+
+    vol = rng.random((9, 14, 16)) > 0.6
+    plane = rng.random((5, 6)) > 0.4
+    solver = TranslationSolver(vol.shape, plane)
+    for z0, z1 in ((0, 9), (2, 5), (4, 5)):
+        band = vol[z0:z1]
+        res = solver.solve(band)
+        bf_res = brute_force_translation(band, plane)
+        assert (res.shift, res.overlap) == (bf_res.shift, bf_res.overlap)
+    with pytest.raises(ValueError):
+        solver.solve(vol[:, :, :15])
+
+
 def test_best_translation_self_slice_exact(rng):
     m = rng.random((16, 20, 22)) > 0.6
     vol = binary(m)
