@@ -137,7 +137,7 @@ def _fft_error_bound(a: int, b: int, n: int, unit: float) -> float:
     sqrt(2)*gamma_2 (Lemma 3.5). The inverse transform scales 2-norms by
     1/sqrt(n) and adds its own L*eta, and the max norm is at most the 2-norm,
     so every entry is off by at most a*sqrt(b)*(2*L*eta + 5u). The float64
-    error of P itself is below 1e-9 of that and left to the safety factor:
+    error of P itself is about 2e-9 of that and left to the safety factor:
 
         E = SAFETY * u * a * sqrt(b) * (2*L*ETA + PRODUCT),
 
@@ -157,14 +157,10 @@ class TranslationSolver:
 
     The plane is a single slice, so the correlation along z is the identity:
     each volume slice is correlated with the plane by a 2-D transform over
-    (y, x). The transform runs in float32, which only nominates candidates:
-    every entry within 2E of the float32 maximum, E being
-    ``_fft_error_bound``. The exact maximum is within E of its computed
-    value, and the computed maximum within E of the exact one, so every
-    maximizer is nominated. Each candidate's overlap is then counted exactly
-    in integers. A solve that nominates more than MAX_CANDIDATES shifts
-    reruns in float64, where E stays below 1e-6 at these sizes and rounding
-    the correlation is exact."""
+    (y, x). The float32 correlation nominates every entry within 2E of its
+    maximum, E being ``_fft_error_bound``: each true maximizer's computed
+    value is at most E below the exact maximum, and the computed maximum at
+    most E above it, so every maximizer is nominated."""
 
     def __init__(self, vol_shape, plane):
         p = _as_plane_array(plane)
@@ -237,7 +233,8 @@ class TranslationSolver:
         hits = np.flatnonzero(flat >= thr)
         if hits.size > MAX_CANDIDATES:
             return self._solve_float64(vol)
-        shifts = list(zip(*(a.tolist() for a in self._shifts(*np.unravel_index(hits, corr.shape)))))
+        sx, sy, sz = self._shifts(*np.unravel_index(hits, corr.shape))
+        shifts = list(zip(sx.tolist(), sy.tolist(), sz.tolist()))
         counts = [self._overlap(vol, *s) for s in shifts]
         best = max(counts)
         if best == 0:  # no overlap anywhere: the smallest shift wins
