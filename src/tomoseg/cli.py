@@ -1,21 +1,23 @@
 """Subcommand front-end: every pipeline stage is callable on its own, and
 ``tomoseg pipeline --config F`` chains them with a reproducible manifest.
+Both read a stage's parameters from its function's keyword signature.
 
-Exit codes: 0 success, 2 missing input, 3 stage failure, 4 config parse
-error.
+Exit codes: 0 success, 2 missing input, 3 stage failure, 4 config error.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import hashlib
+import inspect
 import json
 import os
 import sys
 import time
-
-import numpy as np
+import typing
+from typing import NewType
 
 from . import attenuation as atn
 from . import backend
@@ -34,15 +36,11 @@ EXIT_MISSING_INPUT = 2
 EXIT_STAGE_FAILURE = 3
 EXIT_CONFIG_ERROR = 4
 
+Input = NewType("Input", str)
 
-class MissingInput(Exception):
+
+class ConfigError(Exception):
     pass
-
-
-def _load(path):
-    if not os.path.exists(path):
-        raise MissingInput(path)
-    return load_volume(path)
 
 
 def _sha256(path) -> str:
@@ -67,9 +65,9 @@ def _set_threads(n: int | None) -> None:
 # ---------------------------------------------------------------- stages
 
 
-def stage_phantom(args):
-    spec = ph.parse_spec_file(args["spec"]) if "spec" in args else ph.PhantomSpec()
-    out_dir = args["out_dir"]
+def stage_phantom(*, out_dir: str, spec: Input | None = None):
+    """generate a synthetic ground-truth volume"""
+    spec = ph.parse_spec_file(spec) if spec is not None else ph.PhantomSpec()
     os.makedirs(out_dir, exist_ok=True)
     result = ph.generate(spec)
     outputs = []
@@ -95,112 +93,98 @@ def stage_phantom(args):
     return outputs
 
 
-def stage_denoise(args):
-    vol = _load(args["in"])
-    if "h" in args:
-        params = pf.NlmParams(
-            h=float(args["h"]),
-            sigma=float(args.get("sigma", 1.0)),
-            patch_radius=int(args.get("patch", 1)),
-            search_radius=int(args.get("search", 5)),
-        )
+def stage_denoise(*, in_: Input, out: str, h: float | None = None, sigma: float = 1.0,
+                  patch: int = 1, search: int = 5):
+    """non-local means (without h: strength from the noise estimate, the rest default)"""
+    vol = load_volume(in_)
+    if h is not None:
+        params = pf.NlmParams(h=h, sigma=sigma, patch_radius=patch, search_radius=search)
     else:
         params = pf.default_nlm_params(vol)
-    out = pf.nonlocal_means(vol, params)
-    write_volume(out, args["out"])
-    return [args["out"], args["out"] + ".meta"]
+    write_volume(pf.nonlocal_means(vol, params), out)
+    return [out, out + ".meta"]
 
 
-def stage_unsharp(args):
-    vol = _load(args["in"])
-    params = pf.UnsharpParams(
-        c=float(args.get("c", 0.75)), blur_sigma=float(args.get("blur_sigma", 2.0))
-    )
-    out = pf.unsharp_mask(vol, params)
-    write_volume(out, args["out"])
-    return [args["out"], args["out"] + ".meta"]
+def stage_unsharp(*, in_: Input, out: str, c: float = 0.75, blur_sigma: float = 2.0):
+    """unsharp mask edge enhancement"""
+    vol = load_volume(in_)
+    write_volume(pf.unsharp_mask(vol, pf.UnsharpParams(c=c, blur_sigma=blur_sigma)), out)
+    return [out, out + ".meta"]
 
 
-def stage_binarize(args):
-    vol = _load(args["in"])
-    params = bz.SauvolaParams(
-        window_radius=int(args.get("window", 15)), k=float(args.get("k", 0.34))
-    )
-    mask = bz.sauvola_binarize(vol, params)
-    radius = float(args.get("open_radius", 1))
-    if radius >= 1:
-        mask = bz.morphological_opening(mask, radius)
-    min_size = int(args.get("min_size", 0))
+def stage_binarize(*, in_: Input, out: str, window: int = 15, k: float = 0.34,
+                   open_radius: float = 1.0, min_size: int = 0):
+    """local adaptive threshold + opening"""
+    vol = load_volume(in_)
+    mask = bz.sauvola_binarize(vol, bz.SauvolaParams(window_radius=window, k=k))
+    if open_radius >= 1:
+        mask = bz.morphological_opening(mask, open_radius)
     if min_size > 1:
         mask = bz.remove_small_components(mask, min_size)
-    write_volume(mask, args["out"])
-    return [args["out"], args["out"] + ".meta"]
+    write_volume(mask, out)
+    return [out, out + ".meta"]
 
 
-def stage_watershed(args):
-    mask = _load(args["mask"])
-    params = ws.WatershedParams(
-        h_depth=float(args.get("h_depth", 2.0)), connectivity=int(args.get("conn", 26))
-    )
-    labels = ws.watershed_segment(mask, params)
-    write_volume(labels, args["out"])
-    return [args["out"], args["out"] + ".meta"]
+def stage_watershed(*, mask: Input, out: str, h_depth: float = 2.0, conn: int = 26):
+    """marker-based watershed (conn: 6 or 26)"""
+    params = ws.WatershedParams(h_depth=h_depth, connectivity=conn)
+    labels = ws.watershed_segment(load_volume(mask), params)
+    write_volume(labels, out)
+    return [out, out + ".meta"]
 
 
-def stage_merge(args):
-    labels = _load(args["labels"])
-    gray = _load(args["gray"])
-    model = nn.load_model(args["model"])
-    lam = float(args.get("lambda", 0.5))
-    graph = mg.build_region_graph(labels)
-    grad = mg.sobel_gradient_magnitude(gray)
-    feats = mg.extract_edge_features(graph, gray, grad, labels)
-    weights = {e: nn.forward(model, feats[e]) for e in graph.edges}
-    merged = mg.merge_regions(labels, graph, weights, lam)
-    write_volume(merged, args["out"])
-    return [args["out"], args["out"] + ".meta"]
+def _edge_features(labels, gray):
+    label_vol = load_volume(labels)
+    gray_vol = load_volume(gray)
+    graph = mg.build_region_graph(label_vol)
+    grad = mg.sobel_gradient_magnitude(gray_vol)
+    return label_vol, graph, mg.extract_edge_features(graph, gray_vol, grad, label_vol)
 
 
-def stage_edge_features(args):
-    """Dump a labeled edge-feature CSV from a watershed result plus the
-    phantom ground truth (training data for train-merge)."""
-    labels = _load(args["labels"])
-    gray = _load(args["gray"])
-    truth = _load(args["truth"])
-    graph = mg.build_region_graph(labels)
-    grad = mg.sobel_gradient_magnitude(gray)
-    feats = mg.extract_edge_features(graph, gray, grad, labels)
-    train = ph.edge_training_set(truth, labels, graph, feats)
+def stage_merge(*, labels: Input, gray: Input, model: Input, out: str, lambda_: float = 0.5):
+    """classifier-driven region merge"""
+    mlp = nn.load_model(model)
+    label_vol, graph, feats = _edge_features(labels, gray)
+    weights = {e: nn.forward(mlp, feats[e]) for e in graph.edges}
+    merged = mg.merge_regions(label_vol, graph, weights, lambda_)
+    write_volume(merged, out)
+    return [out, out + ".meta"]
+
+
+def stage_edge_features(*, labels: Input, gray: Input, truth: Input, out: str):
+    """labeled edge features from ground truth (training data for train-merge)"""
+    label_vol, graph, feats = _edge_features(labels, gray)
+    train = ph.edge_training_set(load_volume(truth), label_vol, graph, feats)
     edge_labels = {e: int(v) for e, v in zip(train.edges, train.labels)}
-    mg.features_to_csv(args["out"], graph, feats, edge_labels)
-    return [args["out"]]
+    mg.features_to_csv(out, graph, feats, edge_labels)
+    return [out]
 
 
-def stage_train_merge(args):
-    edges, x, y = mg.read_features_csv(args["features"])
+def stage_train_merge(*, features: Input, out: str, hidden: int = 75, grid: str | None = None,
+                      seed: int = 0, lr: float = 0.05, epochs: int = 2000, batch_size: int = 32,
+                      l2: float = 1e-4, validation_fraction: float = 0.2):
+    """train the merge classifier (grid: comma-separated hidden sizes to search)"""
+    edges, x, y = mg.read_features_csv(features)
     cfg = nn.TrainConfig(
-        learning_rate=float(args.get("lr", 0.05)),
-        epochs=int(args.get("epochs", 2000)),
-        batch_size=int(args.get("batch_size", 32)),
-        l2_penalty=float(args.get("l2", 1e-4)),
-        validation_fraction=float(args.get("validation_fraction", 0.2)),
-        rng_seed=int(args.get("seed", 0)),
+        learning_rate=lr, epochs=epochs, batch_size=batch_size, l2_penalty=l2,
+        validation_fraction=validation_fraction, rng_seed=seed,
     )
-    if "grid" in args:
-        candidates = [int(v) for v in str(args["grid"]).split(",")]
-        best_m, model = nn.grid_search(x, y, candidates, cfg)
+    if grid is not None:
+        best_m, model = nn.grid_search(x, y, [int(v) for v in grid.split(",")], cfg)
         print(f"grid search selected {best_m} hidden units")
     else:
-        model = nn.train(x, y, int(args.get("hidden", 75)), cfg)
-    nn.save_model(model, args["out"])
-    return [args["out"]]
+        model = nn.train(x, y, hidden, cfg)
+    nn.save_model(model, out)
+    return [out]
 
 
-def stage_descriptors(args):
-    vol = _load(args["labels"])
-    spacing = float(args.get("spacing", vol.spacing))
-    if "slice" in args:
-        axis, idx = str(args["slice"]).split(",")
+def stage_descriptors(*, labels: Input, out: str, slice_: str | None = None,
+                      spacing: float | None = None, hist: str | None = None, bins: int = 20):
+    """per-particle section descriptors (slice: axis,index of a 3D volume)"""
+    vol = load_volume(labels)
+    spacing = float(vol.spacing) if spacing is None else spacing
+    if slice_ is not None:
+        axis, idx = slice_.split(",")
         plane = extract_slice(vol, axis.strip(), int(idx))
     elif isinstance(vol, LabelPlane):
         plane = vol.data
@@ -208,70 +192,72 @@ def stage_descriptors(args):
         raise ValueError("3D labels need --slice axis,index")
     sections = ds.particles_from_labels(plane, spacing)
     rows, stats = ds.compute_descriptors(sections)
-    ds.rows_to_csv(rows, args["out"])
-    outputs = [args["out"]]
+    ds.rows_to_csv(rows, out)
+    outputs = [out]
     if stats.sphericity_clamped or stats.convexity_clamped:
         print(
             f"clamped: sphericity {stats.sphericity_clamped}, convexity {stats.convexity_clamped}"
         )
-    if "hist" in args:
-        written = ds.export_distributions(rows, int(args.get("bins", 20)), args["hist"])
-        outputs.extend(written.values())
+    if hist is not None:
+        outputs.extend(ds.export_distributions(rows, bins, hist).values())
     return outputs
 
 
-def stage_register(args):
-    vol = _load(args["vol"])
-    plane = _load(args["plane"])
-    pyramid = tuple(int(v) for v in str(args.get("pyramid", "4,2,1")).split(","))
+def stage_register(*, vol: Input, plane: Input, out: str, pyramid: str = "4,2,1",
+                   max_iter: int = 200):
+    """locate a 2D section in the volume"""
+    factors = tuple(int(v) for v in pyramid.split(","))
     steps = {4: 5.0, 2: 2.5, 1: 1.0}
     opts = rg.RegisterOptions(
-        pyramid=pyramid,
-        max_iter=int(args.get("max_iter", 200)),
-        simplex_step_deg=tuple(steps.get(f, 1.0) for f in pyramid),
+        pyramid=factors,
+        max_iter=max_iter,
+        simplex_step_deg=tuple(steps.get(f, 1.0) for f in factors),
     )
-    result = rg.register_section(vol, plane, opts)
-    rg.write_result(result, args["out"])
-    return [args["out"]]
+    result = rg.register_section(load_volume(vol), load_volume(plane), opts)
+    rg.write_result(result, out)
+    return [out]
 
 
-def stage_attenuation_fit(args):
-    table = atn.load_mineral_table(args.get("table"))
-    if "samples" in args:
-        samples = []
-        weights = []
-        with open(args["samples"], encoding="utf-8") as fh:
+def stage_attenuation_fit(*, out: str, samples: Input | None = None, vol: Input | None = None,
+                          plane: Input | None = None, transform: Input | None = None,
+                          table: Input | None = None, weighted: bool = False, erode_px: int = 0,
+                          pixel_to_voxel: float | None = None):
+    """fit the gray-to-rho*mu_m line from samples, or from vol, plane and transform"""
+    mineral_table = atn.load_mineral_table(table)
+    fit_samples = []
+    weights = []
+    if samples is not None:
+        with open(samples, encoding="utf-8") as fh:
             header = fh.readline().strip()
             if header != "mineral,mean_gray,n_pixels":
                 raise ValueError("samples CSV must have header mineral,mean_gray,n_pixels")
             for line in fh:
                 name, gray, n = line.strip().split(",")
-                m = table.by_name(name)
-                samples.append((name, float(gray), m.rho, m.mu_m))
+                m = mineral_table.by_name(name)
+                fit_samples.append((name, float(gray), m.rho, m.mu_m))
                 weights.append(float(n))
+    elif vol is None or plane is None or transform is None:
+        raise ValueError("attenuation fit needs samples, or vol, plane and transform")
     else:
-        vol = _load(args["vol"])
-        plane = _load(args["plane"])
-        transform = rg.read_transform(args["transform"])
-        ptv = float(args.get("pixel_to_voxel", plane.spacing / vol.spacing))
-        erode_px = int(args.get("erode_px", 0))
-        samples = []
-        weights = []
-        for mineral in table.minerals:
-            phase = atn.erode_phase(plane, mineral.code, table, erode_px)
+        gray_vol = load_volume(vol)
+        section = load_volume(plane)
+        rigid = rg.read_transform(transform)
+        ptv = section.spacing / gray_vol.spacing if pixel_to_voxel is None else pixel_to_voxel
+        for mineral in mineral_table.minerals:
+            phase = atn.erode_phase(section, mineral.code, mineral_table, erode_px)
             if len(phase) == 0:
                 continue
-            mean, n_used, _ = atn.mean_phase_gray(vol, transform, phase, ptv)
-            samples.append((mineral.name, mean, mineral.rho, mineral.mu_m))
+            mean, n_used, _ = atn.mean_phase_gray(gray_vol, rigid, phase, ptv)
+            fit_samples.append((mineral.name, mean, mineral.rho, mineral.mu_m))
             weights.append(n_used)
-    model = atn.fit_attenuation(samples, weights if args.get("weighted") else None)
-    with open(args["out"], "w", encoding="utf-8") as fh:
+    model = atn.fit_attenuation(fit_samples, weights if weighted else None)
+    with open(out, "w", encoding="utf-8") as fh:
         fh.write(f"slope = {model.slope!r}\n")
         fh.write(f"intercept = {model.intercept!r}\n")
         fh.write(f"gray_min = {model.gray_min!r}\n")
         fh.write(f"gray_max = {model.gray_max!r}\n")
         fh.write(f"r_squared = {model.r_squared!r}\n")
-    return [args["out"]]
+    return [out]
 
 
 def _read_attenuation_model(path) -> atn.AttenuationModel:
@@ -287,55 +273,92 @@ def _read_attenuation_model(path) -> atn.AttenuationModel:
     )
 
 
-def stage_attenuation_predict(args):
-    vol = _load(args["vol"])
-    mask = _load(args["mask"])
-    model = _read_attenuation_model(args["model"])
-    pred, flags = atn.predict_map(vol, model, mask)
-    pred.astype("<f4").tofile(args["out"])
-    flag_vol = BinaryVolume(flags, vol.spacing)
-    write_volume(flag_vol, args["out"] + ".flags")
+def stage_attenuation_predict(*, vol: Input, mask: Input, model: Input, out: str):
+    """map rho*mu_m over a mask, flagging voxels outside the calibration"""
+    gray_vol = load_volume(vol)
+    pred, flags = atn.predict_map(gray_vol, _read_attenuation_model(model), load_volume(mask))
+    pred.astype("<f4").tofile(out)
+    write_volume(BinaryVolume(flags, gray_vol.spacing), out + ".flags")
     n = int(flags.sum())
     print(f"{n} masked voxels outside the calibration interval")
-    return [args["out"], args["out"] + ".flags", args["out"] + ".flags.meta"]
+    return [out, out + ".flags", out + ".flags.meta"]
 
 
-def stage_attenuation_validate(args):
-    vol = _load(args["vol"])
-    plane = _load(args["plane"])
-    transform = rg.read_transform(args["transform"])
-    table = atn.load_mineral_table(args.get("table"))
-    model = _read_attenuation_model(args["model"])
-    ptv = float(args.get("pixel_to_voxel", plane.spacing / vol.spacing))
+def stage_attenuation_validate(*, vol: Input, plane: Input, transform: Input, model: Input,
+                               out: str, table: Input | None = None, erode_px: int = 0,
+                               pixel_to_voxel: float | None = None):
+    """check a fitted line against a second section"""
+    gray_vol = load_volume(vol)
+    section = load_volume(plane)
+    ptv = section.spacing / gray_vol.spacing if pixel_to_voxel is None else pixel_to_voxel
     report = atn.validate_section(
-        vol, model, transform, plane, table, ptv, erode_px=int(args.get("erode_px", 0))
+        gray_vol, _read_attenuation_model(model), rg.read_transform(transform), section,
+        atn.load_mineral_table(table), ptv, erode_px=erode_px,
     )
-    atn.write_scatter(report, args["out"])
+    atn.write_scatter(report, out)
     if report.skipped:
         print("skipped minerals (absent from section): " + ", ".join(report.skipped))
     if report.rows:
         print(f"max relative error: {report.max_rel_error:.4f}")
-    return [args["out"]]
+    return [out]
 
 
-STAGES = {
-    "phantom": stage_phantom,
-    "denoise": stage_denoise,
-    "unsharp": stage_unsharp,
-    "binarize": stage_binarize,
-    "watershed": stage_watershed,
-    "merge": stage_merge,
-    "edge-features": stage_edge_features,
-    "train-merge": stage_train_merge,
-    "descriptors": stage_descriptors,
-    "register": stage_register,
-    "attenuation-fit": stage_attenuation_fit,
-    "attenuation-predict": stage_attenuation_predict,
-    "attenuation-validate": stage_attenuation_validate,
-}
+# "stage_edge_features" is the stage "edge-features"
+STAGES = {name.removeprefix("stage_").replace("_", "-"): fn
+          for name, fn in globals().items() if name.startswith("stage_")}
 
-_STAGE_INPUT_KEYS = ("in", "mask", "labels", "gray", "vol", "plane", "truth",
-                     "model", "features", "samples", "transform", "spec")
+
+@functools.cache
+def _params(fn) -> tuple[tuple[str, inspect.Parameter], ...]:
+    """(key, parameter) pairs of a stage with ``X | None`` annotations unwrapped.
+    The key (INI key, argparse dest) is the keyword less a trailing underscore;
+    flags spell it with dashes. No default means required, a ``bool`` is a
+    switch on the command line, and ``Input`` marks a path the manifest hashes."""
+    hints = typing.get_type_hints(fn)
+    params = []
+    for name, prm in inspect.signature(fn).parameters.items():
+        tp = hints[name]
+        if type(None) in typing.get_args(tp):
+            (tp,) = (a for a in typing.get_args(tp) if a is not type(None))
+        params.append((name.removesuffix("_"), prm.replace(annotation=tp)))
+    return tuple(params)
+
+
+def _bind(fn, values: dict) -> dict:
+    """Keyword arguments for ``fn`` from argparse values or INI strings keyed
+    by key; an absent key takes its default. ConfigError names an unknown or
+    missing key or a value that does not parse."""
+    params = dict(_params(fn))
+    unknown = sorted(set(values) - set(params))
+    if unknown:
+        raise ConfigError(f"unknown key {unknown[0]!r}")
+    kwargs = {}
+    for key, prm in params.items():
+        tp = prm.annotation
+        if key not in values:
+            if prm.default is prm.empty:
+                raise ConfigError(f"missing key {key!r}")
+            kwargs[prm.name] = prm.default
+            continue
+        value = values[key]
+        try:
+            if tp is bool and isinstance(value, str):
+                kwargs[prm.name] = configparser.ConfigParser.BOOLEAN_STATES[value.lower()]
+            else:
+                kwargs[prm.name] = tp(value)
+        except (KeyError, ValueError):
+            raise ConfigError(f"key {key!r}: cannot read {value!r} as {tp.__name__}") from None
+    return kwargs
+
+
+def _input_paths(fn, kwargs: dict) -> list[str]:
+    """The Input paths a call of ``fn`` reads, each checked to exist."""
+    paths = [kwargs[prm.name] for _, prm in _params(fn)
+             if prm.annotation is Input and kwargs[prm.name] is not None]
+    for path in paths:
+        if not os.path.exists(path):
+            raise FileNotFoundError(f"no such file: {path}")
+    return paths
 
 
 def run_pipeline(config_path, manifest_path=None) -> int:
@@ -351,19 +374,21 @@ def run_pipeline(config_path, manifest_path=None) -> int:
     manifest = []
     manifest_path = manifest_path or config_path + ".manifest.json"
     for section in parser.sections():
-        stage_name = section.split()[0]
-        if stage_name not in STAGES:
-            print(f"config parse error: unknown stage {stage_name!r}", file=sys.stderr)
+        fn = STAGES.get(section.split()[0])
+        if fn is None:
+            print(f"config parse error: unknown stage {section.split()[0]!r}", file=sys.stderr)
             return EXIT_CONFIG_ERROR
-        args = dict(parser.items(section))
-        inputs = {}
-        for key in _STAGE_INPUT_KEYS:
-            if key in args and os.path.exists(str(args[key])):
-                inputs[args[key]] = _sha256(args[key])
-        t0 = time.time()
         try:
-            outputs = STAGES[stage_name](args)
-        except MissingInput as exc:
+            kwargs = _bind(fn, dict(parser.items(section)))
+        except ConfigError as exc:
+            print(f"config parse error: stage {section!r}: {exc}", file=sys.stderr)
+            return EXIT_CONFIG_ERROR
+        try:
+            paths = [p for path in _input_paths(fn, kwargs) for p in (path, path + ".meta")]
+            inputs = {p: _sha256(p) for p in paths if os.path.exists(p)}
+            t0 = time.time()
+            outputs = fn(**kwargs)
+        except FileNotFoundError as exc:
             print(f"stage {section!r}: missing input {exc}", file=sys.stderr)
             return EXIT_MISSING_INPUT
         except Exception as exc:
@@ -372,7 +397,7 @@ def run_pipeline(config_path, manifest_path=None) -> int:
         manifest.append(
             {
                 "stage": section,
-                "params": args,
+                "params": {key: kwargs[prm.name] for key, prm in _params(fn)},
                 "inputs": inputs,
                 "outputs": {p: _sha256(p) for p in outputs if os.path.exists(p)},
                 "seconds": round(time.time() - t0, 3),
@@ -387,96 +412,27 @@ def run_pipeline(config_path, manifest_path=None) -> int:
 # ---------------------------------------------------------------- argparse
 
 
-def _add_io(sub, *names):
-    for name in names:
-        sub.add_argument(f"--{name}", required=True)
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="tomoseg", description=__doc__)
     p.add_argument(
         "--threads", type=int, default=None, help="bound on kernel worker threads (non-local means)"
     )
     sub = p.add_subparsers(dest="command", required=True)
-
-    s = sub.add_parser("phantom", help="generate a synthetic ground-truth volume")
-    s.add_argument("--spec", required=True)
-    s.add_argument("--out-dir", required=True)
-
-    s = sub.add_parser("denoise", help="non-local means")
-    s.add_argument("--in", dest="infile", required=True)
-    s.add_argument("--out", required=True)
-    s.add_argument("--h", type=float)
-    s.add_argument("--sigma", type=float, default=1.0)
-    s.add_argument("--patch", type=int, default=1)
-    s.add_argument("--search", type=int, default=5)
-
-    s = sub.add_parser("unsharp", help="unsharp mask edge enhancement")
-    s.add_argument("--in", dest="infile", required=True)
-    s.add_argument("--out", required=True)
-    s.add_argument("--c", type=float, default=0.75)
-    s.add_argument("--blur-sigma", type=float, default=2.0)
-
-    s = sub.add_parser("binarize", help="local adaptive threshold + opening")
-    s.add_argument("--in", dest="infile", required=True)
-    s.add_argument("--out", required=True)
-    s.add_argument("--window", type=int, default=15)
-    s.add_argument("--k", type=float, default=0.34)
-    s.add_argument("--open-radius", type=float, default=1.0)
-    s.add_argument("--min-size", type=int, default=0)
-
-    s = sub.add_parser("watershed", help="marker-based watershed")
-    s.add_argument("--mask", required=True)
-    s.add_argument("--out", required=True)
-    s.add_argument("--h-depth", type=float, default=2.0)
-    s.add_argument("--conn", type=int, default=26, choices=(6, 26))
-
-    s = sub.add_parser("merge", help="classifier-driven region merge")
-    _add_io(s, "labels", "gray", "model", "out")
-    s.add_argument("--lambda", dest="lam", type=float, default=0.5)
-
-    s = sub.add_parser("edge-features", help="labeled edge features from ground truth")
-    _add_io(s, "labels", "gray", "truth", "out")
-
-    s = sub.add_parser("train-merge", help="train the merge classifier")
-    s.add_argument("--features", required=True)
-    s.add_argument("--out", required=True)
-    s.add_argument("--hidden", type=int, default=75)
-    s.add_argument("--grid")
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--lr", type=float, default=0.05)
-    s.add_argument("--epochs", type=int, default=2000)
-
-    s = sub.add_parser("descriptors", help="per-particle section descriptors")
-    s.add_argument("--labels", required=True)
-    s.add_argument("--slice")
-    s.add_argument("--spacing", type=float)
-    s.add_argument("--out", required=True)
-    s.add_argument("--hist")
-    s.add_argument("--bins", type=int, default=20)
-
-    s = sub.add_parser("register", help="locate a 2D section in the volume")
-    _add_io(s, "vol", "plane", "out")
-    s.add_argument("--pyramid", default="4,2,1")
-    s.add_argument("--max-iter", type=int, default=200)
-
     s = sub.add_parser("attenuation", help="grayscale-to-attenuation calibration")
-    asub = s.add_subparsers(dest="atn_command", required=True)
-    f = asub.add_parser("fit")
-    f.add_argument("--samples")
-    f.add_argument("--vol")
-    f.add_argument("--plane")
-    f.add_argument("--transform")
-    f.add_argument("--table")
-    f.add_argument("--weighted", action="store_true")
-    f.add_argument("--erode-px", type=int, default=0)
-    f.add_argument("--out", required=True)
-    pr = asub.add_parser("predict")
-    _add_io(pr, "vol", "mask", "model", "out")
-    v = asub.add_parser("validate")
-    _add_io(v, "vol", "plane", "transform", "model", "out")
-    v.add_argument("--table")
-    v.add_argument("--erode-px", type=int, default=0)
+    atn_sub = s.add_subparsers(dest="atn_command", required=True)
+    for name, fn in STAGES.items():
+        group = atn_sub if name.startswith("attenuation-") else sub
+        doc = inspect.getdoc(fn)
+        s = group.add_parser(name.removeprefix("attenuation-"), help=doc.splitlines()[0],
+                             description=doc, argument_default=argparse.SUPPRESS)
+        s.set_defaults(stage=fn)
+        for key, prm in _params(fn):
+            flag = "--" + key.replace("_", "-")
+            if prm.annotation is bool:
+                s.add_argument(flag, dest=key, action="store_true")
+            else:
+                required = prm.default is prm.empty
+                s.add_argument(flag, dest=key, type=prm.annotation, required=required)
 
     s = sub.add_parser("pipeline", help="run a staged pipeline with a manifest")
     s.add_argument("--config", required=True)
@@ -484,73 +440,16 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _ns_to_args(ns: argparse.Namespace, mapping: dict) -> dict:
-    args = {}
-    for key, attr in mapping.items():
-        val = getattr(ns, attr, None)
-        if val is not None:
-            args[key] = val
-    return args
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = build_parser().parse_args(argv)
     _set_threads(ns.threads)
     try:
         if ns.command == "pipeline":
             return run_pipeline(ns.config, ns.manifest)
-        if ns.command == "phantom":
-            stage_phantom({"spec": ns.spec, "out_dir": ns.out_dir})
-        elif ns.command == "denoise":
-            args = _ns_to_args(ns, {"in": "infile", "out": "out", "h": "h", "sigma": "sigma",
-                                    "patch": "patch", "search": "search"})
-            stage_denoise(args)
-        elif ns.command == "unsharp":
-            stage_unsharp(_ns_to_args(ns, {"in": "infile", "out": "out", "c": "c",
-                                           "blur_sigma": "blur_sigma"}))
-        elif ns.command == "binarize":
-            stage_binarize(_ns_to_args(ns, {"in": "infile", "out": "out", "window": "window",
-                                            "k": "k", "open_radius": "open_radius",
-                                            "min_size": "min_size"}))
-        elif ns.command == "watershed":
-            stage_watershed(_ns_to_args(ns, {"mask": "mask", "out": "out", "h_depth": "h_depth",
-                                             "conn": "conn"}))
-        elif ns.command == "merge":
-            stage_merge(_ns_to_args(ns, {"labels": "labels", "gray": "gray", "model": "model",
-                                         "out": "out", "lambda": "lam"}))
-        elif ns.command == "edge-features":
-            stage_edge_features(_ns_to_args(ns, {"labels": "labels", "gray": "gray",
-                                                 "truth": "truth", "out": "out"}))
-        elif ns.command == "train-merge":
-            args = _ns_to_args(ns, {"features": "features", "out": "out", "hidden": "hidden",
-                                    "grid": "grid", "seed": "seed", "lr": "lr",
-                                    "epochs": "epochs"})
-            stage_train_merge(args)
-        elif ns.command == "descriptors":
-            args = _ns_to_args(ns, {"labels": "labels", "slice": "slice", "spacing": "spacing",
-                                    "out": "out", "hist": "hist", "bins": "bins"})
-            stage_descriptors(args)
-        elif ns.command == "register":
-            stage_register(_ns_to_args(ns, {"vol": "vol", "plane": "plane", "out": "out",
-                                            "pyramid": "pyramid", "max_iter": "max_iter"}))
-        elif ns.command == "attenuation":
-            mapping = {"samples": "samples", "vol": "vol", "plane": "plane",
-                       "transform": "transform", "table": "table", "weighted": "weighted",
-                       "mask": "mask", "model": "model", "out": "out",
-                       "erode_px": "erode_px"}
-            args = _ns_to_args(ns, mapping)
-            if ns.atn_command == "fit":
-                stage_attenuation_fit(args)
-            elif ns.atn_command == "predict":
-                stage_attenuation_predict(args)
-            else:
-                stage_attenuation_validate(args)
-        else:  # pragma: no cover
-            parser.error(f"unhandled command {ns.command}")
-    except MissingInput as exc:
-        print(f"missing input: {exc}", file=sys.stderr)
-        return EXIT_MISSING_INPUT
+        fn = ns.stage
+        kwargs = _bind(fn, {key: getattr(ns, key) for key, _ in _params(fn) if hasattr(ns, key)})
+        _input_paths(fn, kwargs)
+        fn(**kwargs)
     except FileNotFoundError as exc:
         print(f"missing input: {exc}", file=sys.stderr)
         return EXIT_MISSING_INPUT

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -227,3 +228,158 @@ def test_train_and_merge_cli(tmp_path):
     assert rc == 0
     merged = load_volume(merged_path)
     assert 1 <= merged.n_labels <= lab.n_labels
+
+
+# ------------------------------------------------ one declaration per parameter
+
+# Each stage's settable keys: the union of the subcommand's flags and the INI
+# keys from before both fronts were read from the stage signatures.
+STAGE_KEYS = {
+    "phantom": "spec out_dir",
+    "denoise": "in out h sigma patch search",
+    "unsharp": "in out c blur_sigma",
+    "binarize": "in out window k open_radius min_size",
+    "watershed": "mask out h_depth conn",
+    "merge": "labels gray model out lambda",
+    "edge-features": "labels gray truth out",
+    "train-merge": "features out hidden grid seed lr epochs batch_size l2 validation_fraction",
+    "descriptors": "labels slice spacing out hist bins",
+    "register": "vol plane out pyramid max_iter",
+    "attenuation-fit": "samples vol plane transform table weighted erode_px pixel_to_voxel out",
+    "attenuation-predict": "vol mask model out",
+    "attenuation-validate": "vol plane transform model out table erode_px pixel_to_voxel",
+}
+
+
+def _command(stage):
+    return stage.split("-", 1) if stage.startswith("attenuation-") else [stage]
+
+
+def _subparser(stage):
+    parser = cli.build_parser()
+    for word in _command(stage):
+        action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parser = action.choices[word]
+    return parser
+
+
+@pytest.mark.parametrize("stage", sorted(cli.STAGES))
+def test_stage_flags_equal_ini_keys(stage, capsys):
+    flags = {
+        opt[2:].replace("-", "_")
+        for action in _subparser(stage)._actions
+        for opt in action.option_strings
+        if opt.startswith("--") and opt != "--help"
+    }
+    ini_keys = {key for key, _ in cli._params(cli.STAGES[stage])}
+    assert flags == ini_keys == set(STAGE_KEYS[stage].split())
+    with pytest.raises(SystemExit) as exc:
+        cli.main(_command(stage) + ["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: tomoseg " + " ".join(_command(stage)))
+
+
+def test_attenuation_subcommands_parse():
+    parser = cli.build_parser()
+    ns = parser.parse_args(["attenuation", "fit", "--samples", "s.csv", "--out", "m.txt",
+                            "--weighted", "--pixel-to-voxel", "0.5"])
+    assert ns.stage is cli.stage_attenuation_fit
+    assert (ns.samples, ns.weighted, ns.pixel_to_voxel) == ("s.csv", True, 0.5)
+    ns = parser.parse_args(["attenuation", "predict", "--vol", "v", "--mask", "m",
+                            "--model", "f", "--out", "o"])
+    assert ns.stage is cli.stage_attenuation_predict
+    ns = parser.parse_args(["attenuation", "validate", "--vol", "v", "--plane", "p",
+                            "--transform", "t", "--model", "f", "--out", "o"])
+    assert ns.stage is cli.stage_attenuation_validate
+
+
+@pytest.fixture
+def samples_csv(tmp_path):
+    # off the line, with unequal weights, so the weighted fit differs
+    path = tmp_path / "samples.csv"
+    path.write_text(
+        "mineral,mean_gray,n_pixels\nquartz,19400,10\nmuscovite,21000,4000\n"
+        "zinnwaldite,28300,50\ntopaz,21800,900\n"
+    )
+    return path
+
+
+def test_pipeline_weighted_false_fits_unweighted(tmp_path, samples_csv):
+    plain, weighted = tmp_path / "plain.txt", tmp_path / "weighted.txt"
+    fit = ["attenuation", "fit", "--samples", str(samples_csv), "--out"]
+    assert cli.main(fit + [str(plain)]) == 0
+    assert cli.main(fit + [str(weighted), "--weighted"]) == 0
+    assert plain.read_text() != weighted.read_text()
+    for value, expected in (("false", plain), ("yes", weighted)):
+        out = tmp_path / f"pipe_{value}.txt"
+        cfg = tmp_path / f"{value}.cfg"
+        cfg.write_text(f"[attenuation-fit]\nsamples = {samples_csv}\nout = {out}\n"
+                       f"weighted = {value}\n")
+        assert cli.main(["pipeline", "--config", str(cfg)]) == 0
+        assert out.read_text() == expected.read_text()
+
+
+def _config_fault(tmp_path, capsys, body):
+    cfg = tmp_path / "fault.cfg"
+    cfg.write_text(body)
+    rc = cli.main(["pipeline", "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_CONFIG_ERROR
+    assert len(err.strip().splitlines()) == 1
+    return err
+
+
+def test_pipeline_non_boolean_value_is_config_error(tmp_path, capsys, samples_csv):
+    err = _config_fault(tmp_path, capsys, f"[attenuation-fit]\nsamples = {samples_csv}\n"
+                        f"out = {tmp_path / 'm.txt'}\nweighted = maybe\n")
+    assert "'attenuation-fit'" in err and "'weighted'" in err
+    assert not (tmp_path / "m.txt").exists()
+
+
+def test_pipeline_misspelled_key_is_config_error(tmp_path, capsys, tiny_volume):
+    err = _config_fault(tmp_path, capsys, f"[binarize]\nin = {tiny_volume}\n"
+                        f"out = {tmp_path / 'm.raw'}\nwnidow = 7\n")
+    assert "'binarize'" in err and "'wnidow'" in err
+    assert not (tmp_path / "m.raw").exists()
+
+
+def test_pipeline_missing_required_key_is_config_error(tmp_path, capsys):
+    err = _config_fault(tmp_path, capsys, f"[binarize]\nout = {tmp_path / 'm.raw'}\n")
+    assert "'binarize'" in err and "'in'" in err
+
+
+def test_pipeline_unparsable_value_is_config_error(tmp_path, capsys, tiny_volume):
+    err = _config_fault(tmp_path, capsys, f"[binarize]\nin = {tiny_volume}\n"
+                        f"out = {tmp_path / 'm.raw'}\nwindow = seven\n")
+    assert "'binarize'" in err and "'window'" in err
+
+
+def test_missing_model_same_exit_code_on_both_fronts(tmp_path, tiny_volume):
+    io = {"labels": tiny_volume, "gray": tiny_volume, "model": tmp_path / "none.txt",
+          "out": tmp_path / "merged.raw"}
+    argv = ["merge"] + [arg for key, path in io.items() for arg in (f"--{key}", str(path))]
+    assert cli.main(argv) == cli.EXIT_MISSING_INPUT
+    cfg = tmp_path / "merge.cfg"
+    cfg.write_text("[merge]\n" + "".join(f"{key} = {path}\n" for key, path in io.items()))
+    assert cli.main(["pipeline", "--config", str(cfg)]) == cli.EXIT_MISSING_INPUT
+
+
+def test_manifest_hashes_sidecars_and_records_defaults(tmp_path, tiny_volume):
+    cfg = tmp_path / "bin.cfg"
+    cfg.write_text(f"[binarize]\nin = {tiny_volume}\nout = {tmp_path / 'm.raw'}\nwindow = 7\n")
+    manifest = tmp_path / "m.json"
+
+    def run():
+        assert cli.main(["pipeline", "--config", str(cfg), "--manifest", str(manifest)]) == 0
+        (entry,) = json.loads(manifest.read_text())
+        return entry
+
+    first = run()
+    assert first["params"] == {"in": str(tiny_volume), "out": str(tmp_path / "m.raw"),
+                               "window": 7, "k": 0.34, "open_radius": 1.0, "min_size": 0}
+    meta = tiny_volume.with_name(tiny_volume.name + ".meta")
+    assert set(first["inputs"]) == {str(tiny_volume), str(meta)}
+    meta.write_text(meta.read_text().replace("spacing_um=4.5", "spacing_um=5.0"))
+    second = run()
+    assert second["inputs"] != first["inputs"]
+    assert second["inputs"][str(tiny_volume)] == first["inputs"][str(tiny_volume)]
