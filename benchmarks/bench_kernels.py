@@ -1,18 +1,23 @@
 #!/usr/bin/env python3
-"""Times each dual-backend kernel on its numba path and its numpy fallback.
+"""Times each hot kernel: the four with a numba twin on both paths, the
+rest through their public entry points.
 
 Usage:
     python benchmarks/bench_kernels.py [--size N] [--repeats K]
 
-Regional minima (plateau components) and flooding (a bucket queue) use
-their own algorithms on the numpy path, with results identical to the
-numba twins; flooding is the one numpy kernel that still steps voxel by
-voxel in Python. Non-local means on the numpy path splits its z-rows over
-worker threads (the usable CPUs); its row names the worker count. The
+Non-local means, grayscale reconstruction, regional minima and flooding
+have a numba twin and a numpy path. Regional minima (plateau components)
+and flooding (a bucket queue) use their own algorithms on the numpy path,
+with results identical to the numba twins; flooding is the one numpy kernel
+that still steps voxel by voxel in Python. Non-local means on the numpy
+path splits its z-rows over worker threads (the usable CPUs); its row names
+the worker count. Separable correlation, the Sauvola field, the exact EDT,
+connected components, rotation, superellipsoid rendering and the
 registration's translation solve (float32 FFT correlation plus an exact
-count of each candidate shift) has no numba twin, so its rows, at the band
-and plane shapes of the three pyramid levels of a 96^3 registration, have
-a numpy column only. Without numba only the numpy column is printed.
+count of each candidate shift) have one numpy/scipy implementation, so
+their rows have a numpy column only; the solve runs at the band and plane
+shapes of the three pyramid levels of a 96^3 registration. Without numba
+only the numpy column is printed.
 """
 
 from __future__ import annotations
@@ -44,9 +49,8 @@ def main():
 
     have_numba = backend.HAVE_NUMBA
 
-    from tomoseg._kernels import cc, convsep, edt, flood, nlm, recon, rotate, sauvola
+    from tomoseg._kernels import cc, convsep, edt, flood, nlm, recon, render, rotate, sauvola
     from tomoseg._kernels.recon import neighbor_offsets
-    from scipy import ndimage
 
     n = args.size
     rng = np.random.default_rng(0)
@@ -69,11 +73,7 @@ def main():
         rows.append((name, None, timed(f_numpy, args.repeats)))
 
     k = convsep.gaussian_kernel(1.5)
-    add(
-        "separable correlate (3 axes)",
-        lambda: [convsep._correlate_axis_numba(imgf, k, ax) for ax in range(3)],
-        lambda: [convsep._correlate_axis_numpy(imgf, k, ax) for ax in range(3)],
-    )
+    add_numpy("separable correlate (3 axes)", lambda: convsep.correlate_separable(imgf, (k, k, k)))
 
     nlm_img = imgf[: min(n, 32), : min(n, 32), : min(n, 32)]
     g1 = np.exp(-(np.arange(-1, 2) ** 2) / 2.0)
@@ -85,28 +85,11 @@ def main():
         lambda: nlm._nlm_numpy(nlm_img, 800.0**2, 1, 1.0, 2),
     )
 
-    s1, s2 = sauvola._integral_tables(img)
+    add_numpy("sauvola threshold field",
+              lambda: sauvola.sauvola_threshold_field(img, 15, 0.34, 32768.0))
+    add_numpy("exact EDT", lambda: edt.edt(mask))
 
-    def sauvola_numba():
-        out = np.empty(img.shape, np.float64)
-        sauvola._threshold_numba(s1, s2, n, n, n, 15, 0.34, 32768.0, out)
-
-    def sauvola_numpy():
-        a1, cnt = sauvola._window_sums_numpy(s1, img.shape, 15)
-        a2, _ = sauvola._window_sums_numpy(s2, img.shape, 15)
-        mean = a1 / cnt
-        var = a2 / cnt - mean * mean
-        mean * (1.0 + 0.34 * (np.sqrt(np.maximum(var, 0.0)) / 32768.0 - 1.0))
-
-    add("sauvola threshold field", sauvola_numba, sauvola_numpy)
-
-    add(
-        "exact EDT",
-        lambda: edt._edt_sq_numba(mask),
-        lambda: ndimage.distance_transform_edt(mask),
-    )
-
-    inv = -ndimage.distance_transform_edt(mask)
+    inv = -edt.edt(mask)
     inv[~mask] = 0.0
     fwd, bwd = recon._split_scan_offsets(offs26)
 
@@ -132,14 +115,7 @@ def main():
         lambda: recon._minima_numpy(inv, mask, offs26),
     )
 
-    def cc_numpy():
-        os.environ["TOMOSEG_BACKEND"] = "numpy"
-        try:
-            cc.connected_components_mask(mask, 26)
-        finally:
-            del os.environ["TOMOSEG_BACKEND"]
-
-    add("connected components", lambda: cc._cc_numba(mask, offs26), cc_numpy)
+    add_numpy("connected components", lambda: cc.connected_components_mask(mask, 26))
 
     markers = np.zeros(mask.shape, np.int32)
     seeds = np.argwhere(mask)[:: max(1, mask.sum() // 40)]
@@ -159,11 +135,14 @@ def main():
     z0 = max(0, n // 2 - 16)
     z1 = min(n, z0 + 33)
     for label, lo, hi in (("full height", 0, n), (f"{z1 - z0}-slice band", z0, z1)):
-        add(
-            f"rotate ({label})",
-            lambda lo=lo, hi=hi: rotate._rotate_numba(mask, rinv, *center, lo, hi),
-            lambda lo=lo, hi=hi: rotate._rotate_numpy(mask, rinv, *center, lo, hi),
-        )
+        add_numpy(f"rotate ({label})",
+                  lambda lo=lo, hi=hi: rotate.rotate_nearest(mask, rinv, center, lo, hi))
+
+    grid = np.zeros(mask.shape, np.int32)
+    rot = RigidTransform((0.4, 0.1, -0.3), (0, 0, 0)).rotation()
+    semi = np.array([n / 4, n / 6, n / 5])
+    add_numpy("superellipsoid stamp (exponent 3.5)",
+              lambda: render.stamp_superellipsoid(grid, rot, center, semi, 3.5, 1))
 
     from tomoseg.register import TranslationSolver
 

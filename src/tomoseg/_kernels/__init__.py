@@ -1,6 +1,10 @@
-"""Hot voxel kernels, each with a numba @njit path and a numpy fallback.
+"""Hot voxel kernels.
 
-Public entry points dispatch on :mod:`tomoseg.backend`; the twin
-implementations are exposed with ``_numba`` / ``_numpy`` suffixes so tests
-and benchmarks can exercise both regardless of the active backend.
+Flooding, regional minima, grayscale reconstruction and non-local means each
+have a numba @njit twin and a numpy path; their public entry points dispatch
+on :mod:`tomoseg.backend`, and the twins carry ``_numba`` / ``_numpy``
+suffixes so tests and benchmarks can run both regardless of the active
+backend. The distance transform, connected components, separable
+correlation, the Sauvola field, rotation and superellipsoid rendering have
+one numpy/scipy implementation each.
 """

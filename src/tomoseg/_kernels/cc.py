@@ -1,8 +1,9 @@
 """Connected component labeling with canonical first-encounter label order.
 
-Labels are assigned 1..L in raster order of each component's first voxel
-(z, then y, then x), so both paths and any thread count produce identical
-labelings.
+scipy.ndimage.label finds the components; the labels are then renumbered
+1..L in raster order of each component's first voxel (z, then y, then x),
+so the labeling does not depend on scipy's internal order. Tests compare
+it with a breadth-first search oracle.
 """
 
 from __future__ import annotations
@@ -10,43 +11,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import ndimage
 
-from ..backend import njit, use_numba
 from .recon import neighbor_offsets
-
-
-@njit(cache=True)
-def _cc_numba(mask, offs):
-    nz, ny, nx = mask.shape
-    out = np.zeros((nz, ny, nx), np.int32)
-    queue = np.empty(nz * ny * nx, np.int64)
-    label = 0
-    for z in range(nz):
-        for y in range(ny):
-            for x in range(nx):
-                if not mask[z, y, x] or out[z, y, x] != 0:
-                    continue
-                label += 1
-                out[z, y, x] = label
-                queue[0] = (z * ny + y) * nx + x
-                qn = 1
-                head = 0
-                while head < qn:
-                    i = queue[head]
-                    head += 1
-                    cz = i // (ny * nx)
-                    rem = i % (ny * nx)
-                    cy = rem // nx
-                    cx = rem % nx
-                    for k in range(offs.shape[0]):
-                        zz = cz + offs[k, 0]
-                        yy = cy + offs[k, 1]
-                        xx = cx + offs[k, 2]
-                        if 0 <= zz < nz and 0 <= yy < ny and 0 <= xx < nx:
-                            if mask[zz, yy, xx] and out[zz, yy, xx] == 0:
-                                out[zz, yy, xx] = label
-                                queue[qn] = (zz * ny + yy) * nx + xx
-                                qn += 1
-    return out
 
 
 def _canonicalize(labels: np.ndarray) -> np.ndarray:
@@ -68,8 +33,6 @@ def _canonicalize(labels: np.ndarray) -> np.ndarray:
 def connected_components_mask(mask: np.ndarray, connectivity: int) -> np.ndarray:
     mask = np.asarray(mask, bool)
     offs = neighbor_offsets(connectivity)
-    if use_numba():
-        return _cc_numba(mask, offs)
     structure = np.zeros((3, 3, 3), bool)
     structure[tuple((offs + 1).T)] = True
     structure[1, 1, 1] = True

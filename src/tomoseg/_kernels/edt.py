@@ -1,79 +1,14 @@
 """Exact Euclidean distance transform.
 
-The numba path runs the two-pass lower-envelope parabola method once per
-grid line and axis on squared distances; the numpy fallback delegates to
-scipy.ndimage.distance_transform_edt (also exact). Foreground voxels with no
-background anywhere are reported as +inf by the caller-facing wrapper.
+Delegates to scipy.ndimage.distance_transform_edt, which is exact.
+Foreground voxels with no background anywhere are reported as +inf. Tests
+compare it with a brute-force nearest-background oracle.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy import ndimage
-
-from ..backend import njit, use_numba
-
-_BIG = 1e18
-
-
-@njit(cache=True)
-def _envelope_1d(f, out):
-    n = f.shape[0]
-    v = np.empty(n, np.int64)
-    z = np.empty(n + 1, np.float64)
-    k = 0
-    v[0] = 0
-    z[0] = -_BIG
-    z[1] = _BIG
-    for q in range(1, n):
-        s = ((f[q] + q * q) - (f[v[k]] + v[k] * v[k])) / (2.0 * (q - v[k]))
-        while s <= z[k]:
-            k -= 1
-            s = ((f[q] + q * q) - (f[v[k]] + v[k] * v[k])) / (2.0 * (q - v[k]))
-        k += 1
-        v[k] = q
-        z[k] = s
-        z[k + 1] = _BIG
-    k = 0
-    for q in range(n):
-        while z[k + 1] < q:
-            k += 1
-        out[q] = (q - v[k]) * (q - v[k]) + f[v[k]]
-
-
-@njit(cache=True)
-def _edt_sq_numba(mask):
-    nz, ny, nx = mask.shape
-    d = np.empty((nz, ny, nx), np.float64)
-    for z in range(nz):
-        for y in range(ny):
-            for x in range(nx):
-                d[z, y, x] = _BIG if mask[z, y, x] else 0.0
-    nmax = max(nx, max(ny, nz))
-    line = np.empty(nmax, np.float64)
-    out = np.empty(nmax, np.float64)
-    for z in range(nz):
-        for y in range(ny):
-            for x in range(nx):
-                line[x] = d[z, y, x]
-            _envelope_1d(line[:nx], out[:nx])
-            for x in range(nx):
-                d[z, y, x] = out[x]
-    for z in range(nz):
-        for x in range(nx):
-            for y in range(ny):
-                line[y] = d[z, y, x]
-            _envelope_1d(line[:ny], out[:ny])
-            for y in range(ny):
-                d[z, y, x] = out[y]
-    for y in range(ny):
-        for x in range(nx):
-            for z in range(nz):
-                line[z] = d[z, y, x]
-            _envelope_1d(line[:nz], out[:nz])
-            for z in range(nz):
-                d[z, y, x] = out[z]
-    return d
 
 
 def edt(mask: np.ndarray) -> np.ndarray:
@@ -82,9 +17,4 @@ def edt(mask: np.ndarray) -> np.ndarray:
     mask = np.asarray(mask, bool)
     if mask.all():
         return np.full(mask.shape, np.inf)
-    if use_numba():
-        dsq = _edt_sq_numba(mask)
-        out = np.sqrt(dsq)
-        out[dsq >= 0.25 * _BIG] = np.inf
-        return out
     return ndimage.distance_transform_edt(mask).astype(np.float64)

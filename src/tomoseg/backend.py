@@ -1,9 +1,11 @@
 """Kernel backend selection.
 
-Every hot voxel kernel ships in two implementations: a numba @njit version
-and a pure numpy (or scipy-backed) fallback. The environment variable
-TOMOSEG_BACKEND forces one of "numba" or "numpy"; when unset, numba is used
-if it imports. ``benchmarks/bench_kernels.py`` compares the two paths.
+Four kernels ship in two implementations, a numba @njit loop and a
+hand-written numpy version, each the other's oracle: watershed flooding,
+regional minima, grayscale reconstruction and non-local means. The
+environment variable TOMOSEG_BACKEND forces one of "numba" or "numpy" for
+those four; when unset, numba is used if it imports. Every other kernel has
+one numpy/scipy implementation, tested against a brute-force oracle.
 
 The global ``--threads N`` option sets a bound on kernel worker threads
 (``set_thread_bound``); ``worker_count`` applies it, capped at the usable

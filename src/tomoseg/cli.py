@@ -93,27 +93,28 @@ def stage_phantom(*, out_dir: str, spec: Input | None = None):
     return outputs
 
 
-def stage_denoise(*, in_: Input, out: str, h: float | None = None, sigma: float = 1.0,
-                  patch: int = 1, search: int = 5):
-    """non-local means (without h: strength from the noise estimate, the rest default)"""
+def stage_denoise(*, in_: Input, out: str, h: float | None = None,
+                  sigma: float = pf.NlmParams.sigma, patch: int = pf.NlmParams.patch_radius,
+                  search: int = pf.NlmParams.search_radius):
+    """non-local means (without h: strength from the noise estimate)"""
     vol = load_volume(in_)
-    if h is not None:
-        params = pf.NlmParams(h=h, sigma=sigma, patch_radius=patch, search_radius=search)
-    else:
-        params = pf.default_nlm_params(vol)
+    if h is None:
+        h = pf.default_nlm_params(vol).h
+    params = pf.NlmParams(h=h, sigma=sigma, patch_radius=patch, search_radius=search)
     write_volume(pf.nonlocal_means(vol, params), out)
     return [out, out + ".meta"]
 
 
-def stage_unsharp(*, in_: Input, out: str, c: float = 0.75, blur_sigma: float = 2.0):
+def stage_unsharp(*, in_: Input, out: str, c: float = pf.UnsharpParams.c,
+                  blur_sigma: float = pf.UnsharpParams.blur_sigma):
     """unsharp mask edge enhancement"""
     vol = load_volume(in_)
     write_volume(pf.unsharp_mask(vol, pf.UnsharpParams(c=c, blur_sigma=blur_sigma)), out)
     return [out, out + ".meta"]
 
 
-def stage_binarize(*, in_: Input, out: str, window: int = 15, k: float = 0.34,
-                   open_radius: float = 1.0, min_size: int = 0):
+def stage_binarize(*, in_: Input, out: str, window: int = bz.SauvolaParams.window_radius,
+                   k: float = bz.SauvolaParams.k, open_radius: float = 1.0, min_size: int = 0):
     """local adaptive threshold + opening"""
     vol = load_volume(in_)
     mask = bz.sauvola_binarize(vol, bz.SauvolaParams(window_radius=window, k=k))
@@ -125,7 +126,8 @@ def stage_binarize(*, in_: Input, out: str, window: int = 15, k: float = 0.34,
     return [out, out + ".meta"]
 
 
-def stage_watershed(*, mask: Input, out: str, h_depth: float = 2.0, conn: int = 26):
+def stage_watershed(*, mask: Input, out: str, h_depth: float = ws.WatershedParams.h_depth,
+                    conn: int = ws.WatershedParams.connectivity):
     """marker-based watershed (conn: 6 or 26)"""
     params = ws.WatershedParams(h_depth=h_depth, connectivity=conn)
     labels = ws.watershed_segment(load_volume(mask), params)
@@ -161,8 +163,12 @@ def stage_edge_features(*, labels: Input, gray: Input, truth: Input, out: str):
 
 
 def stage_train_merge(*, features: Input, out: str, hidden: int = 75, grid: str | None = None,
-                      seed: int = 0, lr: float = 0.05, epochs: int = 2000, batch_size: int = 32,
-                      l2: float = 1e-4, validation_fraction: float = 0.2):
+                      seed: int = nn.TrainConfig.rng_seed,
+                      lr: float = nn.TrainConfig.learning_rate,
+                      epochs: int = nn.TrainConfig.epochs,
+                      batch_size: int = nn.TrainConfig.batch_size,
+                      l2: float = nn.TrainConfig.l2_penalty,
+                      validation_fraction: float = nn.TrainConfig.validation_fraction):
     """train the merge classifier (grid: comma-separated hidden sizes to search)"""
     edges, x, y = mg.read_features_csv(features)
     cfg = nn.TrainConfig(
@@ -204,7 +210,7 @@ def stage_descriptors(*, labels: Input, out: str, slice_: str | None = None,
 
 
 def stage_register(*, vol: Input, plane: Input, out: str, pyramid: str = "4,2,1",
-                   max_iter: int = 200):
+                   max_iter: int = rg.RegisterOptions.max_iter):
     """locate a 2D section in the volume"""
     factors = tuple(int(v) for v in pyramid.split(","))
     steps = {4: 5.0, 2: 2.5, 1: 1.0}

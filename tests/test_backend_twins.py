@@ -1,36 +1,20 @@
-"""The numba kernels and their numpy fallbacks must agree; TOMOSEG_BACKEND
-only selects a path, never a result. Twin implementations are exercised
-directly so the suite covers both regardless of the active backend; without
-numba the identity ``njit`` shim runs the numba twins as plain Python, so
-only the tests that force TOMOSEG_BACKEND=numba need numba itself."""
+"""The four kernels with a numba twin (flooding, regional minima, grayscale
+reconstruction, non-local means) must agree with their numpy versions;
+TOMOSEG_BACKEND only selects a path, never a result. Twin implementations
+are exercised directly so the suite covers both regardless of the active
+backend; without numba the identity ``njit`` shim runs the numba twins as
+plain Python, so only the tests that force TOMOSEG_BACKEND=numba need numba
+itself. The other kernels have one implementation, compared with
+brute-force oracles in the tests of the modules that use them."""
 
 import numpy as np
 import pytest
 
 from tomoseg import backend
-from tomoseg._kernels import cc, convsep, edt, flood, nlm, recon, render, rotate, sauvola
+from tomoseg._kernels import cc, flood, nlm, recon
 from tomoseg.backend import HAVE_NUMBA
 
 needs_numba = pytest.mark.skipif(not HAVE_NUMBA, reason="numba unavailable")
-
-
-def test_correlate_twins(rng):
-    vol = rng.normal(size=(6, 7, 8))
-    k = convsep.gaussian_kernel(1.3)
-    for axis in range(3):
-        a = convsep._correlate_axis_numba(vol, k, axis)
-        b = convsep._correlate_axis_numpy(vol, k, axis)
-        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
-
-
-def test_correlate_twins_tiny_volume(rng):
-    # mirror folding must match scipy even when the kernel exceeds the axis
-    vol = rng.normal(size=(2, 3, 2))
-    k = convsep.gaussian_kernel(1.0)  # radius 3 > axis length
-    for axis in range(3):
-        a = convsep._correlate_axis_numba(vol, k, axis)
-        b = convsep._correlate_axis_numpy(vol, k, axis)
-        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
 
 
 def test_worker_count_bounds(monkeypatch):
@@ -57,29 +41,6 @@ def test_nlm_twins(rng):
     a = nlm._nlm_numba(img, h2, g1, 2)
     b = nlm._nlm_numpy(img, h2, 1, 1.0, 2)
     np.testing.assert_allclose(a, b, rtol=1e-10)
-
-
-def test_sauvola_twins(rng):
-    img = rng.integers(0, 65536, (9, 8, 7)).astype(np.uint16)
-    s1, s2 = sauvola._integral_tables(img)
-    out = np.empty(img.shape, np.float64)
-    a = sauvola._threshold_numba(s1, s2, *img.shape, 2, 0.34, 32768.0, out)
-    b_s1, b_cnt = sauvola._window_sums_numpy(s1, img.shape, 2)
-    b_s2, _ = sauvola._window_sums_numpy(s2, img.shape, 2)
-    mean = b_s1 / b_cnt
-    var = b_s2 / b_cnt - mean * mean
-    b = mean * (1.0 + 0.34 * (np.sqrt(np.maximum(var, 0.0)) / 32768.0 - 1.0))
-    np.testing.assert_array_equal(a, b)
-
-
-def test_edt_twins(rng):
-    from scipy import ndimage
-
-    for _ in range(5):
-        mask = rng.random((11, 10, 9)) > 0.4
-        a = np.sqrt(edt._edt_sq_numba(mask))
-        b = ndimage.distance_transform_edt(mask)
-        np.testing.assert_allclose(a, b, atol=1e-9)
 
 
 def test_recon_twins(rng):
@@ -134,22 +95,6 @@ def test_minima_twins_flat_and_border_plateaus(connectivity):
     vals[:, :, 6] = 5.0
     got = _minima_both(vals, mask, connectivity)
     np.testing.assert_array_equal(got, mask & (vals == 1.0))
-
-
-def test_cc_twins(rng):
-    import os
-
-    import tomoseg.backend as backend
-
-    for connectivity in (6, 26):
-        mask = rng.random((10, 10, 10)) > 0.55
-        a = cc.connected_components_mask(mask, connectivity)
-        os.environ[backend.ENV_VAR] = "numpy"
-        try:
-            b = cc.connected_components_mask(mask, connectivity)
-        finally:
-            del os.environ[backend.ENV_VAR]
-        np.testing.assert_array_equal(a, b)
 
 
 def _flood_both(height, markers, mask, connectivity):
@@ -229,33 +174,6 @@ def test_watershed_kernel_twins_on_touching_balls():
     assert markers.max() >= 2
     out = _flood_both(inv, markers, m, 26)
     np.testing.assert_array_equal(out > 0, m)
-
-
-def test_rotate_twins(rng):
-    vol = rng.random((9, 10, 11)) > 0.5
-    from tomoseg.register import RigidTransform, volume_center
-
-    rinv = RigidTransform((0.3, -0.5, 0.2), (0, 0, 0)).rotation().T
-    for z0, z1 in ((0, 9), (3, 7)):
-        a = rotate._rotate_numba(np.ascontiguousarray(vol), np.ascontiguousarray(rinv),
-                                 *volume_center(vol.shape), z0, z1)
-        b = rotate._rotate_numpy(vol, rinv, *volume_center(vol.shape), z0, z1)
-        np.testing.assert_array_equal(a, b)
-
-
-def test_render_twins(rng):
-    from tomoseg.register import RigidTransform
-
-    rot = RigidTransform((0.4, 0.1, -0.3), (0, 0, 0)).rotation()
-    for expo in (2.0, 3.5):
-        la = np.zeros((20, 20, 20), np.int32)
-        lb = np.zeros((20, 20, 20), np.int32)
-        center = np.array([9.3, 10.1, 9.8])
-        semi = np.array([6.0, 4.0, 3.0])
-        ha = render._stamp_numba(la, rot, center, semi, expo, np.int32(1), 2, 18, 2, 18, 2, 18, False)
-        hb = render._stamp_numpy(lb, rot, center, semi, expo, np.int32(1), 2, 18, 2, 18, 2, 18, False)
-        assert ha == hb == 0
-        np.testing.assert_array_equal(la, lb)
 
 
 @needs_numba

@@ -183,6 +183,17 @@ def test_threads_bound_resets_between_calls(tmp_path, tiny_volume, monkeypatch):
     assert backend.worker_count(24) == 4
 
 
+def test_denoise_without_h_runs_given_search(tmp_path, tiny_volume):
+    # h alone comes from the noise estimate; the given search radius is run
+    outs = []
+    for search in ("1", "3"):
+        out = tmp_path / f"den_{search}.raw"
+        assert cli.main(["denoise", "--in", str(tiny_volume), "--out", str(out),
+                         "--search", search]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] != outs[1]
+
+
 def test_train_and_merge_cli(tmp_path):
     from tomoseg import binarize, mergegraph, phantom, watershed
 
@@ -277,6 +288,13 @@ def test_stage_flags_equal_ini_keys(stage, capsys):
         cli.main(_command(stage) + ["--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("usage: tomoseg " + " ".join(_command(stage)))
+
+
+def test_register_pyramid_default_is_register_options_default():
+    from tomoseg.register import RegisterOptions
+
+    default = dict(cli._params(cli.stage_register))["pyramid"].default
+    assert tuple(int(v) for v in default.split(",")) == RegisterOptions().pyramid
 
 
 def test_attenuation_subcommands_parse():

@@ -36,16 +36,33 @@ def adjacency_oracle(lab):
     return edges
 
 
+def mirror(i, n):
+    """Fold index ``i`` into 0..n-1 by edge-inclusive mirroring (a b c | c b a),
+    as often as it takes."""
+    while i < 0 or i >= n:
+        i = -i - 1 if i < 0 else 2 * n - 1 - i
+    return i
+
+
+def correlate_axis_oracle(f, weights, axis):
+    """Per-voxel 1D correlation along one axis, mirror borders."""
+    rad = len(weights) // 2
+    out = np.zeros(f.shape)
+    for idx in np.ndindex(f.shape):
+        acc = 0.0
+        for k, w in enumerate(weights):
+            src = list(idx)
+            src[axis] = mirror(idx[axis] + k - rad, f.shape[axis])
+            acc += w * f[tuple(src)]
+        out[idx] = acc
+    return out
+
+
 def sobel_oracle(f):
     """Naive full 3x3x3 correlation with mirror borders."""
     smooth = np.array([1.0, 2.0, 1.0])
     deriv = np.array([-1.0, 0.0, 1.0])
     nz, ny, nx = f.shape
-
-    def ref(i, n):
-        while i < 0 or i >= n:
-            i = -i - 1 if i < 0 else 2 * n - 1 - i
-        return i
 
     out = np.zeros(f.shape)
     for axis in range(3):
@@ -60,7 +77,7 @@ def sobel_oracle(f):
                         for b in (-1, 0, 1):
                             for c in (-1, 0, 1):
                                 w = kernels[0][a + 1] * kernels[1][b + 1] * kernels[2][c + 1]
-                                acc += w * f[ref(z + a, nz), ref(y + b, ny), ref(x + c, nx)]
+                                acc += w * f[mirror(z + a, nz), mirror(y + b, ny), mirror(x + c, nx)]
                     g[z, y, x] = acc
         out += g * g
     return np.sqrt(out)
@@ -134,6 +151,26 @@ def test_sobel_matches_naive_convolution(rng):
     data = rng.integers(0, 2000, (5, 5, 5)).astype(np.uint16)
     got = sobel_gradient_magnitude(scalar(data))
     np.testing.assert_allclose(got, sobel_oracle(data.astype(float)), rtol=1e-10)
+
+
+def test_correlate_separable_matches_axis_oracle(rng):
+    from tomoseg._kernels.convsep import correlate_separable, gaussian_kernel
+
+    # an asymmetric kernel tells correlation from convolution; on the
+    # 2x3x2 volume the radius-3 Gaussian is longer than every axis, so
+    # indices fold more than once
+    for shape, k in (((6, 7, 8), rng.normal(size=5)), ((6, 7, 8), gaussian_kernel(1.3)),
+                     ((2, 3, 2), gaussian_kernel(1.0))):
+        vol = rng.normal(size=shape)
+        want = vol
+        for axis in range(3):
+            weights = [None, None, None]
+            weights[axis] = k
+            np.testing.assert_allclose(correlate_separable(vol, weights),
+                                       correlate_axis_oracle(vol, k, axis), rtol=1e-12, atol=1e-12)
+            want = correlate_axis_oracle(want, k, axis)
+        np.testing.assert_allclose(correlate_separable(vol, (k, k, k)), want,
+                                   rtol=1e-12, atol=1e-12)
 
 
 def test_features_constant_volume():

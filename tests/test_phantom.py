@@ -82,6 +82,44 @@ def test_particles_disjoint_and_inside():
     assert out.labels.data[:, 0].max() == 0 and out.labels.data[:, -1].max() == 0
 
 
+def superellipsoid_oracle(labels, rot, center, semi, expo, label, check_only):
+    """The plain definition |u/a|^p + |v/b|^p + |w/c|^p <= 1 at every voxel
+    of the grid; returns (hit count, new labels)."""
+    out = labels.copy()
+    r = rot.tolist()
+    hit = 0
+    for z, y, x in np.ndindex(labels.shape):
+        d = (x - center[0], y - center[1], z - center[2])
+        u, v, w = ((r[i][0] * d[0] + r[i][1] * d[1] + r[i][2] * d[2]) / semi[i] for i in range(3))
+        if abs(u) ** expo + abs(v) ** expo + abs(w) ** expo <= 1.0:
+            if out[z, y, x] != 0:
+                hit += 1
+            elif not check_only:
+                out[z, y, x] = label
+    return hit, out
+
+
+@pytest.mark.parametrize("expo", [1.5, 2.0, 3.5])
+def test_stamp_superellipsoid_matches_oracle(rng, expo):
+    from tomoseg._kernels.render import stamp_superellipsoid
+
+    # the axis-aligned placement with integer center and semi-axes puts
+    # voxels exactly on the surface (power sum exactly 1)
+    placements = [(np.eye(3), (8.0, 9.0, 7.0), (5.0, 3.0, 4.0))]
+    for _ in range(3):
+        rot = RigidTransform(tuple(rng.uniform(-np.pi, np.pi, 3)), (0, 0, 0)).rotation()
+        placements.append((rot, tuple(rng.uniform(1.0, 15.0, 3)), tuple(rng.uniform(2.0, 6.0, 3))))
+    for rot, center, semi in placements:
+        claimed = np.where(rng.random((16, 16, 16)) > 0.95, 7, 0).astype(np.int32)
+        for check_only in (True, False):
+            got = claimed.copy()
+            hit = stamp_superellipsoid(got, rot, center, semi, expo, 3, check_only=check_only)
+            want_hit, want = superellipsoid_oracle(claimed, rot, center, semi, expo, 3, check_only)
+            assert hit == want_hit
+            assert (got[claimed != 0] == 7).all()
+            np.testing.assert_array_equal(got, want)
+
+
 def test_ground_truth_partitions_rendered_foreground():
     spec = small_spec(noise_std=0.0, n_sections=0)
     out = generate(spec)
