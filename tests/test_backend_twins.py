@@ -5,16 +5,41 @@ are exercised directly so the suite covers both regardless of the active
 backend; without numba the identity ``njit`` shim runs the numba twins as
 plain Python, so only the tests that force TOMOSEG_BACKEND=numba need numba
 itself. The other kernels have one implementation, compared with
-brute-force oracles in the tests of the modules that use them."""
+brute-force oracles; separable correlation, which lost its numba twin, is
+held to its per-voxel mirror-fold oracle here, the rest in the tests of the
+modules that use them."""
 
 import numpy as np
 import pytest
 
 from tomoseg import backend
-from tomoseg._kernels import cc, flood, nlm, recon
+from tomoseg._kernels import cc, convsep, flood, nlm, recon
 from tomoseg.backend import HAVE_NUMBA
 
+from conftest import correlate_axis_oracle
+
 needs_numba = pytest.mark.skipif(not HAVE_NUMBA, reason="numba unavailable")
+
+
+def test_correlate_twins(rng):
+    vol = rng.normal(size=(6, 7, 8))
+    k = convsep.gaussian_kernel(1.3)
+    for axis in range(3):
+        weights = [None, None, None]
+        weights[axis] = k
+        np.testing.assert_allclose(convsep.correlate_separable(vol, weights),
+                                   correlate_axis_oracle(vol, k, axis), rtol=1e-12, atol=1e-12)
+
+
+def test_correlate_twins_tiny_volume(rng):
+    # mirror folding must hold even when the kernel exceeds the axis
+    vol = rng.normal(size=(2, 3, 2))
+    k = convsep.gaussian_kernel(1.0)  # radius 3 > axis length
+    for axis in range(3):
+        weights = [None, None, None]
+        weights[axis] = k
+        np.testing.assert_allclose(convsep.correlate_separable(vol, weights),
+                                   correlate_axis_oracle(vol, k, axis), rtol=1e-12, atol=1e-12)
 
 
 def test_worker_count_bounds(monkeypatch):

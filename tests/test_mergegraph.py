@@ -11,7 +11,7 @@ from tomoseg.mergegraph import (
     sobel_gradient_magnitude,
 )
 
-from conftest import labels, scalar
+from conftest import correlate_axis_oracle, labels, mirror, scalar
 
 
 def adjacency_oracle(lab):
@@ -34,28 +34,6 @@ def adjacency_oracle(lab):
                             if b > 0 and b != a:
                                 edges.add((min(a, b), max(a, b)))
     return edges
-
-
-def mirror(i, n):
-    """Fold index ``i`` into 0..n-1 by edge-inclusive mirroring (a b c | c b a),
-    as often as it takes."""
-    while i < 0 or i >= n:
-        i = -i - 1 if i < 0 else 2 * n - 1 - i
-    return i
-
-
-def correlate_axis_oracle(f, weights, axis):
-    """Per-voxel 1D correlation along one axis, mirror borders."""
-    rad = len(weights) // 2
-    out = np.zeros(f.shape)
-    for idx in np.ndindex(f.shape):
-        acc = 0.0
-        for k, w in enumerate(weights):
-            src = list(idx)
-            src[axis] = mirror(idx[axis] + k - rad, f.shape[axis])
-            acc += w * f[tuple(src)]
-        out[idx] = acc
-    return out
 
 
 def sobel_oracle(f):
