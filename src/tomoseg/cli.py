@@ -213,11 +213,14 @@ def stage_register(*, vol: Input, plane: Input, out: str, pyramid: str = "4,2,1"
                    max_iter: int = rg.RegisterOptions.max_iter):
     """locate a 2D section in the volume"""
     factors = tuple(int(v) for v in pyramid.split(","))
-    steps = {4: 5.0, 2: 2.5, 1: 1.0}
+    steps = dict(zip(rg.RegisterOptions.pyramid, rg.RegisterOptions.simplex_step_deg))
+    for f in factors:
+        if f not in steps:
+            raise ValueError(f"pyramid factor {f} has no simplex step (steps for {tuple(steps)})")
     opts = rg.RegisterOptions(
         pyramid=factors,
         max_iter=max_iter,
-        simplex_step_deg=tuple(steps.get(f, 1.0) for f in factors),
+        simplex_step_deg=tuple(steps[f] for f in factors),
     )
     result = rg.register_section(load_volume(vol), load_volume(plane), opts)
     rg.write_result(result, out)

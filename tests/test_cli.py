@@ -297,6 +297,31 @@ def test_register_pyramid_default_is_register_options_default():
     assert tuple(int(v) for v in default.split(",")) == RegisterOptions().pyramid
 
 
+def _register_inputs(tmp_path):
+    m = ball_mask((16, 16, 16), (8, 8, 8), 5)
+    write_volume(BinaryVolume(m, 4.5), tmp_path / "vol.raw")
+    write_volume(BinaryVolume(m[8][None], 4.5), tmp_path / "plane.raw")
+    return ["register", "--vol", str(tmp_path / "vol.raw"), "--plane", str(tmp_path / "plane.raw"),
+            "--out", str(tmp_path / "reg.txt")]
+
+
+@pytest.mark.parametrize("pyramid, steps", [("4,2,1", (5.0, 2.5, 1.0)), ("2,1", (2.5, 1.0))])
+def test_register_simplex_steps_follow_register_options(tmp_path, monkeypatch, pyramid, steps):
+    seen = []
+    monkeypatch.setattr(cli.rg, "register_section", lambda vol, plane, opts: seen.append(opts))
+    monkeypatch.setattr(cli.rg, "write_result", lambda result, out: None)
+    assert cli.main(_register_inputs(tmp_path) + ["--pyramid", pyramid]) == 0
+    assert seen[0].simplex_step_deg == steps
+
+
+def test_register_pyramid_factor_without_step_exits_3(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli.rg, "register_section", lambda *a: pytest.fail("registration ran"))
+    rc = cli.main(_register_inputs(tmp_path) + ["--pyramid", "8,4,2,1"])
+    assert rc == cli.EXIT_STAGE_FAILURE
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "pyramid factor 8" in err[0]
+
+
 def test_attenuation_subcommands_parse():
     parser = cli.build_parser()
     ns = parser.parse_args(["attenuation", "fit", "--samples", "s.csv", "--out", "m.txt",

@@ -125,12 +125,15 @@ def _nlm_full_volume(img, h2, patch_radius, patch_sigma, search):
 
 
 @pytest.mark.parametrize(
-    "shape", [(5, 5, 5), (7, 4, 9), (3, 11, 6), (1, 6, 5), (2, 3, 13), (16, 3, 4), (26, 4, 3)]
+    "shape",
+    [(5, 5, 5), (7, 4, 9), (3, 11, 6), (1, 6, 5), (2, 3, 13), (16, 3, 4), (26, 4, 3),
+     (5, 1, 7), (4, 9, 1), (3, 2, 2), (9, 13, 2)],
 )
 def test_nlm_slabs_bit_identical_to_full_volume(rng, shape, monkeypatch):
-    # valid boxes and z slabs keep every voxel's sums in the same order, so
-    # the result is bitwise equal for any worker count; the short volumes
-    # fall back to fewer slabs than the bound asks for
+    # the flat layout and z slabs keep every voxel's sums in the same order,
+    # so the result is bitwise equal for any worker count; the short volumes
+    # fall back to fewer slabs than the bound asks for; on the 1- and 2-wide
+    # axes the guard rows and columns do most of the zero fill's work
     from tomoseg import backend
 
     monkeypatch.setattr(backend.os, "sched_getaffinity", lambda pid: set(range(8)))
@@ -146,6 +149,20 @@ def test_nlm_slabs_bit_identical_to_full_volume(rng, shape, monkeypatch):
                         assert np.array_equal(got, want), (search, h, patch_radius, workers)
     finally:
         backend.set_thread_bound(None)
+
+
+@pytest.mark.parametrize("shape", [(7, 4, 9), (9, 13, 2), (4, 9, 1)])
+def test_nlm_signed_input_with_exact_zeros_bit_identical(rng, shape):
+    # signed values make negative and -0.0 products w * I(x+s), and the
+    # zeros exact ties; each must reach norm and acc as in the full pass
+    img = rng.normal(0.0, 400.0, shape)
+    img[rng.random(shape) < 0.5] = 0.0
+    for search in (1, 2, 5):
+        for h in (0.5, 300.0, 1e12):
+            for patch_radius in (1, 2):
+                want = _nlm_full_volume(img, h * h, patch_radius, 1.0, search)
+                got = nlm._nlm_numpy(img, h * h, patch_radius, 1.0, search)
+                assert np.array_equal(got, want), (search, h, patch_radius)
 
 
 def test_nlm_default_workers_bit_identical(rng):
