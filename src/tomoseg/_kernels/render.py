@@ -3,8 +3,9 @@
 A particle is the set |u/a|^p + |v/b|^p + |w/c|^p <= 1 in its local frame;
 the kernel stamps particle ids into a label grid over the particle's
 bounding box, leaving already-claimed voxels untouched (the caller checks
-overlap beforehand). Tests compare it with a per-voxel oracle of that
-definition.
+overlap beforehand, which evaluates the definition at claimed voxels only).
+Tests compare it with a per-voxel oracle of that definition and with the
+overlap test evaluated over the whole box.
 """
 
 from __future__ import annotations
@@ -29,12 +30,23 @@ def stamp_superellipsoid(labels, rot, center, semi, expo, label, check_only=Fals
     center = np.ascontiguousarray(center, np.float64)
     semi = np.ascontiguousarray(semi, np.float64)
     expo = float(expo)
-    z, y, x = np.meshgrid(
-        np.arange(z0, z1, dtype=np.float64),
-        np.arange(y0, y1, dtype=np.float64),
-        np.arange(x0, x1, dtype=np.float64),
-        indexing="ij",
-    )
+    zs = np.arange(z0, z1, dtype=np.float64)
+    ys = np.arange(y0, y1, dtype=np.float64)
+    xs = np.arange(x0, x1, dtype=np.float64)
+    block = labels[z0:z1, y0:y1, x0:x1]
+    if check_only:
+        # only claimed voxels can count; each gets the arithmetic it would
+        # get in the full box
+        iz, iy, ix = np.nonzero(block)
+        return int(_inside(zs[iz], ys[iy], xs[ix], rot, center, semi, expo).sum())
+    inside = _inside(zs[:, None, None], ys[None, :, None], xs[None, None, :], rot, center, semi, expo)
+    hit = int((inside & (block != 0)).sum())
+    block[inside & (block == 0)] = label
+    return hit
+
+
+def _inside(z, y, x, rot, center, semi, expo):
+    """Superellipsoid membership of the voxels at broadcast coordinates."""
     dx, dy, dz = x - center[0], y - center[1], z - center[2]
     u = (rot[0, 0] * dx + rot[0, 1] * dy + rot[0, 2] * dz) / semi[0]
     v = (rot[1, 0] * dx + rot[1, 1] * dy + rot[1, 2] * dz) / semi[1]
@@ -45,11 +57,5 @@ def stamp_superellipsoid(labels, rot, center, semi, expo, label, check_only=Fals
         # unit ball; a voxel in the ball counts as inside even where rounding
         # puts its power sum a hair above 1
         box = (np.abs(u) <= 1.0) & (np.abs(v) <= 1.0) & (np.abs(w) <= 1.0)
-        inside = box & ((u * u + v * v + w * w <= 1.0) | (power <= 1.0))
-    else:
-        inside = power <= 1.0
-    block = labels[z0:z1, y0:y1, x0:x1]
-    hit = int((inside & (block != 0)).sum())
-    if not check_only:
-        block[inside & (block == 0)] = label
-    return hit
+        return box & ((u * u + v * v + w * w <= 1.0) | (power <= 1.0))
+    return power <= 1.0

@@ -29,7 +29,7 @@ from . import phantom as ph
 from . import prefilter as pf
 from . import register as rg
 from . import watershed as ws
-from .volgrid import BinaryVolume, LabelPlane, extract_slice, load_volume, write_volume
+from .volgrid import BinaryVolume, LabelPlane, _atomic_files, extract_slice, load_volume, write_volume
 
 EXIT_OK = 0
 EXIT_MISSING_INPUT = 2
@@ -395,8 +395,9 @@ def run_pipeline(config_path, manifest_path=None) -> int:
         try:
             paths = [p for path in _input_paths(fn, kwargs) for p in (path, path + ".meta")]
             inputs = {p: _sha256(p) for p in paths if os.path.exists(p)}
-            t0 = time.time()
+            t0 = time.perf_counter()
             outputs = fn(**kwargs)
+            seconds = time.perf_counter() - t0
         except FileNotFoundError as exc:
             print(f"stage {section!r}: missing input {exc}", file=sys.stderr)
             return EXIT_MISSING_INPUT
@@ -409,12 +410,11 @@ def run_pipeline(config_path, manifest_path=None) -> int:
                 "params": {key: kwargs[prm.name] for key, prm in _params(fn)},
                 "inputs": inputs,
                 "outputs": {p: _sha256(p) for p in outputs if os.path.exists(p)},
-                "seconds": round(time.time() - t0, 3),
+                "seconds": round(seconds, 3),
             }
         )
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    with _atomic_files(manifest_path) as (fh,):
+        fh.write((json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8"))
     return EXIT_OK
 
 

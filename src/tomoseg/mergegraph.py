@@ -20,6 +20,8 @@ between two regions and its surroundings:
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,59 +138,135 @@ def _pca_eigenvalues(coords: np.ndarray):
     return ev / total
 
 
-def _mean_abs_curvature(coords: np.ndarray, side: np.ndarray, fit_radius: float = 3.0,
-                        max_centers: int = 120):
-    """Mean |H| of the surface sampled by ``coords``: per voxel, fit a local
-    quadric height field in the PCA frame of its radius-3 neighborhood.
+def _fit_neighborhoods(interfaces, lab_flat: np.ndarray, shape: tuple, offsets: np.ndarray,
+                       max_centers: int):
+    """Sampled fit centres of every interface and their same-side neighbours.
+
+    Returns ``(pts, centre_edge, centre_row, k, hits)``: the float64 coordinates
+    of all interface voxels, interface after interface; per centre its
+    interface's position, its row in ``pts`` and its neighbour count; and the
+    neighbour rows of every centre, centre after centre. ``offsets`` must be
+    in lexicographic order, which is flat-index order, so each centre's
+    neighbours come in the row order of its interface.
+    """
+    flat_offsets = offsets @ np.array([shape[1] * shape[2], shape[2], 1], np.int64)
+    size = shape[0] * shape[1] * shape[2]
+    coords_all, centre_edge, centre_row, ks, hits = [], [], [], [], []
+    base = 0
+    for e, iface in enumerate(interfaces):
+        m = len(iface)
+        coords = np.column_stack(np.unravel_index(iface, shape)).astype(np.int64)
+        coords_all.append(coords)
+        if m >= 7:
+            # key (side, flat index) sorts each side's voxels in flat order
+            other = (lab_flat[iface] != lab_flat[iface[0]]).astype(np.int64)
+            order = np.argsort(other, kind="stable")
+            key = other[order] * size + iface[order]
+            centres = np.arange(0, m, max(1, int(np.ceil(m / max_centers))))
+            inside = np.ones((len(centres), len(offsets)), bool)
+            for axis in range(3):
+                c = coords[centres, axis, None] + offsets[:, axis]
+                inside &= (c >= 0) & (c < shape[axis])
+            ckey = (other[centres] * size + iface[centres])[:, None] + flat_offsets
+            pos = np.minimum(np.searchsorted(key, ckey), m - 1)
+            hit = inside & (key[pos] == ckey)
+            centre_edge.append(np.full(len(centres), e, np.int64))
+            centre_row.append(centres + base)
+            ks.append(hit.sum(axis=1))
+            hits.append(order[pos[hit]] + base)
+        base += m
+    pts = np.concatenate(coords_all).astype(np.float64) if coords_all else np.zeros((0, 3))
+    if not centre_edge:
+        empty = np.zeros(0, np.int64)
+        return pts, empty, empty, empty, empty
+    return (pts, np.concatenate(centre_edge), np.concatenate(centre_row), np.concatenate(ks),
+            np.concatenate(hits))
+
+
+def _mean_abs_curvature(interfaces, lab_flat: np.ndarray, shape: tuple, fit_radius: float = 3.0,
+                        max_centers: int = 120) -> np.ndarray:
+    """Mean |H| of each interface surface (sorted flat voxel indices into a
+    volume of ``shape`` labelled by ``lab_flat``): per sampled voxel, fit a
+    local quadric height field in the PCA frame of its radius-3 neighborhood.
 
     Neighborhoods stay on the voxel's own side of the interface (the
     two-layer interface slab would otherwise thicken every fit), points are
     Gaussian distance-weighted (sigma = fit_radius/2, which trims the
     flattening bias of the estimated tangent frame), and up to
     ``max_centers`` evenly strided voxels are sampled to keep feature
-    extraction cheap on large interfaces.
+    extraction cheap on large interfaces. A centre with fewer than 7
+    neighbours, and an interface under 7 voxels, is skipped; an interface
+    with no fitted centre reads 0.
+
+    The fits of every centre of every interface run batched: centres with
+    the same neighbour count k are stacked, and each step is one numpy call
+    on the stack. The result is bitwise that of fitting one centre at a
+    time, because each step does the same arithmetic in the same order per
+    centre: neighbours keep their row order, elementwise ufuncs act per
+    element, axis sums reduce a length-3 or length-k axis as the per-centre
+    sums do, and stacked matmul, eigh and solve make the same BLAS/LAPACK
+    call per matrix. Two steps need care. The ``** 1.5`` of the curvature
+    denominator is a scalar ``pow`` per centre, since numpy's array power
+    differs from scalar ``pow`` in the last bit on some inputs. And each
+    interface's |H| values are summed one by one in centre order. A stack
+    with a singular Gram matrix is solved centre by centre, through
+    least squares where the matrix is singular.
     """
-    m = coords.shape[0]
-    if m < 7:
-        return 0.0
-    pts = coords.astype(np.float64)
-    step = max(1, int(np.ceil(m / max_centers)))
-    r2 = fit_radius * fit_radius
+    offsets = _ball_offsets(fit_radius)
+    pts, centre_edge, centre_row, k, hits = _fit_neighborhoods(
+        interfaces, lab_flat, shape, offsets, max_centers)
+    start = np.cumsum(k) - k
+    fitted = np.flatnonzero(k >= 7)
+    habs = np.zeros(len(k))
     sigma2 = (fit_radius / 2.0) ** 2
-    total = 0.0
-    count = 0
-    for ci in range(0, m, step):
-        p = pts[ci]
-        own = pts[side == side[ci]]
-        d2 = ((own - p) ** 2).sum(axis=1)
-        nb = own[d2 <= r2]
-        if nb.shape[0] < 7:
-            continue
-        wgt = np.exp(-((nb - p) ** 2).sum(axis=1) / (2.0 * sigma2))
-        mu = (nb * wgt[:, None]).sum(axis=0) / wgt.sum()
-        q = nb - mu
-        _, vecs = np.linalg.eigh((q * wgt[:, None]).T @ q)
-        e1, e2, nrm = vecs[:, 2], vecs[:, 1], vecs[:, 0]
-        u = q @ e1
-        v = q @ e2
+    for size in np.unique(k[fitted]):
+        group = fitted[k[fitted] == size]
+        nb = pts[hits[start[group][:, None] + np.arange(size)]]
+        p = pts[centre_row[group]]
+        wgt = np.exp(-((nb - p[:, None]) ** 2).sum(axis=2) / (2.0 * sigma2))
+        mu = (nb * wgt[..., None]).sum(axis=1) / wgt.sum(axis=1)[:, None]
+        q = nb - mu[:, None]
+        _, vecs = np.linalg.eigh((q * wgt[..., None]).transpose(0, 2, 1) @ q)
+        e1, e2, nrm = vecs[..., 2:3], vecs[..., 1:2], vecs[..., 0:1]
+        u = (q @ e1)[..., 0]
+        v = (q @ e2)[..., 0]
         w = q @ nrm
-        design = np.column_stack([np.ones_like(u), u, v, u * u, u * v, v * v])
-        gram = (design * wgt[:, None]).T @ design
-        rhs = (design * wgt[:, None]).T @ w
+        design = np.stack([np.ones_like(u), u, v, u * u, u * v, v * v], axis=-1)
+        dw = (design * wgt[..., None]).transpose(0, 2, 1)
+        gram = dw @ design
+        rhs = dw @ w
         try:
-            coef = np.linalg.solve(gram, rhs)
+            coef = np.linalg.solve(gram, rhs)[..., 0]
         except np.linalg.LinAlgError:
-            coef, *_ = np.linalg.lstsq(design * np.sqrt(wgt)[:, None], w * np.sqrt(wgt), rcond=None)
-        pq = p - mu
-        up, vp = pq @ e1, pq @ e2
-        fu = coef[1] + 2.0 * coef[3] * up + coef[4] * vp
-        fv = coef[2] + coef[4] * up + 2.0 * coef[5] * vp
-        fuu, fuv, fvv = 2.0 * coef[3], coef[4], 2.0 * coef[5]
-        denom = 2.0 * (1.0 + fu * fu + fv * fv) ** 1.5
+            coef = np.array([_solve_or_lstsq(*a) for a in zip(gram, rhs[..., 0], design, wgt, w[..., 0])])
+        pq = (p - mu)[:, None, :]
+        up, vp = (pq @ e1)[:, 0, 0], (pq @ e2)[:, 0, 0]
+        c = coef.T
+        fu = c[1] + 2.0 * c[3] * up + c[4] * vp
+        fv = c[2] + c[4] * up + 2.0 * c[5] * vp
+        fuu, fuv, fvv = 2.0 * c[3], c[4], 2.0 * c[5]
+        base = 1.0 + fu * fu + fv * fv
+        denom = 2.0 * np.fromiter(map(math.pow, base, itertools.repeat(1.5)), np.float64, len(base))
         h = ((1.0 + fv * fv) * fuu - 2.0 * fu * fv * fuv + (1.0 + fu * fu) * fvv) / denom
-        total += abs(h)
-        count += 1
-    return total / count if count else 0.0
+        habs[group] = np.abs(h)
+    # per interface, sum |H| one centre at a time in centre order
+    n = len(interfaces)
+    counts = np.bincount(centre_edge[fitted], minlength=n)
+    table = np.zeros((n, max(1, int(counts.max(initial=0)))))
+    rank = np.arange(len(fitted)) - (np.cumsum(counts) - counts)[centre_edge[fitted]]
+    table[centre_edge[fitted], rank] = habs[fitted]
+    totals = np.add.accumulate(table, axis=1)[:, -1]
+    return np.divide(totals, counts, out=np.zeros(n), where=counts > 0)
+
+
+def _solve_or_lstsq(gram, rhs, design, wgt, w):
+    """One centre's quadric coefficients: the normal equations, or weighted
+    least squares where they are singular."""
+    try:
+        return np.linalg.solve(gram, rhs)
+    except np.linalg.LinAlgError:
+        coef, *_ = np.linalg.lstsq(design * np.sqrt(wgt)[:, None], w * np.sqrt(wgt), rcond=None)
+        return coef
 
 
 def extract_edge_features(
@@ -204,8 +282,9 @@ def extract_edge_features(
     sums = np.bincount(lab_flat, weights=gray_flat, minlength=graph.n_regions + 1)
     region_mean = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
     ball = _ball_offsets(2.0)
+    curvature = _mean_abs_curvature(list(graph.interfaces.values()), lab_flat, shape)
     features = {}
-    for edge, iface in graph.interfaces.items():
+    for (edge, iface), curv in zip(graph.interfaces.items(), curvature):
         v1, v2 = edge
         coords = np.column_stack(np.unravel_index(iface, shape)).astype(np.int64)
         nb = coords[:, None, :] + ball[None, :, :]
@@ -217,7 +296,6 @@ def extract_edge_features(
         g1, g2, g3, g4 = _moments(gray_flat[nb_flat])
         a1, a2, a3, a4 = _moments(grad_flat[nb_flat])
         ev = _pca_eigenvalues(coords)
-        curv = _mean_abs_curvature(coords, lab_flat[iface])
         vol_lo, vol_hi = sorted((counts[v1], counts[v2]))
         mean_lo, mean_hi = sorted((region_mean[v1], region_mean[v2]))
         features[edge] = np.array(

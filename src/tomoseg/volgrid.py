@@ -13,7 +13,9 @@ the array and marks it read-only), so any number of threads may share one.
 
 from __future__ import annotations
 
+import contextlib
 import os
+import secrets
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,8 +189,31 @@ def _element_of(vol) -> str:
     raise TypeError(f"not a grid container: {type(vol)!r}")
 
 
+@contextlib.contextmanager
+def _atomic_files(*paths):
+    """Binary handles on temporary files beside ``paths``; on a clean exit each
+    is renamed onto its path, and on an exception all are removed, leaving
+    every path as it was. Atomic against a failing writer, not a power cut:
+    nothing is fsynced."""
+    temps = [os.path.join(os.path.dirname(os.fspath(p)),
+                          f".{os.path.basename(os.fspath(p))}.{secrets.token_hex(4)}.tmp")
+             for p in paths]
+    try:
+        with contextlib.ExitStack() as stack:
+            yield [stack.enter_context(open(t, "xb")) for t in temps]
+        for tmp, path in zip(temps, paths):
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp in temps:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
+        raise
+
+
 def write_volume(vol, path) -> None:
-    """Write raw payload plus ``<path>.meta`` sidecar."""
+    """Write raw payload plus ``<path>.meta`` sidecar. Both are written to
+    temporary files first and renamed into place together, so a failed write
+    leaves no partial file at either path."""
     element = _element_of(vol)
     if isinstance(vol, LabelPlane):
         dims = (vol.dims[0], vol.dims[1], 1)
@@ -200,11 +225,11 @@ def write_volume(vol, path) -> None:
         payload = np.packbits(flat.astype(np.uint8), bitorder="little")
     else:
         payload = flat.astype(ELEMENT_DTYPES[element])
-    payload.tofile(path)
-    with open(f"{path}.meta", "w", encoding="utf-8") as fh:
-        fh.write(f"dims={dims[0]},{dims[1]},{dims[2]}\n")
-        fh.write(f"spacing_um={vol.spacing!r}\n")
-        fh.write(f"element={element}\n")
+    with _atomic_files(path, f"{path}.meta") as (data, meta):
+        data.write(payload)
+        meta.write(f"dims={dims[0]},{dims[1]},{dims[2]}\n"
+                   f"spacing_um={vol.spacing!r}\n"
+                   f"element={element}\n".encode())
 
 
 def read_sidecar(path) -> dict:

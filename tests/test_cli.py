@@ -426,3 +426,23 @@ def test_manifest_hashes_sidecars_and_records_defaults(tmp_path, tiny_volume):
     second = run()
     assert second["inputs"] != first["inputs"]
     assert second["inputs"][str(tiny_volume)] == first["inputs"][str(tiny_volume)]
+
+
+def test_manifest_written_whole_or_not_at_all(tmp_path, tiny_volume, monkeypatch):
+    cfg = tmp_path / "bin.cfg"
+    cfg.write_text(f"[binarize]\nin = {tiny_volume}\nout = {tmp_path / 'm.raw'}\n")
+    manifest = tmp_path / "m.json"
+
+    def dump_half(obj, fh, **kw):
+        fh.write('[{"stage": ')
+        raise OSError("disk full")
+
+    def dumps_fails(obj, **kw):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", dump_half)
+    monkeypatch.setattr(json, "dumps", dumps_fails)
+    assert cli.main(["pipeline", "--config", str(cfg), "--manifest", str(manifest)]) == 3
+    assert (tmp_path / "m.raw").exists()  # the stage ran
+    assert sorted(p.name for p in tmp_path.iterdir() if p.name.startswith((".", "m.json"))) == []
+

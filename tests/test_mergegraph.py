@@ -61,6 +61,52 @@ def sobel_oracle(f):
     return np.sqrt(out)
 
 
+def curvature_oracle(coords, side, fit_radius=3.0, max_centers=120):
+    """Mean |H| of one interface fitted one centre at a time: the loop that
+    ``_mean_abs_curvature`` batches, kept as its reference."""
+    m = coords.shape[0]
+    if m < 7:
+        return 0.0
+    pts = coords.astype(np.float64)
+    step = max(1, int(np.ceil(m / max_centers)))
+    r2 = fit_radius * fit_radius
+    sigma2 = (fit_radius / 2.0) ** 2
+    total = 0.0
+    count = 0
+    for ci in range(0, m, step):
+        p = pts[ci]
+        own = pts[side == side[ci]]
+        d2 = ((own - p) ** 2).sum(axis=1)
+        nb = own[d2 <= r2]
+        if nb.shape[0] < 7:
+            continue
+        wgt = np.exp(-((nb - p) ** 2).sum(axis=1) / (2.0 * sigma2))
+        mu = (nb * wgt[:, None]).sum(axis=0) / wgt.sum()
+        q = nb - mu
+        _, vecs = np.linalg.eigh((q * wgt[:, None]).T @ q)
+        e1, e2, nrm = vecs[:, 2], vecs[:, 1], vecs[:, 0]
+        u = q @ e1
+        v = q @ e2
+        w = q @ nrm
+        design = np.column_stack([np.ones_like(u), u, v, u * u, u * v, v * v])
+        gram = (design * wgt[:, None]).T @ design
+        rhs = (design * wgt[:, None]).T @ w
+        try:
+            coef = np.linalg.solve(gram, rhs)
+        except np.linalg.LinAlgError:
+            coef, *_ = np.linalg.lstsq(design * np.sqrt(wgt)[:, None], w * np.sqrt(wgt), rcond=None)
+        pq = p - mu
+        up, vp = pq @ e1, pq @ e2
+        fu = coef[1] + 2.0 * coef[3] * up + coef[4] * vp
+        fv = coef[2] + coef[4] * up + 2.0 * coef[5] * vp
+        fuu, fuv, fvv = 2.0 * coef[3], coef[4], 2.0 * coef[5]
+        denom = 2.0 * (1.0 + fu * fu + fv * fv) ** 1.5
+        h = ((1.0 + fv * fv) * fuu - 2.0 * fu * fv * fuv + (1.0 + fu * fu) * fvv) / denom
+        total += abs(h)
+        count += 1
+    return total / count if count else 0.0
+
+
 def two_region_volume(split=5, shape=(10, 10, 10)):
     lab = np.zeros(shape, np.int32)
     lab[:, :, :split] = 1
@@ -176,19 +222,111 @@ def test_features_flat_interface_geometry():
     assert abs(f[11]) < 0.02  # curvature of a plane
 
 
-def test_features_spherical_cap_curvature():
-    # two regions split by a spherical shell: region 1 = inside ball radius r
-    r = 9.0
-    n = 27  # odd: the sphere center sits on a voxel
+def spherical_cap_labels(r=9.0, n=27):
+    """Two regions split by a spherical shell: region 1 = inside the ball of
+    radius r, centred on the middle voxel of an odd-sized cube."""
     zz, yy, xx = np.mgrid[0:n, 0:n, 0:n]
     c = (n - 1) / 2.0
     ball = (zz - c) ** 2 + (yy - c) ** 2 + (xx - c) ** 2 <= r * r
-    lab = np.where(ball, 1, 2).astype(np.int32)
+    return labels(np.where(ball, 1, 2))
+
+
+def test_features_spherical_cap_curvature():
+    r, n = 9.0, 27
+    lab = spherical_cap_labels(r, n)
     gray = scalar(np.full((n, n, n), 100))
     grad = np.zeros((n, n, n))
-    g = build_region_graph(labels(lab))
-    f = extract_edge_features(g, gray, grad, labels(lab))[(1, 2)]
+    g = build_region_graph(lab)
+    f = extract_edge_features(g, gray, grad, lab)[(1, 2)]
     assert abs(f[11] - 1.0 / r) / (1.0 / r) < 0.2
+
+
+def small_phantom_labels():
+    from tomoseg import phantom, watershed
+    from tomoseg.volgrid import BinaryVolume
+
+    spec = phantom.PhantomSpec(
+        dims=(48, 48, 48), count=12, size_range_um=(30, 50), aspect_range=(1.0, 2.5),
+        noise_std=0.0, rng_seed=13, n_sections=0, contact_fraction=0.5,
+    )
+    out = phantom.generate(spec)
+    mask = BinaryVolume(out.labels.data > 0, 1.0)
+    return watershed.watershed_segment(mask, watershed.WatershedParams(h_depth=0.1))
+
+
+def voronoi_labels(n=16, cells=24, seed=2):
+    """Nearest-seed cells of random seeds: about a hundred curved, digitized
+    interfaces, some with only a few fitted centres."""
+    pts = np.random.default_rng(seed).uniform(0, n, (cells, 3))
+    grid = np.stack(np.mgrid[0:n, 0:n, 0:n], axis=-1)
+    return labels(((grid[..., None, :] - pts) ** 2).sum(axis=-1).argmin(axis=-1) + 1)
+
+
+def row_pair_labels(length):
+    """Regions 1 and 2 are adjacent one-voxel rows along x: every voxel is an
+    interface voxel, and a row centre has at most 7 same-side neighbours, all
+    on one line, so its quadric normal equations are singular."""
+    lab = np.zeros((1, 2, length), np.int32)
+    lab[0, 0] = 1
+    lab[0, 1] = 2
+    return labels(lab)
+
+
+def few_voxel_interface_labels():
+    lab = np.zeros((3, 3, 5), np.int32)
+    lab[1, 1, 1:3] = 1
+    lab[1, 1, 3] = 2
+    return labels(lab)
+
+
+def fit_counts(lab):
+    """Neighbour count of every sampled centre, and the interface sizes."""
+    from tomoseg.mergegraph import _ball_offsets, _fit_neighborhoods
+
+    ifaces = list(build_region_graph(lab).interfaces.values())
+    k = _fit_neighborhoods(ifaces, lab.data.ravel(), lab.data.shape, _ball_offsets(3.0), 120)[3]
+    return k, [len(i) for i in ifaces]
+
+
+@pytest.mark.parametrize("case", ["phantom", "voronoi", "spherical_cap", "few_voxels",
+                                  "short_rows", "singular_rows"])
+def test_curvature_bitwise_equal_to_per_centre_oracle(case, monkeypatch):
+    # the phantom and Voronoi cases hold enough fitted centres that an array
+    # ``** 1.5`` in the curvature denominator (1 ulp off scalar pow on ~5% of
+    # inputs) changes some edge
+    lab = {
+        "phantom": small_phantom_labels,
+        "voronoi": voronoi_labels,
+        "spherical_cap": spherical_cap_labels,
+        "few_voxels": few_voxel_interface_labels,
+        "short_rows": lambda: row_pair_labels(4),
+        "singular_rows": lambda: row_pair_labels(12),
+    }[case]()
+    k, sizes = fit_counts(lab)
+    if case == "phantom":
+        assert (k < 7).any() and (k >= 7).any() and min(sizes) < 7
+    if case == "few_voxels":
+        assert max(sizes) < 7  # no centre is fitted at all
+    if case == "short_rows":
+        assert min(sizes) >= 7 and (k < 7).all()  # centres exist, none has 7 neighbours
+    lstsq_calls = []
+    lstsq = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **kw: lstsq_calls.append(1) or lstsq(*a, **kw))
+    shape = lab.data.shape
+    gray = scalar(np.full(shape, 100))
+    g = build_region_graph(lab)
+    feats = extract_edge_features(g, gray, np.zeros(shape), lab)
+    if case in ("phantom", "singular_rows"):
+        assert lstsq_calls  # a singular Gram matrix took the least-squares fallback
+    lab_flat = lab.data.ravel()
+    got = np.array([feats[e][11] for e in g.edges])
+    want = np.array([
+        curvature_oracle(np.column_stack(np.unravel_index(iface, shape)).astype(np.int64),
+                         lab_flat[iface])
+        for iface in g.interfaces.values()
+    ])
+    assert len(got) > 0
+    assert got.tobytes() == want.tobytes()
 
 
 def test_merge_no_weights_identity_partition():

@@ -99,6 +99,47 @@ def superellipsoid_oracle(labels, rot, center, semi, expo, label, check_only):
     return hit, out
 
 
+def stamp_full_box(labels, rot, center, semi, expo, label, check_only=False) -> int:
+    """The stamp evaluated on every voxel of the bounding box, overlap tests
+    included: the formulation the kernel's claimed-voxels-only overlap test
+    must reproduce count for count."""
+    nz, ny, nx = labels.shape
+    reach = float(np.max(semi)) + 1.0
+    x0 = max(0, int(np.floor(center[0] - reach)))
+    x1 = min(nx, int(np.ceil(center[0] + reach)) + 1)
+    y0 = max(0, int(np.floor(center[1] - reach)))
+    y1 = min(ny, int(np.ceil(center[1] + reach)) + 1)
+    z0 = max(0, int(np.floor(center[2] - reach)))
+    z1 = min(nz, int(np.ceil(center[2] + reach)) + 1)
+    if x0 >= x1 or y0 >= y1 or z0 >= z1:
+        return 0
+    rot = np.ascontiguousarray(rot, np.float64)
+    center = np.ascontiguousarray(center, np.float64)
+    semi = np.ascontiguousarray(semi, np.float64)
+    expo = float(expo)
+    z, y, x = np.meshgrid(
+        np.arange(z0, z1, dtype=np.float64),
+        np.arange(y0, y1, dtype=np.float64),
+        np.arange(x0, x1, dtype=np.float64),
+        indexing="ij",
+    )
+    dx, dy, dz = x - center[0], y - center[1], z - center[2]
+    u = (rot[0, 0] * dx + rot[0, 1] * dy + rot[0, 2] * dz) / semi[0]
+    v = (rot[1, 0] * dx + rot[1, 1] * dy + rot[1, 2] * dz) / semi[1]
+    w = (rot[2, 0] * dx + rot[2, 1] * dy + rot[2, 2] * dz) / semi[2]
+    power = np.abs(u) ** expo + np.abs(v) ** expo + np.abs(w) ** expo
+    if expo >= 2.0:
+        box = (np.abs(u) <= 1.0) & (np.abs(v) <= 1.0) & (np.abs(w) <= 1.0)
+        inside = box & ((u * u + v * v + w * w <= 1.0) | (power <= 1.0))
+    else:
+        inside = power <= 1.0
+    block = labels[z0:z1, y0:y1, x0:x1]
+    hit = int((inside & (block != 0)).sum())
+    if not check_only:
+        block[inside & (block == 0)] = label
+    return hit
+
+
 @pytest.mark.parametrize("expo", [1.5, 2.0, 3.5])
 def test_stamp_superellipsoid_matches_oracle(rng, expo):
     from tomoseg._kernels.render import stamp_superellipsoid
@@ -308,3 +349,24 @@ def test_ring_artifact_rendering():
     for z in (0, nz // 2, nz - 1):
         sel = bg[z]
         np.testing.assert_array_equal(out.gray.data[z][sel], expect[sel])
+
+
+@pytest.mark.parametrize("expo", [1.5, 2.0, 2.7, 3.5])
+def test_stamp_superellipsoid_matches_full_box(rng, expo):
+    from tomoseg._kernels.render import stamp_superellipsoid
+
+    # placements as the phantom makes them, some reaching past the grid, over
+    # grids claimed sparsely and densely; the integer axis-aligned ones put
+    # voxels exactly on the surface
+    placements = [(np.eye(3), (8.0, 9.0, 7.0), (5.0, 3.0, 4.0)),
+                  (np.eye(3), (0.0, 10.0, 19.0), (4.0, 4.0, 4.0))]
+    for _ in range(40):
+        rot = RigidTransform(tuple(rng.uniform(-np.pi, np.pi, 3)), (0, 0, 0)).rotation()
+        placements.append((rot, tuple(rng.uniform(-2.0, 22.0, 3)), tuple(rng.uniform(1.5, 8.0, 3))))
+    for i, (rot, center, semi) in enumerate(placements):
+        claimed = np.where(rng.random((20, 18, 16)) > (0.3, 0.9, 0.99)[i % 3], 7, 0).astype(np.int32)
+        for check_only in (True, False):
+            got, want = claimed.copy(), claimed.copy()
+            hit = stamp_superellipsoid(got, rot, center, semi, expo, 3, check_only=check_only)
+            assert hit == stamp_full_box(want, rot, center, semi, expo, 3, check_only=check_only)
+            np.testing.assert_array_equal(got, want)

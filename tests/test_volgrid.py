@@ -61,6 +61,30 @@ def test_roundtrip_is_byte_exact(tmp_path, rng):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+class _SpacingWithBrokenRepr(float):
+    """A spacing whose sidecar line cannot be formatted: the write fails
+    after the payload is written."""
+
+    def __repr__(self):
+        raise OSError("disk full")
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_failed_write_leaves_no_partial_file(tmp_path, rng, existing):
+    path = tmp_path / "vol.raw"
+    old = ScalarVolume(np.full((2, 3, 4), 7, np.uint16), 2.0)
+    if existing:
+        write_volume(old, path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    vol = ScalarVolume(rng.integers(0, 65536, (5, 6, 7)).astype(np.uint16), _SpacingWithBrokenRepr(1.0))
+    with pytest.raises(OSError, match="disk full"):
+        write_volume(vol, path)
+    # no temporary left behind, and an earlier volume still reads whole
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    if existing:
+        np.testing.assert_array_equal(load_volume(path).data, old.data)
+
+
 def test_payload_is_little_endian_x_fastest(tmp_path):
     arr = np.arange(8, dtype=np.uint16).reshape(2, 2, 2)  # value = x + 2y + 4z
     path = tmp_path / "order.raw"
