@@ -286,7 +286,8 @@ def stage_attenuation_predict(*, vol: Input, mask: Input, model: Input, out: str
     """map rho*mu_m over a mask, flagging voxels outside the calibration"""
     gray_vol = load_volume(vol)
     pred, flags = atn.predict_map(gray_vol, _read_attenuation_model(model), load_volume(mask))
-    pred.astype("<f4").tofile(out)
+    with _atomic_files(out) as (fh,):
+        pred.astype("<f4").tofile(fh)
     write_volume(BinaryVolume(flags, gray_vol.spacing), out + ".flags")
     n = int(flags.sum())
     print(f"{n} masked voxels outside the calibration interval")

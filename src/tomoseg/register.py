@@ -20,6 +20,15 @@ computed maximum, which always include every true maximizer; each nominee's
 overlap is counted exactly in integers. A solve with more than
 MAX_CANDIDATES nominees reruns in float64, whose bound is below 1e-6 here,
 so rounding it is exact.
+
+Each solve correlates only over the shifts that can still win, on a cyclic
+length short of the full zero padding where it can. A summed-area table of
+the plane gives, per in-plane shift, the plane foreground that lands inside
+the slice: an upper bound on the overlap there. The exact overlap at the
+solver's last result is a lower bound on the maximum, so every maximizer
+lies in the box of shifts whose bound reaches it; the length is chosen so
+that no shift in the box aliases (``TranslationSolver``). The results do
+not depend on that hint or on the order of solves.
 """
 
 from __future__ import annotations
@@ -31,7 +40,7 @@ import numpy as np
 from scipy import fft as sfft
 
 from ._kernels.rotate import rotate_nearest
-from .volgrid import BinaryVolume
+from .volgrid import BinaryVolume, _atomic_files
 
 
 def _wrap_angle(a: float) -> float:
@@ -151,16 +160,34 @@ def _fft_error_bound(a: int, b: int, n: int, unit: float) -> float:
 
 
 class TranslationSolver:
-    """FFT cross-correlation solver with the plane spectrum precomputed, for
-    repeated solves against rotated bands of volumes with the same (ny, nx);
-    the band height may change from solve to solve.
+    """FFT cross-correlation solver for repeated solves against rotated bands
+    of volumes with the same (ny, nx); the band height may change from solve
+    to solve.
 
     The plane is a single slice, so the correlation along z is the identity:
     each volume slice is correlated with the plane by a 2-D transform over
     (y, x). The float32 correlation nominates every entry within 2E of its
     maximum, E being ``_fft_error_bound``: each true maximizer's computed
     value is at most E below the exact maximum, and the computed maximum at
-    most E above it, so every maximizer is nominated."""
+    most E above it, so every maximizer is nominated.
+
+    Each solve correlates only over the shifts that can still win. Along an
+    axis with slice length n and plane length p the shifts with any overlap
+    are [-(p-1), n-1]. ``reach[y, x]``, from a summed-area table of the
+    plane, counts the plane's foreground pixels that land inside the slice at
+    shift (x, y): an upper bound on the overlap at that shift on any slice.
+    ``hint`` is the (x, y) of the last result with a positive overlap; its
+    exact overlap, maximized over the band's slices, is a lower bound LB on
+    the maximum. Every maximizer lies in the box B = [lo, hi] per axis
+    bounding {reach >= LB}. A cyclic length N >= max(n, p, n - lo, hi + p)
+    has no alias in B: for s in B, s + N > n - 1 and s - N < -(p - 1), so the
+    shifts s +- kN lie outside the support, and the entries of B are the
+    linear correlation. Without a hint, or with LB = 0, B is the whole
+    support and N is the full zero-padded length.
+
+    The hint moves only LB, and LB is an overlap the band attains, so B
+    always holds every maximizer: the shift, the overlap and the tie-break
+    do not depend on the hint or on the order of solves."""
 
     def __init__(self, vol_shape, plane):
         p = _as_plane_array(plane)
@@ -171,35 +198,58 @@ class TranslationSolver:
         self.slice_shape = (ny, nx)
         self.plane = p
         self.empty = not p.any()
+        self.hint = None
         if self.empty:
             return
         self.count = int(np.count_nonzero(p))
-        self.pad = (
-            sfft.next_fast_len(ny + ph - 1, real=True),
-            sfft.next_fast_len(nx + pw - 1, real=True),
-        )
-        self.fp_conj64 = np.conj(sfft.rfft2(p.astype(np.float64), s=self.pad))
-        self.fp_conj32 = self.fp_conj64.astype(np.complex64)
+        self.pad = self._length(ny, ph, -(ph - 1), ny - 1), self._length(nx, pw, -(pw - 1), nx - 1)
+        self._spectra = {}
+        # reach[y + ph - 1, x + pw - 1]: plane foreground inside the slice at
+        # shift (x, y), from the summed-area table of the plane
+        sat = np.zeros((ph + 1, pw + 1), np.int64)
+        sat[1:, 1:] = p.cumsum(0).cumsum(1)
+        sy, sx = np.arange(-(ph - 1), ny), np.arange(-(pw - 1), nx)
+        y0, y1 = np.clip(-sy, 0, ph)[:, None], np.clip(ny - sy, 0, ph)[:, None]
+        x0, x1 = np.clip(-sx, 0, pw), np.clip(nx - sx, 0, pw)
+        reach = sat[y1, x1] - sat[y0, x1] - sat[y1, x0] + sat[y0, x0]
+        # B's extent per axis only needs the best reach of each row and column
+        self._reach_y, self._reach_x = reach.max(axis=1), reach.max(axis=0)
 
-    def _correlate(self, vol: np.ndarray, fp_conj: np.ndarray) -> np.ndarray:
-        """Correlation of every slice with the plane, in the precision of
-        ``fp_conj``: entry [z, y, x] is the overlap at shift (x, y, z), with
-        negative shifts wrapped to the end of each axis."""
-        fv = sfft.rfft2(vol.astype(fp_conj.real.dtype), s=self.pad)
-        fv *= fp_conj
-        return sfft.irfft2(fv, s=self.pad)
+    @staticmethod
+    def _length(n: int, p: int, lo: int, hi: int) -> int:
+        """Cyclic length with no alias for the shifts [lo, hi] of an axis
+        with slice length n and plane length p."""
+        return sfft.next_fast_len(max(n, p, n - lo, hi + p), real=True)
+
+    def _spectrum(self, pad, dtype) -> np.ndarray:
+        """Conjugate plane spectrum over ``pad`` in the complex type of
+        ``dtype``, computed once per length in float64."""
+        if pad not in self._spectra:
+            conj64 = np.conj(sfft.rfft2(self.plane.astype(np.float64), s=pad))
+            self._spectra[pad] = {np.float64: conj64, np.float32: conj64.astype(np.complex64)}
+        return self._spectra[pad][dtype]
+
+    def _correlate(self, vol: np.ndarray, pad, dtype, offset=(0, 0)) -> np.ndarray:
+        """Cyclic correlation over ``pad`` of every slice with the plane, in
+        ``dtype`` (np.float32 or np.float64), each slice placed at ``offset``
+        (y, x) in the zero-padded frame: entry [z, y, x] is the overlap at
+        shift (x - offset[1], y - offset[0], z), shifts taken modulo ``pad``
+        and, where ``pad`` is short of the support, aliases added."""
+        nz, ny, nx = vol.shape
+        oy, ox = offset
+        frame = np.zeros((nz, *pad), dtype)
+        frame[:, oy : oy + ny, ox : ox + nx] = vol
+        fv = sfft.rfft2(frame)
+        fv *= self._spectrum(pad, dtype)
+        return sfft.irfft2(fv, s=pad)
 
     def _no_overlap(self) -> TranslationResult:
         ph, pw = self.plane.shape
         return TranslationResult((-(pw - 1), -(ph - 1), 0), 0)
 
-    def _shifts(self, zs, ys, xs):
-        """(x, y, z) shifts of correlation entries, negative ones unwrapped."""
-        ny, nx = self.slice_shape
-        pad_y, pad_x = self.pad
-        return np.where(xs < nx, xs, xs - pad_x), np.where(ys < ny, ys, ys - pad_y), zs
-
-    def _overlap(self, vol: np.ndarray, sx: int, sy: int, sz: int) -> int:
+    def _overlap(self, vol: np.ndarray, sx: int, sy: int):
+        """Exact overlap at in-plane shift (sx, sy) on each slice of ``vol``
+        (on the one slice, when ``vol`` is 2-D)."""
         ny, nx = self.slice_shape
         ph, pw = self.plane.shape
         x0, x1 = max(0, sx), min(nx, sx + pw)
@@ -207,16 +257,54 @@ class TranslationSolver:
         if x0 >= x1 or y0 >= y1:
             return 0
         window = self.plane[y0 - sy : y1 - sy, x0 - sx : x1 - sx]
-        return int(np.count_nonzero(vol[sz, y0:y1, x0:x1] & window))
+        return np.count_nonzero(vol[..., y0:y1, x0:x1] & window, axis=(-2, -1))
 
-    def _solve_float64(self, vol: np.ndarray) -> TranslationResult:
-        corr = self._correlate(vol, self.fp_conj64)
+    def _window(self, vol: np.ndarray):
+        """The box B holding every maximizer of ``vol``, from the hint's
+        overlap and the reach, as its cyclic lengths and its (y, x) corners
+        ``lo`` and ``hi``."""
+        lb = 0 if self.hint is None else int(np.max(self._overlap(vol, *self.hint)))
+        (ny, nx), (ph, pw) = self.slice_shape, self.plane.shape
+        ys = np.flatnonzero(self._reach_y >= lb) - (ph - 1)
+        xs = np.flatnonzero(self._reach_x >= lb) - (pw - 1)
+        lo, hi = (int(ys[0]), int(xs[0])), (int(ys[-1]), int(xs[-1]))
+        pad = self._length(ny, ph, lo[0], hi[0]), self._length(nx, pw, lo[1], hi[1])
+        return pad, lo, hi
+
+    def _correlate_window(self, vol, pad, lo, hi, dtype) -> np.ndarray:
+        """The correlation over B: entry [z, i, j] is the overlap at shift
+        (lo[1] + j, lo[0] + i, z). A negative corner is offset by -lo, so
+        B's entries are one block of the cyclic frame, not wrapped; the
+        slice still fits, as the length is at least n - lo."""
+        (y0, x0), (y1, x1) = lo, hi
+        oy, ox = max(0, -y0), max(0, -x0)
+        corr = self._correlate(vol, pad, dtype, (oy, ox))
+        return corr[:, y0 + oy : y1 + oy + 1, x0 + ox : x1 + ox + 1]
+
+    def _solve_float64(self, vol: np.ndarray, pad, lo, hi) -> TranslationResult:
+        corr = self._correlate_window(vol, pad, lo, hi, np.float64)
         best = int(np.rint(corr.max()))
         if best <= 0:
             return self._no_overlap()
-        sx, sy, sz = self._shifts(*np.nonzero(corr > best - 0.5))
-        k = np.lexsort((sz, sy, sx))[0]  # smallest (x, y, z)
-        return TranslationResult((int(sx[k]), int(sy[k]), int(sz[k])), best)
+        zi, yi, xi = np.nonzero(corr > best - 0.5)
+        k = np.lexsort((zi, yi, xi))[0]  # smallest (x, y, z)
+        return TranslationResult((lo[1] + int(xi[k]), lo[0] + int(yi[k]), int(zi[k])), best)
+
+    def _solve(self, vol: np.ndarray, b: int) -> TranslationResult:
+        pad, lo, hi = self._window(vol)
+        corr = self._correlate_window(vol, pad, lo, hi, np.float32)
+        err = _fft_error_bound(self.count, b, pad[0] * pad[1], 2.0**-24)
+        thr = np.nextafter(np.float32(float(corr.max()) - 2.0 * err), np.float32(-np.inf))
+        hits = np.flatnonzero(corr >= thr)
+        if hits.size > MAX_CANDIDATES:
+            return self._solve_float64(vol, pad, lo, hi)
+        zi, yi, xi = np.unravel_index(hits, corr.shape)
+        shifts = list(zip((xi + lo[1]).tolist(), (yi + lo[0]).tolist(), zi.tolist()))
+        counts = [int(self._overlap(vol[sz], sx, sy)) for sx, sy, sz in shifts]
+        best = max(counts)
+        if best == 0:  # no overlap anywhere: the smallest shift wins
+            return self._no_overlap()
+        return TranslationResult(min(s for s, c in zip(shifts, counts) if c == best), best)
 
     def solve(self, vol: np.ndarray) -> TranslationResult:
         if vol.ndim != 3 or vol.shape[1:] != self.slice_shape:
@@ -226,20 +314,10 @@ class TranslationSolver:
         b = int(np.count_nonzero(vol, axis=(1, 2)).max(initial=0))
         if b == 0:
             return self._no_overlap()
-        corr = self._correlate(vol, self.fp_conj32)
-        flat = corr.ravel()
-        err = _fft_error_bound(self.count, b, self.pad[0] * self.pad[1], 2.0**-24)
-        thr = np.nextafter(np.float32(float(flat.max()) - 2.0 * err), np.float32(-np.inf))
-        hits = np.flatnonzero(flat >= thr)
-        if hits.size > MAX_CANDIDATES:
-            return self._solve_float64(vol)
-        sx, sy, sz = self._shifts(*np.unravel_index(hits, corr.shape))
-        shifts = list(zip(sx.tolist(), sy.tolist(), sz.tolist()))
-        counts = [self._overlap(vol, *s) for s in shifts]
-        best = max(counts)
-        if best == 0:  # no overlap anywhere: the smallest shift wins
-            return self._no_overlap()
-        return TranslationResult(min(s for s, c in zip(shifts, counts) if c == best), best)
+        res = self._solve(vol, b)
+        if res.overlap > 0:
+            self.hint = res.shift[:2]
+        return res
 
 
 def best_translation(volR, plane) -> TranslationResult:
@@ -255,7 +333,8 @@ def best_translation(volR, plane) -> TranslationResult:
 
 def brute_force_translation(volR, plane) -> TranslationResult:
     """Reference enumeration over every shift; used to cross-check the FFT
-    path on small instances."""
+    path on small instances. Shifts are visited in (x, y, z) order and a
+    later one wins only with a strictly larger overlap."""
     vol = volR.data if isinstance(volR, BinaryVolume) else np.asarray(volR, bool)
     p = _as_plane_array(plane)
     nz, ny, nx = vol.shape
@@ -265,17 +344,16 @@ def brute_force_translation(volR, plane) -> TranslationResult:
     best = None
     for tx in range(-(pw - 1), nx):
         for ty in range(-(ph - 1), ny):
-            for tz in range(nz):
-                x0, x1 = max(0, tx), min(nx, tx + pw)
-                y0, y1 = max(0, ty), min(ny, ty + ph)
-                if x0 >= x1 or y0 >= y1:
-                    ov = 0
-                else:
-                    sub = vol[tz, y0:y1, x0:x1]
-                    psub = p[y0 - ty : y1 - ty, x0 - tx : x1 - tx]
-                    ov = int(np.sum(sub & psub))
-                if best is None or ov > best[1]:
-                    best = ((tx, ty, tz), ov)
+            x0, x1 = max(0, tx), min(nx, tx + pw)
+            y0, y1 = max(0, ty), min(ny, ty + ph)
+            if x0 >= x1 or y0 >= y1:
+                ov = np.zeros(nz, np.int64)
+            else:
+                psub = p[y0 - ty : y1 - ty, x0 - tx : x1 - tx]
+                ov = np.count_nonzero(vol[:, y0:y1, x0:x1] & psub, axis=(1, 2))
+            tz = int(np.argmax(ov))  # the first slice with the most overlap
+            if best is None or ov[tz] > best[1]:
+                best = ((tx, ty, tz), int(ov[tz]))
     return TranslationResult(best[0], best[1])
 
 
@@ -582,14 +660,16 @@ def register_section(vol: BinaryVolume, plane, opts: RegisterOptions = RegisterO
 
 
 def write_result(result: RegistrationResult, path) -> None:
+    """Write the result as ``key = value`` lines; a failed write leaves no
+    partial file at ``path``."""
     a = [math.degrees(v) for v in result.transform.angles]
     t = result.transform.translation
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"angles_deg = {a[0]!r} {a[1]!r} {a[2]!r}\n")
-        fh.write(f"translation = {t[0]!r} {t[1]!r} {t[2]!r}\n")
-        fh.write(f"overlap = {result.overlap}\n")
-        fh.write(f"normalized_overlap = {result.normalized_overlap!r}\n")
-        fh.write(f"flagged = {int(result.flagged)}\n")
+    with _atomic_files(path) as (fh,):
+        fh.write(f"angles_deg = {a[0]!r} {a[1]!r} {a[2]!r}\n".encode())
+        fh.write(f"translation = {t[0]!r} {t[1]!r} {t[2]!r}\n".encode())
+        fh.write(f"overlap = {result.overlap}\n".encode())
+        fh.write(f"normalized_overlap = {result.normalized_overlap!r}\n".encode())
+        fh.write(f"flagged = {int(result.flagged)}\n".encode())
 
 
 def read_transform(path) -> RigidTransform:

@@ -20,6 +20,40 @@ def tiny_volume(tmp_path, rng):
     return path
 
 
+class _HalfWrite(np.ndarray):
+    """A prediction whose payload write fails halfway: the disk fills."""
+
+    def tofile(self, fid, *args, **kwargs):
+        np.asarray(self).ravel()[: self.size // 2].tofile(fid, *args, **kwargs)
+        raise OSError("disk full")
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_failed_predict_write_leaves_no_partial_file(
+    tmp_path, monkeypatch, tiny_volume, existing
+):
+    mask = tmp_path / "mask.raw"
+    write_volume(BinaryVolume(load_volume(tiny_volume).data > 10000, 4.5), mask)
+    model = tmp_path / "model.txt"
+    model.write_text("slope = 0.0001\nintercept = 0.5\ngray_min = 0\ngray_max = 30000\n")
+    kwargs = dict(vol=str(tiny_volume), mask=str(mask), model=str(model),
+                  out=str(tmp_path / "rmu.f32"))
+    if existing:
+        cli.stage_attenuation_predict(**kwargs)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    real_predict = cli.atn.predict_map
+
+    def predict_then_fail(*args):
+        pred, flags = real_predict(*args)
+        return pred.view(_HalfWrite), flags
+
+    monkeypatch.setattr(cli.atn, "predict_map", predict_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        cli.stage_attenuation_predict(**kwargs)
+    # no temporary left behind, and an earlier payload is still whole
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 def test_missing_input_exit_code(tmp_path):
     rc = cli.main(["binarize", "--in", str(tmp_path / "nope.raw"), "--out", str(tmp_path / "o.raw")])
     assert rc == cli.EXIT_MISSING_INPUT

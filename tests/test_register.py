@@ -130,15 +130,23 @@ def test_translation_solver_ties_match_brute_force(rng):
     for _ in range(4):
         vol = rng.random((5, 14, 16)) > 0.9
         plane = rng.random((4, 5)) > 0.3
+        planted = []
         for _ in range(3):
             z = int(rng.integers(0, 5))
             y = int(rng.integers(0, 10))
             x = int(rng.integers(0, 11))
             vol[z, y : y + 4, x : x + 5] = plane
-        fft_res = TranslationSolver(vol.shape, plane).solve(vol)
+            planted.append((x, y))
+        solver = TranslationSolver(vol.shape, plane)
+        fft_res = solver.solve(vol)
         bf_res = brute_force_translation(vol, plane)
         assert fft_res.shift == bf_res.shift
         assert fft_res.overlap == bf_res.overlap == int(plane.sum())
+        # hinted at any of the tied shifts, the smallest still wins
+        for hint in planted:
+            solver.hint = hint
+            res = solver.solve(vol)
+            assert (res.shift, res.overlap) == (bf_res.shift, bf_res.overlap)
     # an empty band has overlap 0 everywhere: the smallest shift wins
     empty = np.zeros((3, 6, 6), bool)
     res = TranslationSolver(empty.shape, plane).solve(empty)
@@ -146,38 +154,48 @@ def test_translation_solver_ties_match_brute_force(rng):
     assert res.shift == brute_force_translation(empty, plane).shift
 
 
-def _float32_bound(solver, vol):
+def _float32_bound(solver, vol, pad):
     from tomoseg.register import _fft_error_bound
 
     b = int(np.count_nonzero(vol, axis=(1, 2)).max())
-    return _fft_error_bound(solver.count, b, solver.pad[0] * solver.pad[1], 2.0**-24)
+    return _fft_error_bound(solver.count, b, pad[0] * pad[1], 2.0**-24)
 
 
 @pytest.mark.parametrize("fill", ["dense", "ones"])
 @pytest.mark.parametrize(
-    "vol_shape, plane_shape",
-    [((24, 24, 24), (23, 23)), ((25, 48, 48), (46, 46)), ((31, 96, 96), (92, 92))],
+    "vol_shape, plane_shape, pad",
+    [
+        # the band and plane shapes of the three registration levels, at the
+        # full zero-padded length and at window lengths of hinted solves
+        pytest.param((24, 24, 24), (23, 23), None, id="vol_shape0-plane_shape0"),
+        pytest.param((25, 48, 48), (46, 46), None, id="vol_shape1-plane_shape1"),
+        pytest.param((31, 96, 96), (92, 92), None, id="vol_shape2-plane_shape2"),
+        pytest.param((31, 96, 96), (92, 92), (120, 108), id="window-120x108"),
+        pytest.param((25, 48, 48), (46, 46), (60, 54), id="window-60x54"),
+        pytest.param((24, 24, 24), (23, 23), (36, 36), id="window-36x36"),
+        pytest.param((31, 96, 96), (92, 92), (125, 125), id="window-125x125"),  # radix 5
+    ],
 )
-def test_float32_correlation_within_bound(rng, fill, vol_shape, plane_shape):
+def test_float32_correlation_within_bound(rng, fill, vol_shape, plane_shape, pad):
     from tomoseg.register import TranslationSolver, _fft_error_bound
 
-    # the band and plane shapes of the three registration levels
     if fill == "ones":
         vol, plane = np.ones(vol_shape, bool), np.ones(plane_shape, bool)
     else:
         vol, plane = rng.random(vol_shape) < 0.5, rng.random(plane_shape) < 0.5
     solver = TranslationSolver(vol.shape, plane)
-    corr64 = solver._correlate(vol, solver.fp_conj64)
+    pad = solver.pad if pad is None else pad
+    corr64 = solver._correlate(vol, pad, np.float64)
     exact = np.rint(corr64)
     # float64 rounding is proven here, so the rounded values are the overlaps
     b = int(np.count_nonzero(vol, axis=(1, 2)).max())
-    assert _fft_error_bound(solver.count, b, solver.pad[0] * solver.pad[1], 2.0**-53) < 1e-6
+    assert _fft_error_bound(solver.count, b, pad[0] * pad[1], 2.0**-53) < 1e-6
     assert np.abs(corr64 - exact).max() < 1e-6
     ph, pw = plane_shape
     assert exact[-1, 0, 0] == np.count_nonzero(vol[-1, :ph, :pw] & plane)
-    corr32 = solver._correlate(vol, solver.fp_conj32)
+    corr32 = solver._correlate(vol, pad, np.float32)
     assert corr32.dtype == np.float32
-    assert np.abs(corr32 - exact).max() <= _float32_bound(solver, vol)
+    assert np.abs(corr32 - exact).max() <= _float32_bound(solver, vol, pad)
 
 
 def test_translation_solver_exact_where_float32_rounding_is_unproven(rng, monkeypatch):
@@ -187,7 +205,7 @@ def test_translation_solver_exact_where_float32_rounding_is_unproven(rng, monkey
     real_fallback = TranslationSolver._solve_float64
     monkeypatch.setattr(
         TranslationSolver, "_solve_float64",
-        lambda self, v: fallbacks.append(v.shape) or real_fallback(self, v),
+        lambda self, v, *window: fallbacks.append(v.shape) or real_fallback(self, v, *window),
     )
     vol = rng.random((2, 40, 40)) < 0.5
     plane = rng.random((36, 36)) < 0.7
@@ -198,16 +216,18 @@ def test_translation_solver_exact_where_float32_rounding_is_unproven(rng, monkey
     planted[0, 1:37, 0:36] = plane
     planted[0, 1:37, 0:36].flat[np.flatnonzero(plane)[0]] = False
     real_correlate = TranslationSolver._correlate
+    pads = []
 
-    def perturbed(self, v, fp_conj):
+    def perturbed(self, v, pad, dtype, offset=(0, 0)):
         # any float32 error up to the bound: the maxima pushed down by
         # nearly all of it, the runners-up pushed up as far, every other
         # entry moved at random within it
-        corr = real_correlate(self, v, fp_conj)
+        corr = real_correlate(self, v, pad, dtype, offset)
         if corr.dtype != np.float32:
             return corr
-        exact = np.rint(real_correlate(self, v, self.fp_conj64))
-        err = 0.99 * _float32_bound(self, v)
+        pads.append(pad)
+        exact = np.rint(real_correlate(self, v, pad, np.float64, offset))
+        err = 0.99 * _float32_bound(self, v, pad)
         noise = rng.uniform(-err, err, corr.shape)
         top = exact.max()
         noise[exact == top] = -err
@@ -216,14 +236,21 @@ def test_translation_solver_exact_where_float32_rounding_is_unproven(rng, monkey
 
     for v in (vol, planted):
         solver = TranslationSolver(v.shape, plane)
-        assert _float32_bound(solver, v) >= 0.5  # rounding the float32 max is unproven
+        assert _float32_bound(solver, v, solver.pad) >= 0.5  # rounding the float32 max is unproven
         bf_res = brute_force_translation(v, plane)
         for correlate in (real_correlate, perturbed):
             monkeypatch.setattr(TranslationSolver, "_correlate", correlate)
-            res = solver.solve(v)
-            assert (res.shift, res.overlap) == (bf_res.shift, bf_res.overlap)
+            # cold, then hinted by the cold result, then hinted off the optimum
+            for hint in (None, bf_res.shift[:2], (bf_res.shift[0] + 1, bf_res.shift[1] - 2)):
+                solver.hint = hint
+                res = solver.solve(v)
+                assert (res.shift, res.overlap) == (bf_res.shift, bf_res.overlap)
     assert bf_res.shift == (2, 3, 1) and bf_res.overlap == int(plane.sum())
     assert fallbacks == []
+    # the cold solve ran at the full length, the one hinted at the optimum
+    # of the planted band at a shorter one on both axes
+    assert pads[-3] == solver.pad
+    assert pads[-2][0] < solver.pad[0] and pads[-2][1] < solver.pad[1]
 
 
 def test_translation_solver_tie_plateau_falls_back_to_float64(monkeypatch):
@@ -233,7 +260,7 @@ def test_translation_solver_tie_plateau_falls_back_to_float64(monkeypatch):
     real_fallback = register.TranslationSolver._solve_float64
     monkeypatch.setattr(
         register.TranslationSolver, "_solve_float64",
-        lambda self, v: fallbacks.append(v.shape) or real_fallback(self, v),
+        lambda self, v, *window: fallbacks.append(v.shape) or real_fallback(self, v, *window),
     )
     # every shift with the plane fully inside ties: 3 * 17 * 17 candidates
     vol = np.ones((3, 20, 20), bool)
@@ -252,14 +279,117 @@ def test_translation_solver_serves_bands_of_any_height(rng):
 
     vol = rng.random((9, 14, 16)) > 0.6
     plane = rng.random((5, 6)) > 0.4
-    solver = TranslationSolver(vol.shape, plane)
-    for z0, z1 in ((0, 9), (2, 5), (4, 5)):
-        band = vol[z0:z1]
-        res = solver.solve(band)
-        bf_res = brute_force_translation(band, plane)
-        assert (res.shift, res.overlap) == (bf_res.shift, bf_res.overlap)
+    vol[6, 4:9, 7:13] |= plane
+    # each solve leaves a hint for the next; fed the bands in either order,
+    # a solver still matches the brute force on every band
+    bands = ((0, 9), (2, 5), (4, 5), (5, 8), (7, 9))
+    for order in (bands, bands[::-1]):
+        solver = TranslationSolver(vol.shape, plane)
+        for z0, z1 in order:
+            band = vol[z0:z1]
+            res = solver.solve(band)
+            bf_res = brute_force_translation(band, plane)
+            assert (res.shift, res.overlap) == (bf_res.shift, bf_res.overlap)
     with pytest.raises(ValueError):
         solver.solve(vol[:, :, :15])
+
+
+def _overlaps(vol, plane, xs, ys):
+    """Overlap at every (x, y, z) with x in xs, y in ys, by direct counting:
+    entry [z, i, j] is the shift (xs[j], ys[i], z)."""
+    nz, ny, nx = vol.shape
+    ph, pw = plane.shape
+    out = np.zeros((nz, len(ys), len(xs)), np.int64)
+    for i, sy in enumerate(ys):
+        for j, sx in enumerate(xs):
+            x0, x1 = max(0, sx), min(nx, sx + pw)
+            y0, y1 = max(0, sy), min(ny, sy + ph)
+            if x0 < x1 and y0 < y1:
+                win = plane[y0 - sy : y1 - sy, x0 - sx : x1 - sx]
+                out[:, i, j] = np.count_nonzero(vol[:, y0:y1, x0:x1] & win, axis=(1, 2))
+    return out
+
+
+def _random_instance(rng):
+    """A random band and plane, the plane planted whole in one of two."""
+    nz, ny, nx = int(rng.integers(1, 5)), int(rng.integers(2, 17)), int(rng.integers(2, 17))
+    ph, pw = int(rng.integers(1, ny + 1)), int(rng.integers(1, nx + 1))
+    vol = rng.random((nz, ny, nx)) < rng.uniform(0.1, 0.9)
+    plane = rng.random((ph, pw)) < rng.uniform(0.2, 0.95)
+    plane.flat[0] = True
+    if rng.integers(0, 2):
+        z = int(rng.integers(0, nz))
+        y, x = int(rng.integers(0, ny - ph + 1)), int(rng.integers(0, nx - pw + 1))
+        vol[z, y : y + ph, x : x + pw] |= plane
+    return vol, plane
+
+
+def _hints(rng, vol, plane, optimum):
+    """No hint, hints outside the volume, the optimum and random shifts."""
+    nz, ny, nx = vol.shape
+    ph, pw = plane.shape
+    yield None
+    yield from ((-pw - 5, 0), (nx, ny), (0, -ph), (nx + 40, -ph - 40))
+    yield optimum
+    for _ in range(4):
+        yield int(rng.integers(-(pw - 1), nx)), int(rng.integers(-(ph - 1), ny))
+
+
+def test_hinted_solves_match_brute_force(rng):
+    from tomoseg.register import TranslationSolver
+
+    for _ in range(60):
+        vol, plane = _random_instance(rng)
+        bf_res = brute_force_translation(vol, plane)
+        solver = TranslationSolver(vol.shape, plane)
+        for hint in _hints(rng, vol, plane, bf_res.shift[:2]):
+            solver.hint = hint
+            # every entry of the window, in float64, rounds to the overlap
+            # counted directly: its cyclic length leaves no alias inside it
+            pad, lo, hi = solver._window(vol)
+            corr = solver._correlate_window(vol, pad, lo, hi, np.float64)
+            ys, xs = range(lo[0], hi[0] + 1), range(lo[1], hi[1] + 1)
+            np.testing.assert_array_equal(np.rint(corr), _overlaps(vol, plane, xs, ys))
+            assert bf_res.shift[0] in xs and bf_res.shift[1] in ys
+            res = solver.solve(vol)
+            assert (res.shift, res.overlap) == (bf_res.shift, bf_res.overlap)
+            # the solver keeps the last result's (x, y) when it overlaps
+            assert solver.hint == (res.shift[:2] if res.overlap > 0 else hint)
+
+
+def test_hint_at_the_optimum_gives_the_tightest_window(rng):
+    from tomoseg.register import TranslationSolver
+
+    vol = rng.random((6, 40, 40)) < 0.4
+    plane = rng.random((36, 36)) < 0.6
+    vol[4, 3:39, 2:38] = plane
+    solver = TranslationSolver(vol.shape, plane)
+    cold = solver.solve(vol)
+    assert (cold.shift, cold.overlap) == ((2, 3, 4), int(plane.sum()))
+    # LB is the whole plane, so B holds only the shifts with the plane inside
+    pad, lo, hi = solver._window(vol)
+    assert (lo, hi) == ((0, 0), (4, 4))
+    assert pad[0] < solver.pad[0] and pad[1] < solver.pad[1]
+    res = solver.solve(vol)
+    assert (res.shift, res.overlap) == (cold.shift, cold.overlap)
+
+
+def test_hinted_solve_with_plane_as_large_as_slice(rng):
+    from tomoseg.register import TranslationSolver
+
+    vol = rng.random((4, 18, 15)) > 0.5
+    plane = rng.random((18, 15)) > 0.3
+    vol[2] |= plane
+    bf_res = brute_force_translation(vol, plane)
+    assert bf_res.shift == (0, 0, 2)
+    solver = TranslationSolver(vol.shape, plane)
+    for hint in (None, (0, 0), (-3, 5), (14, 17)):
+        solver.hint = hint
+        res = solver.solve(vol)
+        assert (res.shift, res.overlap) == (bf_res.shift, bf_res.overlap)
+    # at the optimum only the zero shift can win: no padding at all
+    solver.hint = (0, 0)
+    assert solver._window(vol)[0] == (18, 15)
 
 
 def test_best_translation_self_slice_exact(rng):
@@ -431,3 +561,32 @@ def test_result_file_roundtrip(tmp_path):
     back = read_transform(path)
     np.testing.assert_allclose(back.angles, t.angles, atol=1e-12)
     np.testing.assert_allclose(back.translation, t.translation, atol=1e-12)
+
+
+class _OverlapWithBrokenRepr(float):
+    """A normalized overlap whose line cannot be formatted: the write fails
+    after the first lines are written."""
+
+    def __repr__(self):
+        raise OSError("disk full")
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_failed_result_write_leaves_no_partial_file(tmp_path, existing):
+    from tomoseg.register import RegistrationResult
+
+    path = tmp_path / "reg.txt"
+    old = RegistrationResult(RigidTransform((0.1, -0.2, 0.3), (1.5, -2.5, 30.0)), 1234, 0.987)
+    if existing:
+        write_result(old, path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    res = RegistrationResult(
+        RigidTransform((0.0, 0.0, 0.0), (1.0, 2.0, 3.0)), 7, _OverlapWithBrokenRepr(0.5)
+    )
+    with pytest.raises(OSError, match="disk full"):
+        write_result(res, path)
+    # no temporary left behind, and an earlier result still reads whole
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    if existing:
+        np.testing.assert_allclose(read_transform(path).translation, old.transform.translation)
+
