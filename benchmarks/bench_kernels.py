@@ -12,11 +12,17 @@ with results identical to the numba twins; flooding is the one numpy kernel
 that still steps voxel by voxel in Python. Non-local means on the numpy
 path splits its z-rows over worker threads (the usable CPUs); its row names
 the worker count. Separable correlation, the Sauvola field, the exact EDT,
-connected components, rotation, superellipsoid rendering and the
-registration's translation solve (float32 FFT correlation plus an exact
-count of each candidate shift) have one numpy/scipy implementation, so
-their rows have a numpy column only. The solve runs at the band and plane
-shapes of the three pyramid levels of a 96^3 registration, twice: cold,
+connected components, rotation, superellipsoid rendering, the ball
+opening, the registration's polish sampler and its translation solve
+(float32 FFT correlation plus an exact count of each candidate shift) have
+one numpy/scipy implementation, so their rows have a numpy column only.
+Rotation reads a guarded copy of the volume built once, as the
+registration does. The opening rows time radius 1 and 2 on the ball
+footprint, beside the distance-threshold formulation that radii above
+``BALL_FOOTPRINT_MAX_RADIUS`` use. The polish row times one prepared
+``direct_overlap`` evaluation of a plane of about 15% foreground; rows
+under a millisecond print in microseconds. The solve runs at the band and
+plane shapes of the three pyramid levels of a 96^3 registration, twice: cold,
 over the full zero-padded length, and hinted, with the plane planted in
 the band and the solver's hint at its shift, so the transform shrinks to
 the few shifts that keep the whole plane inside the slice. The edge
@@ -42,6 +48,11 @@ def timed(fn, repeats):
         fn()
         best = min(best, time.perf_counter() - t0)
     return best
+
+
+def fmt(t):
+    """Seconds as ms, or as us below a millisecond."""
+    return f"{t * 1e3:9.1f}ms" if t >= 1e-3 else f"{t * 1e6:9.1f}us"
 
 
 def main():
@@ -140,9 +151,27 @@ def main():
     center = volume_center(mask.shape)
     z0 = max(0, n // 2 - 16)
     z1 = min(n, z0 + 33)
+    guarded = rotate.guard_volume(mask)
     for label, lo, hi in (("full height", 0, n), (f"{z1 - z0}-slice band", z0, z1)):
         add_numpy(f"rotate ({label})",
-                  lambda lo=lo, hi=hi: rotate.rotate_nearest(mask, rinv, center, lo, hi))
+                  lambda lo=lo, hi=hi: rotate.rotate_nearest(mask, rinv, center, lo, hi, guarded))
+
+    from tomoseg import binarize
+    from tomoseg.register import _PlaneSampler, direct_overlap, plane_points
+    from tomoseg.volgrid import BinaryVolume
+
+    bmask = BinaryVolume(mask, 1.0)
+    for r in (1.0, 2.0):
+        add_numpy(f"opening r={r:g} (ball footprint)",
+                  lambda r=r: binarize.morphological_opening(bmask, r))
+        add_numpy(f"opening r={r:g} (distance thresholds, for reference)",
+                  lambda r=r: binarize._ball_dilate(binarize._ball_erode(mask, r), r))
+
+    plane = rng.random((n - n // 16, n - n // 16)) > 0.85
+    sampler = _PlaneSampler(mask, plane_points(plane))
+    pose = RigidTransform((0.01, -0.02, 0.015), (n / 32 + 0.3, n / 32 - 0.2, n / 2 + 0.4))
+    add_numpy(f"direct overlap, prepared ({len(sampler.u)} plane points)",
+              lambda: direct_overlap(bmask, plane, pose, sampler))
 
     grid = np.zeros(mask.shape, np.int32)
     rot = RigidTransform((0.4, 0.1, -0.3), (0, 0, 0)).rotation()
@@ -201,14 +230,14 @@ def main():
         print("numba is not importable; numpy path only")
         print(f"{'kernel'.ljust(width)}  {'numpy':>10}")
         for name, _, t_np in rows:
-            print(f"{name.ljust(width)}  {t_np * 1e3:9.1f}ms")
+            print(f"{name.ljust(width)}  {fmt(t_np)}")
         return
     print(f"{'kernel'.ljust(width)}  {'numba':>10}  {'numpy':>10}  {'speedup':>8}")
     for name, t_nb, t_np in rows:
         if t_nb is None:
-            print(f"{name.ljust(width)}  {'-':>10}  {t_np * 1e3:9.1f}ms")
+            print(f"{name.ljust(width)}  {'-':>10}  {fmt(t_np)}")
             continue
-        print(f"{name.ljust(width)}  {t_nb * 1e3:9.1f}ms  {t_np * 1e3:9.1f}ms  {t_np / t_nb:7.1f}x")
+        print(f"{name.ljust(width)}  {fmt(t_nb)}  {fmt(t_np)}  {t_np / t_nb:7.1f}x")
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ from importlib import resources
 import numpy as np
 
 from .register import RigidTransform
-from .volgrid import BinaryVolume, LabelPlane, ScalarVolume
+from .volgrid import BinaryVolume, LabelPlane, ScalarVolume, _atomic_text
 
 
 @dataclass(frozen=True)
@@ -269,7 +269,7 @@ def validate_section(
 
 
 def write_scatter(report: ValidationReport, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _atomic_text(path) as fh:
         fh.write("mineral,predicted,true\n")
         for r in report.rows:
             fh.write(f"{r.name},{r.predicted!r},{r.true!r}\n")

@@ -6,6 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import ndimage
 
 from ._kernels.cc import connected_components_mask
 from ._kernels.edt import edt as _edt
@@ -50,6 +51,21 @@ def distance_transform(mask: BinaryVolume) -> np.ndarray:
     return _edt(mask.data)
 
 
+# Openings up to this radius erode and dilate by the ball footprint, whose
+# cost grows with the ball; larger ones threshold two exact distance
+# transforms, whose cost does not (at 96^3 the two cost the same near 4).
+BALL_FOOTPRINT_MAX_RADIUS = 4.0
+
+
+def ball_footprint(radius: float) -> np.ndarray:
+    """The digital ball {z : sqrt(|z|^2) <= radius} as a (2k+1)^3 mask,
+    k = ceil(radius). The test is the float64 ``sqrt`` comparison that the
+    distance thresholds make, so both formulations agree at every radius."""
+    k = int(np.ceil(radius))
+    z, y, x = np.ogrid[-k : k + 1, -k : k + 1, -k : k + 1]
+    return np.sqrt((z * z + y * y + x * x).astype(np.float64)) <= radius
+
+
 def _ball_erode(mask: np.ndarray, radius: float) -> np.ndarray:
     # Outside the volume counts as background: pad before measuring distance.
     pad = int(np.ceil(radius))
@@ -67,16 +83,23 @@ def _ball_dilate(mask: np.ndarray, radius: float) -> np.ndarray:
 
 
 def morphological_opening(mask: BinaryVolume, radius: float = 1.0) -> BinaryVolume:
-    """Erosion then dilation with the digital ball {z : |z|_2 <= radius}.
+    """Erosion then dilation with the digital ball {z : |z|_2 <= radius}, the
+    Minkowski definition with everything outside the volume background: a
+    voxel survives erosion iff no background voxel (or volume boundary) lies
+    within ``radius``.
 
-    Implemented through exact distance thresholds, which reproduces the
-    Minkowski definition exactly: a voxel survives erosion iff no background
-    voxel (or volume boundary) lies within ``radius``.
+    Up to BALL_FOOTPRINT_MAX_RADIUS this is a binary erosion and dilation
+    by ``ball_footprint(radius)`` with a background border; above it, a
+    threshold of exact distance transforms. Both give the same mask.
     """
     if radius < 1:
         raise ValueError(f"radius must be >= 1, got {radius}")
-    eroded = _ball_erode(mask.data, radius)
-    opened = _ball_dilate(eroded, radius)
+    if radius <= BALL_FOOTPRINT_MAX_RADIUS:
+        ball = ball_footprint(radius)
+        eroded = ndimage.binary_erosion(mask.data, ball, border_value=0)
+        opened = ndimage.binary_dilation(eroded, ball, border_value=0)
+    else:
+        opened = _ball_dilate(_ball_erode(mask.data, radius), radius)
     return BinaryVolume(opened, mask.spacing)
 
 

@@ -29,7 +29,10 @@ from . import phantom as ph
 from . import prefilter as pf
 from . import register as rg
 from . import watershed as ws
-from .volgrid import BinaryVolume, LabelPlane, _atomic_files, extract_slice, load_volume, write_volume
+from .volgrid import (
+    BinaryVolume, LabelPlane, _atomic_files, _atomic_text, _encode_volume, extract_slice,
+    load_volume, write_volume,
+)
 
 EXIT_OK = 0
 EXIT_MISSING_INPUT = 2
@@ -79,7 +82,7 @@ def stage_phantom(*, out_dir: str, spec: Input | None = None):
 
     emit(result.gray, "gray.raw")
     emit(result.labels, "truth_labels.raw")
-    with open(os.path.join(out_dir, "truth_minerals.csv"), "w", encoding="utf-8") as fh:
+    with _atomic_text(os.path.join(out_dir, "truth_minerals.csv")) as fh:
         fh.write("particle_id,mineral_code\n")
         for p in result.particles:
             fh.write(f"{p.label},{p.mineral_code}\n")
@@ -260,7 +263,7 @@ def stage_attenuation_fit(*, out: str, samples: Input | None = None, vol: Input 
             fit_samples.append((mineral.name, mean, mineral.rho, mineral.mu_m))
             weights.append(n_used)
     model = atn.fit_attenuation(fit_samples, weights if weighted else None)
-    with open(out, "w", encoding="utf-8") as fh:
+    with _atomic_text(out) as fh:
         fh.write(f"slope = {model.slope!r}\n")
         fh.write(f"intercept = {model.intercept!r}\n")
         fh.write(f"gray_min = {model.gray_min!r}\n")
@@ -286,9 +289,12 @@ def stage_attenuation_predict(*, vol: Input, mask: Input, model: Input, out: str
     """map rho*mu_m over a mask, flagging voxels outside the calibration"""
     gray_vol = load_volume(vol)
     pred, flags = atn.predict_map(gray_vol, _read_attenuation_model(model), load_volume(mask))
-    with _atomic_files(out) as (fh,):
+    # the payload, the flags and their sidecar are renamed into place together
+    flags_payload, flags_meta = _encode_volume(BinaryVolume(flags, gray_vol.spacing))
+    with _atomic_files(out, out + ".flags", out + ".flags.meta") as (fh, flags_fh, meta_fh):
         pred.astype("<f4").tofile(fh)
-    write_volume(BinaryVolume(flags, gray_vol.spacing), out + ".flags")
+        flags_fh.write(flags_payload)
+        meta_fh.write(flags_meta)
     n = int(flags.sum())
     print(f"{n} masked voxels outside the calibration interval")
     return [out, out + ".flags", out + ".flags.meta"]

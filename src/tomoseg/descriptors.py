@@ -14,6 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
+from .volgrid import _atomic_text
+
 # chain-code moves (dy, dx), counterclockwise starting east; even index =
 # axis-aligned step, odd = diagonal
 _CHAIN = ((0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1), (1, 0), (1, 1))
@@ -252,7 +254,7 @@ CSV_HEADER = "id,area,perimeter,mean_width,sphericity,convexity,elongation"
 
 
 def rows_to_csv(rows, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _atomic_text(path) as fh:
         fh.write(CSV_HEADER + "\n")
         for r in rows:
             fh.write(
@@ -285,7 +287,7 @@ def export_distributions(rows, bins: int, out_dir) -> dict:
             centers = 0.5 * (edges[:-1] + edges[1:])
             freq = counts / counts.sum()
         path = os.path.join(out_dir, f"{field}_hist.csv")
-        with open(path, "w", encoding="utf-8") as fh:
+        with _atomic_text(path) as fh:
             fh.write("bin_center,rel_freq\n")
             for cvt, f in zip(centers, freq):
                 fh.write(f"{float(cvt)!r},{float(f)!r}\n")

@@ -28,7 +28,7 @@ import numpy as np
 
 from ._kernels.cc import _canonicalize
 from ._kernels.convsep import sobel_magnitude_field
-from .volgrid import LabelVolume, ScalarVolume
+from .volgrid import LabelVolume, ScalarVolume, _atomic_text
 
 FEATURE_DIM = 18
 
@@ -355,7 +355,7 @@ def merge_regions(labels: LabelVolume, graph: RegionGraph, weights: dict, lam: f
 def features_to_csv(path, graph: RegionGraph, features: dict, edge_labels: dict) -> None:
     """Training dump: one row per edge, header v1,v2,f1..f18,label."""
     cols = ",".join(f"f{i}" for i in range(1, FEATURE_DIM + 1))
-    with open(path, "w", encoding="utf-8") as fh:
+    with _atomic_text(path) as fh:
         fh.write(f"v1,v2,{cols},label\n")
         for edge in graph.edges:
             if edge not in edge_labels:

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .volgrid import _atomic_text
+
 DEFAULT_HIDDEN_UNITS = (25, 50, 75, 100)
 
 
@@ -254,7 +256,7 @@ def save_model(model: MlpModel, path) -> None:
     def row(vals):
         return " ".join(repr(float(v)) for v in np.atleast_1d(vals))
 
-    with open(path, "w", encoding="utf-8") as fh:
+    with _atomic_text(path) as fh:
         fh.write(f"{_FORMAT_TAG}\n")
         fh.write(f"d {model.d}\n")
         fh.write(f"M {model.hidden_units}\n")

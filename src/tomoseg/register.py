@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import fft as sfft
 
-from ._kernels.rotate import rotate_nearest
+from ._kernels.rotate import guard_volume, rotate_nearest
 from .volgrid import BinaryVolume, _atomic_files
 
 
@@ -426,12 +426,70 @@ def plane_points(plane) -> np.ndarray:
     return np.column_stack([xs, ys]).astype(np.float64)
 
 
+class _PlaneSampler:
+    """The plane's foreground points prepared for many ``direct_overlap``
+    evaluations against one volume: the volume with a background guard
+    (``guard_volume``), flattened, and buffers for every step.
+
+    Each evaluation computes the same float64 values as
+    ``RigidTransform.map_plane_points``: q - center column by column in the
+    same order, then the same (N, 3) @ R product on a C-contiguous q (BLAS
+    may fuse its multiply-adds, so a hand-written sum would differ). The
+    rest runs on a (3, N) copy: + center, + 0.5, floor, then a clip to
+    [-1, n] that sends every point outside the volume onto a guard voxel.
+    The flat index is summed in float64, exactly, as every term is an
+    integer far below 2**53, and one gather reads every sample."""
+
+    def __init__(self, vol: np.ndarray, uv: np.ndarray):
+        nz, ny, nx = self.shape = vol.shape
+        uv = np.atleast_2d(np.asarray(uv, np.float64))
+        self.u, self.v = uv[:, 0].copy(), uv[:, 1].copy()
+        self.center = np.array([(nx - 1) / 2.0, (ny - 1) / 2.0, (nz - 1) / 2.0])
+        self.volume = guard_volume(vol).ravel()
+        self.top = np.array([[nx], [ny], [nz]], np.float64)
+        # guarded strides of (x, y, z); the offset of guard index 1 on each axis
+        self.strides = np.array([1.0, nx + 2.0, (ny + 2.0) * (nx + 2.0)])
+        self.offset = float((ny + 3) * (nx + 2) + 1)
+        n = len(self.u)
+        self.q = np.empty((n, 3))
+        self.m = np.empty((n, 3))
+        self.p = np.empty((3, n))
+        self.flat = np.empty(n)
+
+    def overlap(self, transform: RigidTransform) -> int:
+        if len(self.u) == 0:
+            return 0
+        cx, cy, cz = self.center
+        tx, ty, tz = transform.translation
+        q, p = self.q, self.p
+        np.add(self.u, tx, out=q[:, 0])
+        q[:, 0] -= cx
+        np.add(self.v, ty, out=q[:, 1])
+        q[:, 1] -= cy
+        q[:, 2] = tz - cz
+        np.matmul(q, transform.rotation(), out=self.m)
+        np.add(self.m.T, self.center[:, None], out=p)
+        p += 0.5
+        np.floor(p, out=p)
+        np.clip(p, -1.0, self.top, out=p)
+        np.dot(self.strides, p, out=self.flat)
+        self.flat += self.offset
+        # a NaN casts to an index outside the array, which "clip" sends to
+        # the first or last voxel: both are guard voxels
+        return int(np.count_nonzero(self.volume.take(self.flat.astype(np.intp), mode="clip")))
+
+
 def direct_overlap(vol: BinaryVolume, plane, transform: RigidTransform, uv=None) -> int:
     """Overlap evaluated by mapping the plane's foreground pixels through the
     transform and sampling the volume at the nearest voxel; supports
     fractional shifts, unlike the lattice correlation. ``uv``, when given,
-    is ``plane_points(plane)``, computed once by a caller that evaluates
-    the same plane many times."""
+    is ``plane_points(plane)``, or a ``_PlaneSampler`` of those points and
+    ``vol``, built once by a caller that evaluates the same plane many
+    times; all three give the same count."""
+    if isinstance(uv, _PlaneSampler):
+        if uv.shape != vol.data.shape:
+            raise ValueError(f"sampler built for volume shape {uv.shape}, got {vol.data.shape}")
+        return uv.overlap(transform)
     if uv is None:
         uv = plane_points(plane)
     if len(uv) == 0:
@@ -498,9 +556,12 @@ class _BandObjective:
     z searched in the band [z0, z1) of the rotated volume; the full height
     is rotated and solved only when the band edge wins."""
 
-    def __init__(self, vol_l: np.ndarray, solver: TranslationSolver, z0: int, z1: int, trace: list):
+    def __init__(self, vol_l: np.ndarray, guarded: np.ndarray, solver: TranslationSolver,
+                 z0: int, z1: int, trace: list):
         self.vol = vol_l
-        self.solver = solver  # shared by every band of the level
+        # shared by every band of the level: guard_volume(vol_l) and the solver
+        self.guarded = guarded
+        self.solver = solver
         self.z0, self.z1 = z0, z1
         self.center = volume_center(vol_l.shape)
         self.trace = trace
@@ -513,12 +574,15 @@ class _BandObjective:
         if key not in self.cache:
             z0, z1, nz = self.z0, self.z1, self.vol.shape[0]
             rinv = RigidTransform(a3, (0.0, 0.0, 0.0)).rotation().T
-            res = self.solver.solve(rotate_nearest(self.vol, rinv, self.center, z0, z1))
+            band = rotate_nearest(self.vol, rinv, self.center, z0, z1, self.guarded)
+            res = self.solver.solve(band)
             sx, sy, sz = res.shift
             if z0 > 0 or z1 < nz:
                 # re-solve over the full height if the band boundary wins
                 if (sz == 0 and z0 > 0) or (sz == z1 - z0 - 1 and z1 < nz):
-                    res = self.solver.solve(rotate_nearest(self.vol, rinv, self.center))
+                    res = self.solver.solve(
+                        rotate_nearest(self.vol, rinv, self.center, guarded=self.guarded)
+                    )
                 else:
                     res = TranslationResult((sx, sy, sz + z0), res.overlap, res.empty_plane)
             self.cache[key] = res
@@ -563,6 +627,7 @@ def register_section(vol: BinaryVolume, plane, opts: RegisterOptions = RegisterO
         diag = math.hypot(*plane_l.shape)
         margin = max(12, int(0.12 * diag))
         solver = TranslationSolver(vol_l.shape, plane_l)
+        guarded = guard_volume(vol_l)
         bands = {}
 
         def objective_at(tz):
@@ -572,7 +637,7 @@ def register_section(vol: BinaryVolume, plane, opts: RegisterOptions = RegisterO
                 z0 = max(0, int(round(tz)) - margin)
                 z1 = min(nz_l, int(round(tz)) + margin + 1)
             if (z0, z1) not in bands:
-                bands[z0, z1] = _BandObjective(vol_l, solver, z0, z1, trace)
+                bands[z0, z1] = _BandObjective(vol_l, guarded, solver, z0, z1, trace)
             return bands[z0, z1]
 
         if starts is None:
@@ -598,13 +663,13 @@ def register_section(vol: BinaryVolume, plane, opts: RegisterOptions = RegisterO
 
     if opts.joint_polish:
         polish_cache = {}
-        uv = plane_points(p)
+        sampler = _PlaneSampler(vol.data, plane_points(p))
 
         def joint_objective(params):
             key = tuple(round(v, 12) for v in params)
             if key not in polish_cache:
                 t = RigidTransform(tuple(params[:3]), tuple(params[3:]))
-                ov = direct_overlap(vol, p, t, uv)
+                ov = direct_overlap(vol, p, t, sampler)
                 polish_cache[key] = ov
                 trace.append((len(trace), ov))
             return -polish_cache[key]

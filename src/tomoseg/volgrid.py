@@ -14,6 +14,7 @@ the array and marks it read-only), so any number of threads may share one.
 from __future__ import annotations
 
 import contextlib
+import io
 import os
 import secrets
 from dataclasses import dataclass
@@ -210,26 +211,41 @@ def _atomic_files(*paths):
         raise
 
 
-def write_volume(vol, path) -> None:
-    """Write raw payload plus ``<path>.meta`` sidecar. Both are written to
-    temporary files first and renamed into place together, so a failed write
-    leaves no partial file at either path."""
+@contextlib.contextmanager
+def _atomic_text(path):
+    """A UTF-8 text handle on a temporary file beside ``path``, renamed onto
+    it on a clean exit and removed on an exception (``_atomic_files``); the
+    bytes are those ``open(path, "w", encoding="utf-8")`` would write."""
+    with _atomic_files(path) as (fh,), io.TextIOWrapper(fh, encoding="utf-8") as text:
+        yield text
+
+
+def _encode_volume(vol) -> tuple[np.ndarray, bytes]:
+    """The raw payload and the ``.meta`` sidecar bytes of ``vol``."""
     element = _element_of(vol)
     if isinstance(vol, LabelPlane):
         dims = (vol.dims[0], vol.dims[1], 1)
-        flat = vol.data.ravel()
     else:
         dims = vol.dims
-        flat = vol.data.ravel()
+    flat = vol.data.ravel()
     if element == "bit":
         payload = np.packbits(flat.astype(np.uint8), bitorder="little")
     else:
         payload = flat.astype(ELEMENT_DTYPES[element])
-    with _atomic_files(path, f"{path}.meta") as (data, meta):
-        data.write(payload)
-        meta.write(f"dims={dims[0]},{dims[1]},{dims[2]}\n"
-                   f"spacing_um={vol.spacing!r}\n"
-                   f"element={element}\n".encode())
+    meta = (f"dims={dims[0]},{dims[1]},{dims[2]}\n"
+            f"spacing_um={vol.spacing!r}\n"
+            f"element={element}\n").encode()
+    return payload, meta
+
+
+def write_volume(vol, path) -> None:
+    """Write raw payload plus ``<path>.meta`` sidecar. Both are written to
+    temporary files first and renamed into place together, so a failed write
+    leaves no partial file at either path."""
+    payload, meta = _encode_volume(vol)
+    with _atomic_files(path, f"{path}.meta") as (data_fh, meta_fh):
+        data_fh.write(payload)
+        meta_fh.write(meta)
 
 
 def read_sidecar(path) -> dict:

@@ -1,3 +1,8 @@
+import builtins
+import errno
+import io
+import os
+
 import numpy as np
 import pytest
 
@@ -49,3 +54,35 @@ def correlate_axis_oracle(f, weights, axis):
             acc += w * f[tuple(src)]
         out[idx] = acc
     return out
+
+
+class _FullDisk(io.FileIO):
+    """A file that takes its first ROOM bytes, then reports a full disk."""
+
+    ROOM = 8
+
+    def write(self, b):
+        room = self.ROOM - self.tell()
+        if len(b) > room:
+            super().write(bytes(b)[: max(room, 0)])
+            raise OSError(errno.ENOSPC, "disk full")
+        return super().write(b)
+
+
+def fill_disk_on(monkeypatch, matches):
+    """From here on, a file opened for writing whose base name satisfies
+    ``matches`` takes a few bytes, then reports a full disk; the error shows
+    when the buffered bytes are flushed, as it does on a real disk."""
+    real_open = builtins.open
+
+    def fake_open(file, mode="r", buffering=-1, encoding=None, errors=None, newline=None,
+                  closefd=True, opener=None):
+        if (isinstance(file, (str, bytes, os.PathLike)) and set(mode) & set("wxa")
+                and matches(os.path.basename(os.fsdecode(file)))):
+            buffered = io.BufferedWriter(_FullDisk(file, mode.replace("b", "").replace("t", "")))
+            if "b" in mode:
+                return buffered
+            return io.TextIOWrapper(buffered, encoding=encoding, errors=errors, newline=newline)
+        return real_open(file, mode, buffering, encoding, errors, newline, closefd, opener)
+
+    monkeypatch.setattr(builtins, "open", fake_open)

@@ -1,8 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from tomoseg.binarize import (
+    BALL_FOOTPRINT_MAX_RADIUS,
     SauvolaParams,
+    ball_footprint,
     distance_transform,
     morphological_opening,
     remove_small_components,
@@ -165,6 +170,63 @@ def test_opening_increasing(rng):
     a = morphological_opening(binary(small), 1.0).data
     b = morphological_opening(binary(big), 1.0).data
     assert (a <= b).all()
+
+
+def edt_opening_oracle(mask, radius):
+    """The opening through exact distance thresholds: a voxel survives
+    erosion iff its distance to the nearest background voxel, outside the
+    volume included, exceeds ``radius``, and is in the opening iff an eroded
+    voxel lies within ``radius``."""
+    pad = int(np.ceil(radius))
+    dist = ndimage.distance_transform_edt(np.pad(mask, pad))
+    eroded = dist[pad:-pad, pad:-pad, pad:-pad] > radius
+    if not eroded.any():
+        return eroded
+    return ndimage.distance_transform_edt(~eroded) <= radius
+
+
+OPENING_RADII = (1.0, math.sqrt(2.0), 1.5, math.sqrt(3.0), 2.0, 2.5, 3.0,
+                 BALL_FOOTPRINT_MAX_RADIUS, np.nextafter(BALL_FOOTPRINT_MAX_RADIUS, 5.0), 4.5)
+
+
+def _opening_masks(rng, shape=(13, 14, 15)):
+    smooth = ndimage.gaussian_filter(rng.random(shape), 1.0)
+    blobs = smooth > np.quantile(smooth, 0.45)
+    # foreground on every face, with a random interior
+    faces = rng.random(shape) > 0.3
+    faces[[0, -1], :, :] = faces[:, [0, -1], :] = faces[:, :, [0, -1]] = True
+    # one slab per face, reaching the face, with room to survive a radius-3 ball
+    slabs = np.zeros(shape, bool)
+    for axis in range(3):
+        for side in (slice(0, 7), slice(-7, None)):
+            idx = [slice(3, -3)] * 3
+            idx[axis] = side
+            slabs[tuple(idx)] = True
+    return {"blobs": blobs, "faces": faces, "slabs": slabs,
+            "empty": np.zeros(shape, bool), "full": np.ones(shape, bool)}
+
+
+@pytest.mark.parametrize("radius", OPENING_RADII)
+def test_opening_matches_distance_threshold_oracle(rng, radius):
+    for name, m in _opening_masks(rng).items():
+        out = morphological_opening(binary(m), radius).data
+        np.testing.assert_array_equal(out, edt_opening_oracle(m, radius), err_msg=name)
+        if name == "slabs" and radius <= 3:
+            assert out.any() and (out[0].any() and out[-1].any() and out[:, 0].any()
+                                  and out[:, -1].any() and out[:, :, 0].any()
+                                  and out[:, :, -1].any())
+
+
+def test_ball_footprint_uses_the_distance_comparison():
+    for radius in OPENING_RADII:
+        ball = ball_footprint(radius)
+        k = ball.shape[0] // 2
+        assert ball.shape == (2 * k + 1,) * 3 and k == math.ceil(radius)
+        for z in np.argwhere(np.ones_like(ball)):
+            d2 = float(((z - k) ** 2).sum())
+            assert ball[tuple(z)] == (math.sqrt(d2) <= radius)
+    # sqrt(3)**2 rounds below 3, so |z|^2 <= r^2 would drop the corners
+    assert math.sqrt(3.0) ** 2 < 3.0 and ball_footprint(math.sqrt(3.0))[1, 1, 1]
 
 
 def test_edt_all_foreground_sentinel():

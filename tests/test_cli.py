@@ -7,7 +7,7 @@ import pytest
 from tomoseg import cli
 from tomoseg.volgrid import BinaryVolume, ScalarVolume, load_volume, write_volume
 
-from conftest import ball_mask
+from conftest import ball_mask, fill_disk_on
 
 
 @pytest.fixture
@@ -52,6 +52,32 @@ def test_failed_predict_write_leaves_no_partial_file(
         cli.stage_attenuation_predict(**kwargs)
     # no temporary left behind, and an earlier payload is still whole
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_failed_flags_write_keeps_old_payload(tmp_path, monkeypatch, tiny_volume):
+    mask = tmp_path / "mask.raw"
+    write_volume(BinaryVolume(load_volume(tiny_volume).data > 10000, 4.5), mask)
+    out = tmp_path / "rmu.f32"
+    models = []
+    for version, slope in enumerate(("0.0001", "0.0002")):
+        models.append(tmp_path / f"model{version}.txt")
+        models[-1].write_text(f"slope = {slope}\nintercept = 0.5\ngray_min = 0\ngray_max = 30000\n")
+
+    def predict(model):
+        cli.stage_attenuation_predict(vol=str(tiny_volume), mask=str(mask), model=str(model),
+                                      out=str(out))
+
+    predict(models[0])
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    # the flags payload, not its sidecar, meets a full disk
+    fill_disk_on(monkeypatch, lambda base: "rmu.f32.flags" in base and "meta" not in base)
+    with pytest.raises(OSError, match="disk full"):
+        predict(models[1])
+    # the old payload, flags and sidecar are all still there, and nothing else
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    monkeypatch.undo()
+    predict(models[1])
+    assert out.read_bytes() != before["rmu.f32"]
 
 
 def test_missing_input_exit_code(tmp_path):

@@ -122,6 +122,65 @@ def test_rotate_z_range_is_slab_of_full_rotation(rng):
         rotate.rotate_nearest(vol, rinv, center, 5, 10)
 
 
+def _rounded_sources(shape, rinv, center, z0, z1):
+    """The rounded source coordinate of every output voxel, per axis
+    (x, y, z), in the oracle's arithmetic."""
+    nz, ny, nx = shape
+    r = rinv.tolist()
+    seen = (set(), set(), set())
+    for z in range(z0, z1):
+        for y in range(ny):
+            for x in range(nx):
+                d = (x - center[0], y - center[1], z - center[2])
+                for i, c in enumerate(center):
+                    s = r[i][0] * d[0] + r[i][1] * d[1] + r[i][2] * d[2] + c
+                    seen[i].add(math.floor(s + 0.5))
+    return seen
+
+
+# quarter and half turns about each axis: exact permutation matrices, and the
+# same turns through RigidTransform, whose cos(pi/2) is 6e-17, not 0
+_TURNS = [
+    np.array(m, np.float64)
+    for m in (
+        [[0, -1, 0], [1, 0, 0], [0, 0, 1]], [[0, 1, 0], [-1, 0, 0], [0, 0, 1]],
+        [[-1, 0, 0], [0, -1, 0], [0, 0, 1]], [[0, 0, 1], [0, 1, 0], [-1, 0, 0]],
+        [[1, 0, 0], [0, 0, -1], [0, 1, 0]], [[-1, 0, 0], [0, 1, 0], [0, 0, -1]],
+    )
+] + [
+    RigidTransform(angles, (0, 0, 0)).rotation().T
+    for a in (math.pi / 2, -math.pi / 2, math.pi)
+    for angles in ((a, 0.0, 0.0), (0.0, a, 0.0), (0.0, 0.0, a))
+]
+
+
+def test_rotate_samples_on_the_guard_match_loop_oracle(rng):
+    from tomoseg._kernels.rotate import guard_volume, rotate_nearest
+    from tomoseg.register import volume_center
+
+    # a quarter turn sends a long axis onto a shorter one, whose samples then
+    # land exactly one voxel outside, at -1 and at n; the two elongated
+    # shapes do so on every axis, and a full volume shows any guard read
+    configs = [(shape, volume_center(shape)) for shape in ((5, 7, 9), (9, 7, 5))]
+    configs.append(((6, 4, 8), (4.5, 1.5, 3.0)))
+    hit = set()
+    for shape, center in configs:
+        for vol in (rng.random(shape) > 0.5, np.ones(shape, bool)):
+            guarded = guard_volume(vol)
+            for rinv in _TURNS:
+                for z0, z1 in ((0, shape[0]), (1, shape[0] - 1), (2, 3), (0, 0)):
+                    want = rotate_oracle(vol, rinv, center, z0, z1)
+                    np.testing.assert_array_equal(rotate_nearest(vol, rinv, center, z0, z1), want)
+                    np.testing.assert_array_equal(
+                        rotate_nearest(vol, rinv, center, z0, z1, guarded), want
+                    )
+                    sources = _rounded_sources(shape, rinv, center, z0, z1)
+                    for axis, (got, n) in enumerate(zip(sources, shape[::-1])):
+                        hit |= {(axis, "-1") for v in got if v == -1}
+                        hit |= {(axis, "n") for v in got if v == n}
+    assert hit == {(axis, side) for axis in range(3) for side in ("-1", "n")}
+
+
 def test_translation_solver_ties_match_brute_force(rng):
     from tomoseg.register import TranslationSolver
 
@@ -549,6 +608,70 @@ def test_direct_overlap_matches_lattice_at_integer_shift(rng):
     plane = m[5, 2:10, 3:12]
     t = RigidTransform((0.0, 0.0, 0.0), (3.0, 2.0, 5.0))
     assert direct_overlap(vol, plane, t) == int((m[5, 2:10, 3:12] & plane).sum())
+
+
+def _sampler_overlaps(vol, plane, transforms):
+    from tomoseg.register import _PlaneSampler, plane_points
+
+    uv = plane_points(plane)
+    sampler = _PlaneSampler(vol.data, uv)
+    for t in transforms:
+        plain = direct_overlap(vol, plane, t)
+        assert direct_overlap(vol, plane, t, uv) == plain
+        assert direct_overlap(vol, plane, t, sampler) == plain, t
+        if len(uv):
+            # the mapped points before rounding, bit for bit: a count only
+            # shows a last-bit difference where it moves a point across .5
+            np.testing.assert_array_equal(sampler.m + sampler.center,
+                                          t.map_plane_points(uv, vol.data.shape))
+        yield plain
+
+
+def test_prepared_sampler_matches_plain_direct_overlap(rng):
+    m = rng.random((14, 12, 16)) > 0.4
+    vol = binary(m)
+    plane = rng.random((9, 11)) > 0.3
+    transforms = [
+        RigidTransform(tuple(rng.normal(0.0, s_a, 3)), tuple(rng.normal(c, s_t)))
+        for s_a, c, s_t in ((0.05, (3, 2, 7), (3, 3, 4)), (2.0, (3, 2, 7), (8, 8, 8)))
+        for _ in range(150)
+    ]
+    # shifts far off the volume on each side of each axis, and just off it
+    for axis in range(3):
+        for far in (-1e6, -40.0, -9.6, 30.4, 1e6):
+            shift = [3.0, 2.0, 7.0]
+            shift[axis] = far
+            transforms.append(RigidTransform((0.1, -0.2, 0.05), tuple(shift)))
+    counts = list(_sampler_overlaps(vol, plane, transforms))
+    assert min(counts) == 0 and max(counts) > 0
+
+
+def test_prepared_sampler_single_pixel_and_empty_plane(rng):
+    from tomoseg.register import _PlaneSampler
+
+    m = rng.random((6, 7, 8)) > 0.5
+    vol = binary(m)
+    one = np.zeros((3, 3), bool)
+    one[1, 2] = True
+    transforms = [RigidTransform((0.0, 0.0, 0.0), (x, y, z))
+                  for z in (-1.0, 0.0, 2.6, 5.0, 6.0)
+                  for y in (-2.0, 0.4, 5.0)
+                  for x in (-3.0, 1.0, 5.0)]
+    transforms += [
+        RigidTransform(tuple(rng.uniform(-np.pi, np.pi, 3)), tuple(rng.uniform(-2, 9, 3)))
+        for _ in range(100)
+    ]
+    counts = list(_sampler_overlaps(vol, one, transforms))
+    assert 0 in counts and 1 in counts
+    # the pixel (u, v) = (2, 1) lands at x = 2 + 1, y = 1 + 0.4 -> 1, z = 2.6 -> 3
+    pose = RigidTransform((0.0, 0.0, 0.0), (1.0, 0.4, 2.6))
+    sampler = _PlaneSampler(m, [[2.0, 1.0]])
+    assert direct_overlap(vol, one, pose) == direct_overlap(vol, one, pose, sampler)
+    assert direct_overlap(vol, one, pose) == int(m[3, 1, 3])
+    empty = np.zeros((3, 3), bool)
+    assert list(_sampler_overlaps(vol, empty, transforms[:5])) == [0] * 5
+    with pytest.raises(ValueError):
+        direct_overlap(binary(m[:5]), one, transforms[0], _PlaneSampler(m, [[2.0, 1.0]]))
 
 
 def test_result_file_roundtrip(tmp_path):

@@ -12,6 +12,8 @@ from tomoseg.volgrid import (
     write_volume,
 )
 
+from conftest import fill_disk_on
+
 
 def test_read_zero_u16(tmp_path):
     path = tmp_path / "z.raw"
@@ -63,7 +65,7 @@ def test_roundtrip_is_byte_exact(tmp_path, rng):
 
 class _SpacingWithBrokenRepr(float):
     """A spacing whose sidecar line cannot be formatted: the write fails
-    after the payload is written."""
+    while the sidecar is encoded, before either file is renamed."""
 
     def __repr__(self):
         raise OSError("disk full")
@@ -83,6 +85,108 @@ def test_failed_write_leaves_no_partial_file(tmp_path, rng, existing):
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
     if existing:
         np.testing.assert_array_equal(load_volume(path).data, old.data)
+
+
+def _write_attenuation_model(out_dir, version):
+    from tomoseg import cli
+
+    samples = out_dir.parent / f"samples{version}.csv"
+    samples.write_text("mineral,mean_gray,n_pixels\n" + "".join(
+        f"{name},{gray + version},100\n"
+        for name, gray in (("quartz", 20000), ("topaz", 30000), ("kaolinite", 24000))
+    ))
+    cli.stage_attenuation_fit(out=str(out_dir / "model.txt"), samples=str(samples))
+
+
+def _write_truth_minerals(out_dir, version):
+    from tomoseg import cli
+
+    spec = out_dir.parent / f"spec{version}.txt"
+    spec.write_text(f"dims = 20,20,20\ncount = {2 + version}\nsize_range_um = 20,30\n"
+                    "aspect_range = 1,1.2\nelongated_fraction = 0\nn_sections = 0\nrng_seed = 3\n")
+    cli.stage_phantom(out_dir=str(out_dir), spec=str(spec))
+
+
+def _descriptor_rows(version):
+    from tomoseg.descriptors import DescriptorRow
+
+    return [DescriptorRow(i, 10.0 * i + version, 12.5, 3.0, 0.9, 0.95, 1.2 + i) for i in (1, 2, 3)]
+
+
+def _write_descriptor_rows(out_dir, version):
+    from tomoseg.descriptors import rows_to_csv
+
+    rows_to_csv(_descriptor_rows(version), out_dir / "rows.csv")
+
+
+def _write_histograms(out_dir, version):
+    from tomoseg.descriptors import export_distributions
+
+    export_distributions(_descriptor_rows(version), 4, out_dir)
+
+
+def _write_mlp_model(out_dir, version):
+    from tomoseg.neuralnet import MlpModel, save_model
+
+    save_model(MlpModel(np.zeros(2), np.full((2, 3), 0.5 + version), 0.25, np.ones(2),
+                        np.zeros(3), np.ones(3)), out_dir / "mlp.txt")
+
+
+def _write_edge_features(out_dir, version):
+    from types import SimpleNamespace
+
+    from tomoseg.mergegraph import FEATURE_DIM, features_to_csv
+
+    graph = SimpleNamespace(edges=((1, 2), (1, 3)))
+    features = {e: np.arange(FEATURE_DIM) + version for e in graph.edges}
+    features_to_csv(out_dir / "edges.csv", graph, features, {(1, 2): 1, (1, 3): 0})
+
+
+def _write_scatter(out_dir, version):
+    from tomoseg.attenuation import ValidationReport, ValidationRow, write_scatter
+
+    rows = (ValidationRow("quartz", 20000.0, 50, 1.5 + version, 1.4),
+            ValidationRow("topaz", 30000.0, 60, 2.5, 2.6))
+    write_scatter(ValidationReport(rows, ()), out_dir / "scatter.csv")
+
+
+def _write_volume(out_dir, version):
+    write_volume(ScalarVolume(np.full((2, 3, 4), 7 + version, np.uint16), 2.0), out_dir / "vol.raw")
+
+
+# writer -> (the file that meets a full disk, the files that must stay whole,
+# how to write version 0 or 1 into a directory; inputs go beside it)
+WRITERS = {
+    "attenuation-model": ("model.txt", ("model.txt",), _write_attenuation_model),
+    "truth-minerals": ("truth_minerals.csv", ("truth_minerals.csv",), _write_truth_minerals),
+    "descriptor-rows": ("rows.csv", ("rows.csv",), _write_descriptor_rows),
+    "histograms": ("area_hist.csv", ("area_hist.csv",), _write_histograms),
+    "mlp-model": ("mlp.txt", ("mlp.txt",), _write_mlp_model),
+    "edge-features": ("edges.csv", ("edges.csv",), _write_edge_features),
+    "scatter": ("scatter.csv", ("scatter.csv",), _write_scatter),
+    # the payload is complete when its sidecar meets the full disk
+    "volume": ("vol.raw.meta", ("vol.raw", "vol.raw.meta"), _write_volume),
+}
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_full_disk_keeps_old_outputs(tmp_path, monkeypatch, writer):
+    fail_on, whole, write = WRITERS[writer]
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    write(out_dir, 0)
+    old = {name: (out_dir / name).read_bytes() for name in whole}
+    assert len(old[fail_on]) > 8  # longer than the full disk takes
+    names = {p.name for p in out_dir.iterdir()}
+    fill_disk_on(monkeypatch, lambda base: fail_on in base)
+    with pytest.raises(OSError, match="disk full"):
+        write(out_dir, 1)
+    # the old files are whole and no temporary is left behind
+    assert {name: (out_dir / name).read_bytes() for name in whole} == old
+    assert {p.name for p in out_dir.iterdir()} == names
+    monkeypatch.undo()
+    write(out_dir, 1)
+    assert {name: (out_dir / name).read_bytes() for name in whole} != old
 
 
 def test_payload_is_little_endian_x_fastest(tmp_path):
