@@ -1,7 +1,7 @@
 """Patch-weighted averaging kernel for the non-local means filter.
 
-Semantics shared by both paths: for voxels x in the volume and y in the
-search window around x (intersected with the volume), the patch distance is
+Semantics: for voxels x in the volume and y in the search window around x
+(intersected with the volume), the patch distance is
 
     d(x, y) = sum_z G(z) * (I(x+z) - I(y+z))^2
 
@@ -10,15 +10,15 @@ falling outside are simply dropped, without reweighting. The output is
 
     out(x) = sum_y w(x,y) I(y) / sum_y w(x,y),   w = exp(-d / h^2).
 
-Both paths accumulate offset-major: for each search offset s, in a fixed
+The kernel accumulates offset-major: for each search offset s, in a fixed
 order, the squared differences are patch-weighted by a separable zero-fill
 Gaussian correlation (z, then y, then x) and the weights are added into the
 per-voxel sums.
 
-The numpy path works on a flat layout: the image, norm and acc are
-(nz, NY, NX) planes, NY = ny + r and NX = nx + r for patch radius r, whose
-r guard rows and columns are zero; the image copy also has a zero margin
-on both ends, as wide as the flat reach of any in-plane shift. For search
+It works on a flat layout: the image, norm and acc are (nz, NY, NX)
+planes, NY = ny + r and NX = nx + r for patch radius r, whose r guard rows
+and columns are zero; the image copy also has a zero margin on both ends,
+as wide as the flat reach of any in-plane shift. For search
 offset s, at flat shift f = sz*NY*NX + sy*NX + sx, each step is one numpy
 call on a contiguous range: the squared differences I(x) - I(x+f); the z,
 y and x passes as shifted-slice sums at flat strides NY*NX, NX and 1, in
@@ -46,91 +46,11 @@ into buffers the calling thread allocated.
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from ..backend import njit, use_numba, worker_count
-
-
-def patch_weights(patch_radius: int, sigma: float):
-    """3D Gaussian patch weights normalized to sum 1, as (offsets, weights)."""
-    r = patch_radius
-    ax = np.arange(-r, r + 1)
-    gz, gy, gx = np.meshgrid(ax, ax, ax, indexing="ij")
-    offs = np.column_stack([gz.ravel(), gy.ravel(), gx.ravel()]).astype(np.int64)
-    w = np.exp(-(offs[:, 0] ** 2 + offs[:, 1] ** 2 + offs[:, 2] ** 2) / (2.0 * sigma * sigma))
-    return offs, w / w.sum()
-
-
-@njit(cache=True)
-def _correlate_axis_zero(vol, weights, axis, out):
-    # correlation along one axis with zero fill outside the volume
-    nz, ny, nx = vol.shape
-    rad = weights.shape[0] // 2
-    for z in range(nz):
-        for y in range(ny):
-            for x in range(nx):
-                acc = 0.0
-                for k in range(weights.shape[0]):
-                    if axis == 0:
-                        i = z + k - rad
-                        if 0 <= i < nz:
-                            acc += weights[k] * vol[i, y, x]
-                    elif axis == 1:
-                        i = y + k - rad
-                        if 0 <= i < ny:
-                            acc += weights[k] * vol[z, i, x]
-                    else:
-                        i = x + k - rad
-                        if 0 <= i < nx:
-                            acc += weights[k] * vol[z, y, i]
-                out[z, y, x] = acc
-
-
-@njit(cache=True)
-def _nlm_numba(img, h2, g1, search):
-    # offset-major accumulation: per search offset, squared differences are
-    # patch-weighted by a separable zero-fill Gaussian correlation, which
-    # drops out-of-volume patch offsets exactly as the definition requires
-    nz, ny, nx = img.shape
-    norm = np.zeros((nz, ny, nx), np.float64)
-    acc = np.zeros((nz, ny, nx), np.float64)
-    dsq = np.empty((nz, ny, nx), np.float64)
-    tmp = np.empty((nz, ny, nx), np.float64)
-    for sz in range(-search, search + 1):
-        for sy in range(-search, search + 1):
-            for sx in range(-search, search + 1):
-                for z in range(nz):
-                    bz = z + sz
-                    for y in range(ny):
-                        by = y + sy
-                        for x in range(nx):
-                            bx = x + sx
-                            if 0 <= bz < nz and 0 <= by < ny and 0 <= bx < nx:
-                                diff = img[z, y, x] - img[bz, by, bx]
-                                dsq[z, y, x] = diff * diff
-                            else:
-                                dsq[z, y, x] = 0.0
-                _correlate_axis_zero(dsq, g1, 0, tmp)
-                _correlate_axis_zero(tmp, g1, 1, dsq)
-                _correlate_axis_zero(dsq, g1, 2, tmp)
-                for z in range(nz):
-                    bz = z + sz
-                    if bz < 0 or bz >= nz:
-                        continue
-                    for y in range(ny):
-                        by = y + sy
-                        if by < 0 or by >= ny:
-                            continue
-                        for x in range(nx):
-                            bx = x + sx
-                            if 0 <= bx < nx:
-                                w = math.exp(-tmp[z, y, x] / h2)
-                                norm[z, y, x] += w
-                                acc[z, y, x] += w * img[bz, by, bx]
-    return acc / norm
+from ..backend import worker_count
 
 
 def _correlate_flat(src, lo, n, stride, g1, out, tmp):
@@ -201,8 +121,8 @@ def _slab_workers(nz: int, patch_radius: int) -> int:
 
 
 def _nlm_numpy(img, h2, patch_radius, patch_sigma, search):
-    # Per-axis normalization makes the 3D product of g1 sum to 1 over the
-    # patch, matching patch_weights().
+    # Per-axis normalization makes the 3D product of g1, the Gaussian patch
+    # weights G, sum to 1 over the patch.
     g1 = np.exp(-(np.arange(-patch_radius, patch_radius + 1) ** 2) / (2.0 * patch_sigma**2))
     g1 = g1 / g1.sum()
     nz, ny, nx = img.shape
@@ -233,10 +153,4 @@ def _nlm_numpy(img, h2, patch_radius, patch_sigma, search):
 def nlm_field(img: np.ndarray, h: float, patch_radius: int, patch_sigma: float, search: int):
     img = np.asarray(img, np.float64)
     h2 = float(h) * float(h)
-    if use_numba():
-        g1 = np.exp(
-            -(np.arange(-patch_radius, patch_radius + 1) ** 2) / (2.0 * patch_sigma**2)
-        )
-        g1 = g1 / g1.sum()
-        return _nlm_numba(img, h2, g1, search)
     return _nlm_numpy(img, h2, patch_radius, patch_sigma, search)

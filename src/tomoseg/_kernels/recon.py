@@ -1,20 +1,18 @@
 """Grayscale reconstruction by erosion and regional minima, both restricted
 to a mask (non-mask voxels act as an impassable +inf wall).
 
-Reconstruction has a unique fixpoint, so the two paths (sequential raster
-sweeps vs parallel erosion iterations) converge to identical results.
-Regional minima are a set, too: the numba twin spreads "not minimal" from
-every voxel with a strictly lower neighbor across equal-valued neighbors,
-while the numpy path labels the equal-valued plateaus as graph components
-and keeps those without such a voxel.
+Reconstruction repeats full-volume erosion rounds until nothing changes.
+Its fixpoint is unique, so the tests hold it to sequential raster sweeps.
+Regional minima are a set, too: the equal-valued plateaus are labelled as
+graph components and those with no voxel that has a strictly lower
+neighbor are kept; the tests hold this to a breadth-first spread of "not
+minimal" across equal-valued neighbors.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy import ndimage
-
-from ..backend import njit, use_numba
 
 _WALL = 1e18
 
@@ -35,51 +33,6 @@ def neighbor_offsets(connectivity: int) -> np.ndarray:
     return np.array(offs, np.int64)
 
 
-@njit(cache=True)
-def _recon_sweeps_numba(rec, low, offs_fwd, offs_bwd):
-    nz, ny, nx = rec.shape
-    changed = True
-    while changed:
-        changed = False
-        for z in range(nz):
-            for y in range(ny):
-                for x in range(nx):
-                    cur = rec[z, y, x]
-                    if cur >= _WALL:
-                        continue
-                    m = cur
-                    for k in range(offs_fwd.shape[0]):
-                        zz = z + offs_fwd[k, 0]
-                        yy = y + offs_fwd[k, 1]
-                        xx = x + offs_fwd[k, 2]
-                        if 0 <= zz < nz and 0 <= yy < ny and 0 <= xx < nx:
-                            if rec[zz, yy, xx] < m:
-                                m = rec[zz, yy, xx]
-                    val = max(low[z, y, x], m)
-                    if val != cur:
-                        rec[z, y, x] = val
-                        changed = True
-        for z in range(nz - 1, -1, -1):
-            for y in range(ny - 1, -1, -1):
-                for x in range(nx - 1, -1, -1):
-                    cur = rec[z, y, x]
-                    if cur >= _WALL:
-                        continue
-                    m = cur
-                    for k in range(offs_bwd.shape[0]):
-                        zz = z + offs_bwd[k, 0]
-                        yy = y + offs_bwd[k, 1]
-                        xx = x + offs_bwd[k, 2]
-                        if 0 <= zz < nz and 0 <= yy < ny and 0 <= xx < nx:
-                            if rec[zz, yy, xx] < m:
-                                m = rec[zz, yy, xx]
-                    val = max(low[z, y, x], m)
-                    if val != cur:
-                        rec[z, y, x] = val
-                        changed = True
-    return rec
-
-
 def _split_scan_offsets(offs: np.ndarray):
     # Offsets strictly before (resp. after) the center in raster order.
     key = offs[:, 0] * 9 + offs[:, 1] * 3 + offs[:, 2]
@@ -93,9 +46,6 @@ def reconstruct_erosion(marker: np.ndarray, lower: np.ndarray, mask: np.ndarray,
     offs = neighbor_offsets(connectivity)
     rec = np.where(mask, marker, _WALL).astype(np.float64)
     low = np.where(mask, lower, _WALL).astype(np.float64)
-    if use_numba():
-        fwd, bwd = _split_scan_offsets(offs)
-        return _recon_sweeps_numba(rec, low, fwd, bwd)
     footprint = np.zeros((3, 3, 3), bool)
     footprint[tuple((offs + 1).T)] = True
     footprint[1, 1, 1] = True
@@ -106,52 +56,6 @@ def reconstruct_erosion(marker: np.ndarray, lower: np.ndarray, mask: np.ndarray,
         if np.array_equal(nxt, rec):
             return nxt
         rec = nxt
-
-
-@njit(cache=True)
-def _minima_numba(val, mask, offs):
-    nz, ny, nx = val.shape
-    nonmin = np.zeros((nz, ny, nx), np.uint8)
-    queue = np.empty(nz * ny * nx, np.int64)
-    qn = 0
-    for z in range(nz):
-        for y in range(ny):
-            for x in range(nx):
-                if not mask[z, y, x]:
-                    continue
-                for k in range(offs.shape[0]):
-                    zz = z + offs[k, 0]
-                    yy = y + offs[k, 1]
-                    xx = x + offs[k, 2]
-                    if 0 <= zz < nz and 0 <= yy < ny and 0 <= xx < nx:
-                        if mask[zz, yy, xx] and val[zz, yy, xx] < val[z, y, x]:
-                            nonmin[z, y, x] = 1
-                            queue[qn] = (z * ny + y) * nx + x
-                            qn += 1
-                            break
-    head = 0
-    while head < qn:
-        i = queue[head]
-        head += 1
-        z = i // (ny * nx)
-        rem = i % (ny * nx)
-        y = rem // nx
-        x = rem % nx
-        for k in range(offs.shape[0]):
-            zz = z + offs[k, 0]
-            yy = y + offs[k, 1]
-            xx = x + offs[k, 2]
-            if 0 <= zz < nz and 0 <= yy < ny and 0 <= xx < nx:
-                if mask[zz, yy, xx] and nonmin[zz, yy, xx] == 0 and val[zz, yy, xx] == val[z, y, x]:
-                    nonmin[zz, yy, xx] = 1
-                    queue[qn] = (zz * ny + yy) * nx + xx
-                    qn += 1
-    out = np.zeros((nz, ny, nx), np.bool_)
-    for z in range(nz):
-        for y in range(ny):
-            for x in range(nx):
-                out[z, y, x] = mask[z, y, x] and nonmin[z, y, x] == 0
-    return out
 
 
 def _shifted_slices(shape, d):
@@ -204,6 +108,4 @@ def regional_minima(val: np.ndarray, mask: np.ndarray, connectivity: int) -> np.
     offs = neighbor_offsets(connectivity)
     val = np.asarray(val, np.float64)
     mask = np.asarray(mask, bool)
-    if use_numba():
-        return _minima_numba(val, mask, offs)
     return _minima_numpy(val, mask, offs)

@@ -1,38 +1,19 @@
-"""Kernel backend selection.
+"""Kernel worker threads.
 
-Four kernels ship in two implementations, a numba @njit loop and a
-hand-written numpy version, each the other's oracle: watershed flooding,
-regional minima, grayscale reconstruction and non-local means. The
-environment variable TOMOSEG_BACKEND forces one of "numba" or "numpy" for
-those four; when unset, numba is used if it imports. Every other kernel has
-one numpy/scipy implementation, tested against a brute-force oracle.
+Every kernel has one numpy/scipy implementation, tested against an
+independent oracle. The global ``--threads N`` option sets a bound on kernel
+worker threads (``set_thread_bound``); ``worker_count`` applies it, capped at
+the usable CPUs. Non-local means is the kernel that honours it.
 
-The global ``--threads N`` option sets a bound on kernel worker threads
-(``set_thread_bound``); ``worker_count`` applies it, capped at the usable
-CPUs. Non-local means on the numpy path is the kernel that honours it.
+The benchmark's environment record reads ``selected()``, which is always
+"numpy", and the flag below, which is always False.
 """
 
 from __future__ import annotations
 
 import os
 
-try:
-    from numba import njit  # noqa: F401
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(func):
-            return func
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-ENV_VAR = "TOMOSEG_BACKEND"
+HAVE_NUMBA = False
 
 _thread_bound: int | None = None
 
@@ -55,18 +36,5 @@ def worker_count(parts: int) -> int:
 
 
 def selected() -> str:
-    """Return the active backend name, "numba" or "numpy"."""
-    choice = os.environ.get(ENV_VAR, "").strip().lower()
-    if choice == "numba":
-        if not HAVE_NUMBA:
-            raise RuntimeError(f"{ENV_VAR}=numba but numba is not importable")
-        return "numba"
-    if choice == "numpy":
-        return "numpy"
-    if choice:
-        raise ValueError(f"unknown {ENV_VAR} value {choice!r}; use 'numba' or 'numpy'")
-    return "numba" if HAVE_NUMBA else "numpy"
-
-
-def use_numba() -> bool:
-    return selected() == "numba"
+    """The kernel backend name recorded in benchmark environments."""
+    return "numpy"

@@ -54,17 +54,6 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _set_threads(n: int | None) -> None:
-    """Bound the kernel worker threads at ``n``; None restores the default
-    (the usable CPUs), so a bound from an earlier call does not carry over."""
-    backend.set_thread_bound(n)
-    if backend.HAVE_NUMBA:
-        import numba
-
-        limit = numba.config.NUMBA_NUM_THREADS
-        numba.set_num_threads(limit if n is None else min(max(1, n), limit))
-
-
 # ---------------------------------------------------------------- stages
 
 
@@ -458,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     ns = build_parser().parse_args(argv)
-    _set_threads(ns.threads)
+    backend.set_thread_bound(ns.threads)  # None lifts an earlier call's bound
     try:
         if ns.command == "pipeline":
             return run_pipeline(ns.config, ns.manifest)

@@ -36,7 +36,7 @@ class PhantomSpec:
     dims: tuple[int, int, int] = (128, 128, 128)
     spacing: float = 4.5
     count: int = 30
-    size_range_um: tuple[float, float] = (315.0, 500.0)
+    size_range_um: tuple[float, float] = (40.0, 70.0)
     exponent_range: tuple[float, float] = (2.0, 4.0)
     aspect_range: tuple[float, float] = (1.0, 4.0)
     elongated_fraction: float = 0.3  # particles forced to aspect >= 2.5

@@ -67,7 +67,7 @@ def marker_watershed(
     """Flood every foreground voxel from the markers in increasing inv_dist
     order. Equal heights resolve by queue insertion order (breadth-first
     fronts, seeded in raster order with (label, voxel) fixed), so equal
-    inputs give bit-identical labelings on any backend or thread count.
+    inputs give bit-identical labelings on every run and thread count.
     inv_dist must be finite on the mask.
     """
     mk = markers.data

@@ -1,6 +1,7 @@
 import builtins
 import errno
 import io
+import math
 import os
 
 import numpy as np
@@ -53,6 +54,45 @@ def correlate_axis_oracle(f, weights, axis):
             src[axis] = mirror(idx[axis] + k - rad, f.shape[axis])
             acc += w * f[tuple(src)]
         out[idx] = acc
+    return out
+
+
+def nlm_oracle(img, h, sigma, patch_radius, search_radius):
+    """Direct evaluation of the weighted-average definition, plain loops."""
+    nz, ny, nx = img.shape
+    r = patch_radius
+    offs = [
+        (a, b, c)
+        for a in range(-r, r + 1)
+        for b in range(-r, r + 1)
+        for c in range(-r, r + 1)
+    ]
+    gw = [math.exp(-(a * a + b * b + c * c) / (2.0 * sigma * sigma)) for a, b, c in offs]
+    total = sum(gw)
+    gw = [g / total for g in gw]
+    out = np.zeros_like(img, dtype=float)
+    for z in range(nz):
+        for y in range(ny):
+            for x in range(nx):
+                norm = 0.0
+                acc = 0.0
+                for cz in range(max(0, z - search_radius), min(nz, z + search_radius + 1)):
+                    for cy in range(max(0, y - search_radius), min(ny, y + search_radius + 1)):
+                        for cx in range(max(0, x - search_radius), min(nx, x + search_radius + 1)):
+                            d = 0.0
+                            for (a, b, c), g in zip(offs, gw):
+                                az, ay, ax = z + a, y + b, x + c
+                                bz, by, bx = cz + a, cy + b, cx + c
+                                if not (0 <= az < nz and 0 <= ay < ny and 0 <= ax < nx):
+                                    continue
+                                if not (0 <= bz < nz and 0 <= by < ny and 0 <= bx < nx):
+                                    continue
+                                diff = img[az, ay, ax] - img[bz, by, bx]
+                                d += g * diff * diff
+                            w = math.exp(-d / (h * h))
+                            norm += w
+                            acc += w * img[cz, cy, cx]
+                out[z, y, x] = acc / norm
     return out
 
 

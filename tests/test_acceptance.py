@@ -1,6 +1,7 @@
 """Acceptance suite: one test per exit criterion, each printing a PASS line
-with its measured numbers. Runtime budgets exclude one-time JIT compilation
-(the session warmup fixture touches every kernel first).
+with its measured numbers. Runtime budgets exclude one-time first-call
+costs such as lazy imports (the module warmup fixture touches every kernel
+first).
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the criterion lines.
 """
@@ -20,8 +21,8 @@ from conftest import ball_mask, binary, scalar
 
 @pytest.fixture(scope="module", autouse=True)
 def warm_kernels():
-    """Touch every numba kernel once so criterion timings measure the
-    algorithms, not JIT compilation."""
+    """Touch every kernel once so criterion timings measure the algorithms,
+    not first-call costs such as the lazy ``scipy.sparse`` import."""
     rng = np.random.default_rng(0)
     vol = scalar(rng.integers(0, 65536, (8, 8, 8)).astype(np.uint16))
     prefilter.nonlocal_means(vol, prefilter.NlmParams(h=500.0, search_radius=1))

@@ -1,24 +1,241 @@
-"""The four kernels with a numba twin (flooding, regional minima, grayscale
-reconstruction, non-local means) must agree with their numpy versions;
-TOMOSEG_BACKEND only selects a path, never a result. Twin implementations
-are exercised directly so the suite covers both regardless of the active
-backend; without numba the identity ``njit`` shim runs the numba twins as
-plain Python, so only the tests that force TOMOSEG_BACKEND=numba need numba
-itself. The other kernels have one implementation, compared with
-brute-force oracles; separable correlation, which lost its numba twin, is
-held to its per-voxel mirror-fold oracle here, the rest in the tests of the
-modules that use them."""
+"""Flooding, regional minima and grayscale reconstruction are each held to
+an independent plain-Python oracle that reaches the same result by another
+algorithm: a binary heap ordered by (height, insertion seq) for the bucket
+queue, a breadth-first spread of "not minimal" for the plateau components,
+and sequential raster sweeps for the erosion rounds. Non-local means is
+held to its per-voxel definition. Separable correlation is held to its
+per-voxel mirror-fold oracle here; the other kernels are compared with
+brute-force oracles in the tests of the modules that use them.
+TOMOSEG_BACKEND is not read: every kernel has one implementation."""
 
 import numpy as np
 import pytest
 
 from tomoseg import backend
 from tomoseg._kernels import cc, convsep, flood, nlm, recon
-from tomoseg.backend import HAVE_NUMBA
 
-from conftest import correlate_axis_oracle
+from conftest import correlate_axis_oracle, nlm_oracle
 
-needs_numba = pytest.mark.skipif(not HAVE_NUMBA, reason="numba unavailable")
+_WALL = recon._WALL
+
+
+# ---------------------------------------------------------------- oracles
+
+
+def _less(pr, sq, i, j):
+    if pr[i] != pr[j]:
+        return pr[i] < pr[j]
+    return sq[i] < sq[j]
+
+
+def _swap(pr, sq, lb, ix, i, j):
+    pr[i], pr[j] = pr[j], pr[i]
+    sq[i], sq[j] = sq[j], sq[i]
+    lb[i], lb[j] = lb[j], lb[i]
+    ix[i], ix[j] = ix[j], ix[i]
+
+
+def _sift_up(pr, sq, lb, ix, c):
+    while c > 0:
+        parent = (c - 1) >> 1
+        if _less(pr, sq, c, parent):
+            _swap(pr, sq, lb, ix, c, parent)
+            c = parent
+        else:
+            break
+
+
+def _sift_down(pr, sq, lb, ix, n):
+    c = 0
+    while True:
+        left = 2 * c + 1
+        right = left + 1
+        best = c
+        if left < n and _less(pr, sq, left, best):
+            best = left
+        if right < n and _less(pr, sq, right, best):
+            best = right
+        if best == c:
+            return
+        _swap(pr, sq, lb, ix, c, best)
+        c = best
+
+
+def _flood_heap(height, markers, mask, offs):
+    nz, ny, nx = height.shape
+    out = markers.copy()
+    fg = 0
+    for z in range(nz):
+        for y in range(ny):
+            for x in range(nx):
+                if mask[z, y, x]:
+                    fg += 1
+    cap = max(1024, 2 * fg + 16)
+    pr = np.empty(cap, np.float64)
+    sq = np.empty(cap, np.int64)
+    lb = np.empty(cap, np.int32)
+    ix = np.empty(cap, np.int64)
+    n = 0
+    seq = 0
+    for z in range(nz):
+        for y in range(ny):
+            for x in range(nx):
+                if out[z, y, x] == 0:
+                    continue
+                for k in range(offs.shape[0]):
+                    zz = z + offs[k, 0]
+                    yy = y + offs[k, 1]
+                    xx = x + offs[k, 2]
+                    if 0 <= zz < nz and 0 <= yy < ny and 0 <= xx < nx:
+                        if mask[zz, yy, xx] and out[zz, yy, xx] == 0:
+                            if n == cap:
+                                cap *= 2
+                                pr2 = np.empty(cap, np.float64)
+                                sq2 = np.empty(cap, np.int64)
+                                lb2 = np.empty(cap, np.int32)
+                                ix2 = np.empty(cap, np.int64)
+                                pr2[:n] = pr
+                                sq2[:n] = sq
+                                lb2[:n] = lb
+                                ix2[:n] = ix
+                                pr, sq, lb, ix = pr2, sq2, lb2, ix2
+                            pr[n] = height[zz, yy, xx]
+                            sq[n] = seq
+                            lb[n] = out[z, y, x]
+                            ix[n] = (zz * ny + yy) * nx + xx
+                            seq += 1
+                            n += 1
+                            _sift_up(pr, sq, lb, ix, n - 1)
+    while n > 0:
+        label = lb[0]
+        i = ix[0]
+        n -= 1
+        _swap(pr, sq, lb, ix, 0, n)
+        _sift_down(pr, sq, lb, ix, n)
+        z = i // (ny * nx)
+        rem = i % (ny * nx)
+        y = rem // nx
+        x = rem % nx
+        if out[z, y, x] != 0:
+            continue
+        out[z, y, x] = label
+        for k in range(offs.shape[0]):
+            zz = z + offs[k, 0]
+            yy = y + offs[k, 1]
+            xx = x + offs[k, 2]
+            if 0 <= zz < nz and 0 <= yy < ny and 0 <= xx < nx:
+                if mask[zz, yy, xx] and out[zz, yy, xx] == 0:
+                    if n == cap:
+                        cap *= 2
+                        pr2 = np.empty(cap, np.float64)
+                        sq2 = np.empty(cap, np.int64)
+                        lb2 = np.empty(cap, np.int32)
+                        ix2 = np.empty(cap, np.int64)
+                        pr2[:n] = pr
+                        sq2[:n] = sq
+                        lb2[:n] = lb
+                        ix2[:n] = ix
+                        pr, sq, lb, ix = pr2, sq2, lb2, ix2
+                    pr[n] = height[zz, yy, xx]
+                    sq[n] = seq
+                    lb[n] = label
+                    ix[n] = (zz * ny + yy) * nx + xx
+                    seq += 1
+                    n += 1
+                    _sift_up(pr, sq, lb, ix, n - 1)
+    return out
+
+
+def _recon_sweeps(rec, low, offs_fwd, offs_bwd):
+    nz, ny, nx = rec.shape
+    changed = True
+    while changed:
+        changed = False
+        for z in range(nz):
+            for y in range(ny):
+                for x in range(nx):
+                    cur = rec[z, y, x]
+                    if cur >= _WALL:
+                        continue
+                    m = cur
+                    for k in range(offs_fwd.shape[0]):
+                        zz = z + offs_fwd[k, 0]
+                        yy = y + offs_fwd[k, 1]
+                        xx = x + offs_fwd[k, 2]
+                        if 0 <= zz < nz and 0 <= yy < ny and 0 <= xx < nx:
+                            if rec[zz, yy, xx] < m:
+                                m = rec[zz, yy, xx]
+                    val = max(low[z, y, x], m)
+                    if val != cur:
+                        rec[z, y, x] = val
+                        changed = True
+        for z in range(nz - 1, -1, -1):
+            for y in range(ny - 1, -1, -1):
+                for x in range(nx - 1, -1, -1):
+                    cur = rec[z, y, x]
+                    if cur >= _WALL:
+                        continue
+                    m = cur
+                    for k in range(offs_bwd.shape[0]):
+                        zz = z + offs_bwd[k, 0]
+                        yy = y + offs_bwd[k, 1]
+                        xx = x + offs_bwd[k, 2]
+                        if 0 <= zz < nz and 0 <= yy < ny and 0 <= xx < nx:
+                            if rec[zz, yy, xx] < m:
+                                m = rec[zz, yy, xx]
+                    val = max(low[z, y, x], m)
+                    if val != cur:
+                        rec[z, y, x] = val
+                        changed = True
+    return rec
+
+
+def _minima_spread(val, mask, offs):
+    nz, ny, nx = val.shape
+    nonmin = np.zeros((nz, ny, nx), np.uint8)
+    queue = np.empty(nz * ny * nx, np.int64)
+    qn = 0
+    for z in range(nz):
+        for y in range(ny):
+            for x in range(nx):
+                if not mask[z, y, x]:
+                    continue
+                for k in range(offs.shape[0]):
+                    zz = z + offs[k, 0]
+                    yy = y + offs[k, 1]
+                    xx = x + offs[k, 2]
+                    if 0 <= zz < nz and 0 <= yy < ny and 0 <= xx < nx:
+                        if mask[zz, yy, xx] and val[zz, yy, xx] < val[z, y, x]:
+                            nonmin[z, y, x] = 1
+                            queue[qn] = (z * ny + y) * nx + x
+                            qn += 1
+                            break
+    head = 0
+    while head < qn:
+        i = queue[head]
+        head += 1
+        z = i // (ny * nx)
+        rem = i % (ny * nx)
+        y = rem // nx
+        x = rem % nx
+        for k in range(offs.shape[0]):
+            zz = z + offs[k, 0]
+            yy = y + offs[k, 1]
+            xx = x + offs[k, 2]
+            if 0 <= zz < nz and 0 <= yy < ny and 0 <= xx < nx:
+                if mask[zz, yy, xx] and nonmin[zz, yy, xx] == 0 and val[zz, yy, xx] == val[z, y, x]:
+                    nonmin[zz, yy, xx] = 1
+                    queue[qn] = (zz * ny + yy) * nx + xx
+                    qn += 1
+    out = np.zeros((nz, ny, nx), np.bool_)
+    for z in range(nz):
+        for y in range(ny):
+            for x in range(nx):
+                out[z, y, x] = mask[z, y, x] and nonmin[z, y, x] == 0
+    return out
+
+
+# ---------------------------------------------------------------- tests
 
 
 def test_correlate_twins(rng):
@@ -60,11 +277,8 @@ def test_worker_count_bounds(monkeypatch):
 
 def test_nlm_twins(rng):
     img = rng.integers(0, 65536, (6, 6, 6)).astype(np.float64)
-    h2 = 800.0**2
-    g1 = np.exp(-(np.arange(-1, 2) ** 2) / 2.0)
-    g1 = g1 / g1.sum()
-    a = nlm._nlm_numba(img, h2, g1, 2)
-    b = nlm._nlm_numpy(img, h2, 1, 1.0, 2)
+    a = nlm_oracle(img, 800.0, 1.0, 1, 2)
+    b = nlm._nlm_numpy(img, 800.0**2, 1, 1.0, 2)
     np.testing.assert_allclose(a, b, rtol=1e-10)
 
 
@@ -73,27 +287,18 @@ def test_recon_twins(rng):
     mask = rng.random((8, 8, 8)) > 0.3
     offs = recon.neighbor_offsets(26)
     fwd, bwd = recon._split_scan_offsets(offs)
-    a = recon._recon_sweeps_numba(
-        np.where(mask, vals + 1.5, recon._WALL).astype(np.float64),
-        np.where(mask, vals, recon._WALL).astype(np.float64),
+    a = _recon_sweeps(
+        np.where(mask, vals + 1.5, _WALL).astype(np.float64),
+        np.where(mask, vals, _WALL).astype(np.float64),
         fwd, bwd,
     )
-    import tomoseg.backend as backend
-
-    # numpy path via the public entry with the env flag forced
-    import os
-
-    os.environ[backend.ENV_VAR] = "numpy"
-    try:
-        b = recon.reconstruct_erosion(vals + 1.5, vals, mask, 26)
-    finally:
-        del os.environ[backend.ENV_VAR]
+    b = recon.reconstruct_erosion(vals + 1.5, vals, mask, 26)
     np.testing.assert_array_equal(a[mask], b[mask])
 
 
 def _minima_both(vals, mask, connectivity):
     offs = recon.neighbor_offsets(connectivity)
-    a = recon._minima_numba(vals, mask, offs)
+    a = _minima_spread(vals, mask, offs)
     b = recon._minima_numpy(vals, mask, offs)
     np.testing.assert_array_equal(a, b)
     return b
@@ -124,7 +329,7 @@ def test_minima_twins_flat_and_border_plateaus(connectivity):
 
 def _flood_both(height, markers, mask, connectivity):
     offs = recon.neighbor_offsets(connectivity)
-    a = flood._flood_numba(height, markers, mask, offs)
+    a = _flood_heap(height, markers, mask, offs)
     b = flood._flood_numpy(height, markers, mask, offs)
     np.testing.assert_array_equal(a, b)
     return b
@@ -201,31 +406,15 @@ def test_watershed_kernel_twins_on_touching_balls():
     np.testing.assert_array_equal(out > 0, m)
 
 
-@needs_numba
-def test_backend_env_flag(monkeypatch):
-    import tomoseg.backend as backend
-
-    monkeypatch.setenv(backend.ENV_VAR, "numpy")
-    assert backend.selected() == "numpy"
-    monkeypatch.setenv(backend.ENV_VAR, "numba")
-    assert backend.selected() == "numba"
-    monkeypatch.setenv(backend.ENV_VAR, "cuda")
-    with pytest.raises(ValueError):
-        backend.selected()
-
-
-@needs_numba
-def test_watershed_identical_across_backends(monkeypatch):
-    # end-to-end determinism: the public pipeline gives bit-identical labels
-    # under both backends
+def test_backend_env_var_is_ignored(monkeypatch):
+    # TOMOSEG_BACKEND selects nothing: any value leaves the labels as unset
     from conftest import ball_mask, binary
     from tomoseg.watershed import WatershedParams, watershed_segment
 
     m = binary(ball_mask((24, 24, 40), (12, 12, 12), 9) | ball_mask((24, 24, 40), (12, 12, 28), 9))
-    results = {}
-    import tomoseg.backend as backend
-
-    for name in ("numba", "numpy"):
-        monkeypatch.setenv(backend.ENV_VAR, name)
-        results[name] = watershed_segment(m, WatershedParams(h_depth=1.0)).data
-    np.testing.assert_array_equal(results["numba"], results["numpy"])
+    params = WatershedParams(h_depth=1.0)
+    monkeypatch.delenv("TOMOSEG_BACKEND", raising=False)
+    unset = watershed_segment(m, params).data
+    for value in ("numba", "cuda"):
+        monkeypatch.setenv("TOMOSEG_BACKEND", value)
+        np.testing.assert_array_equal(watershed_segment(m, params).data, unset)

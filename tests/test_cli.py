@@ -152,6 +152,14 @@ def test_pipeline_missing_stage_input(tmp_path):
     assert cli.main(["pipeline", "--config", str(cfg)]) == cli.EXIT_MISSING_INPUT
 
 
+def test_phantom_without_spec_uses_defaults(tmp_path):
+    # the default PhantomSpec must fit its own volume, as the README's
+    # `tomoseg phantom --out-dir work/` promises
+    assert cli.main(["phantom", "--out-dir", str(tmp_path)]) == 0
+    for name in ("gray.raw", "section_1.raw", "section_2.raw"):
+        assert (tmp_path / name).is_file(), name
+
+
 def test_pipeline_full_run_and_reproducible_hashes(tmp_path):
     spec = tmp_path / "phantom.spec"
     spec.write_text(
