@@ -11,9 +11,10 @@ is a float32 FFT correlation plus an exact count of each candidate shift.
 Rotation reads a guarded copy of the volume built once, as the
 registration does. The opening rows time radius 1 and 2 on the ball
 footprint, beside the distance-threshold formulation that radii above
-``BALL_FOOTPRINT_MAX_RADIUS`` use. The polish row times one prepared
-``direct_overlap`` evaluation of a plane of about 15% foreground; rows
-under a millisecond print in microseconds. The solve runs at the band and
+``BALL_FOOTPRINT_MAX_RADIUS`` use. The polish rows time one
+``direct_overlap`` evaluation of a plane of about 15% foreground, prepared
+as the polish runs it and plain (``sample_plane``); rows under a
+millisecond print in microseconds. The solve runs at the band and
 plane shapes of the three pyramid levels of a 96^3 registration, twice: cold,
 over the full zero-padded length, and hinted, with the plane planted in
 the band and the solver's hint at its shift, so the transform shrinks to
@@ -119,6 +120,8 @@ def main():
     pose = RigidTransform((0.01, -0.02, 0.015), (n / 32 + 0.3, n / 32 - 0.2, n / 2 + 0.4))
     add(f"direct overlap, prepared ({len(sampler.u)} plane points)",
         lambda: direct_overlap(bmask, plane, pose, sampler))
+    add(f"direct overlap, plain (sample_plane, {len(sampler.u)} plane points)",
+        lambda: direct_overlap(bmask, plane, pose))
 
     grid = np.zeros(mask.shape, np.int32)
     rot = RigidTransform((0.4, 0.1, -0.3), (0, 0, 0)).rotation()

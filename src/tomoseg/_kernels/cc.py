@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import ndimage
 
-from .recon import neighbor_offsets
+from .recon import neighbor_structure
 
 
 def _canonicalize(labels: np.ndarray) -> np.ndarray:
@@ -32,9 +32,5 @@ def _canonicalize(labels: np.ndarray) -> np.ndarray:
 
 def connected_components_mask(mask: np.ndarray, connectivity: int) -> np.ndarray:
     mask = np.asarray(mask, bool)
-    offs = neighbor_offsets(connectivity)
-    structure = np.zeros((3, 3, 3), bool)
-    structure[tuple((offs + 1).T)] = True
-    structure[1, 1, 1] = True
-    raw, _ = ndimage.label(mask, structure=structure)
+    raw, _ = ndimage.label(mask, structure=neighbor_structure(connectivity))
     return _canonicalize(raw.astype(np.int32))

@@ -33,6 +33,14 @@ def neighbor_offsets(connectivity: int) -> np.ndarray:
     return np.array(offs, np.int64)
 
 
+def neighbor_structure(connectivity: int) -> np.ndarray:
+    """The (3, 3, 3) boolean footprint of the neighborhood, center included."""
+    structure = np.zeros((3, 3, 3), bool)
+    structure[tuple((neighbor_offsets(connectivity) + 1).T)] = True
+    structure[1, 1, 1] = True
+    return structure
+
+
 def _split_scan_offsets(offs: np.ndarray):
     # Offsets strictly before (resp. after) the center in raster order.
     key = offs[:, 0] * 9 + offs[:, 1] * 3 + offs[:, 2]
@@ -43,12 +51,9 @@ def reconstruct_erosion(marker: np.ndarray, lower: np.ndarray, mask: np.ndarray,
     """Largest image <= marker that is >= lower and has no descending path
     finer than the neighborhood allows (morphological reconstruction by
     erosion of ``marker`` above ``lower``), computed inside ``mask``."""
-    offs = neighbor_offsets(connectivity)
     rec = np.where(mask, marker, _WALL).astype(np.float64)
     low = np.where(mask, lower, _WALL).astype(np.float64)
-    footprint = np.zeros((3, 3, 3), bool)
-    footprint[tuple((offs + 1).T)] = True
-    footprint[1, 1, 1] = True
+    footprint = neighbor_structure(connectivity)
     while True:
         eroded = ndimage.grey_erosion(rec, footprint=footprint, mode="constant", cval=_WALL)
         nxt = np.maximum(low, eroded)

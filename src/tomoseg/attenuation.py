@@ -16,8 +16,10 @@ from importlib import resources
 
 import numpy as np
 
-from .register import RigidTransform
-from .volgrid import BinaryVolume, LabelPlane, ScalarVolume, _atomic_text
+from .register import RigidTransform, sample_plane
+from .volgrid import (
+    BinaryVolume, LabelPlane, ScalarVolume, _atomic_text, key_value, read_key_values,
+)
 
 
 @dataclass(frozen=True)
@@ -138,19 +140,37 @@ def mean_phase_gray(
     phase = np.asarray(phase, np.float64).reshape(-1, 2)
     if len(phase) == 0:
         raise ValueError("phase is empty")
-    pts = transform.map_plane_points(phase * pixel_to_voxel, vol.data.shape)
-    idx = np.floor(pts + 0.5).astype(np.int64)  # nearest voxel
-    nz, ny, nx = vol.data.shape
-    ok = (
-        (idx[:, 0] >= 0) & (idx[:, 0] < nx)
-        & (idx[:, 1] >= 0) & (idx[:, 1] < ny)
-        & (idx[:, 2] >= 0) & (idx[:, 2] < nz)
-    )
-    n_used = int(ok.sum())
+    values, inside = sample_plane(vol.data, transform, phase * pixel_to_voxel)
+    n_used = int(inside.sum())
     if n_used == 0:
         raise ValueError("every phase pixel maps outside the volume")
-    vals = vol.data[idx[ok, 2], idx[ok, 1], idx[ok, 0]].astype(np.float64)
-    return float(vals.mean()), n_used, int(len(phase) - n_used)
+    return float(values[inside].astype(np.float64).mean()), n_used, int(len(phase) - n_used)
+
+
+def phase_means(
+    vol: ScalarVolume,
+    transform: RigidTransform,
+    plane: LabelPlane,
+    table: MineralTable,
+    pixel_to_voxel: float = 1.0,
+    erode_px: int = 0,
+):
+    """Mean grayscale of each mineral's phase on a registered section.
+
+    Each phase loses an ``erode_px`` boundary band first (``erode_phase``).
+    Returns ([(mineral, mean, n_used), ...], skipped names): a mineral
+    absent from the section, or present only in slivers that erosion
+    empties, is skipped."""
+    means = []
+    skipped = []
+    for mineral in table.minerals:
+        phase = erode_phase(plane, mineral.code, table, erode_px)
+        if len(phase) == 0:
+            skipped.append(mineral.name)
+            continue
+        mean, n_used, _ = mean_phase_gray(vol, transform, phase, pixel_to_voxel)
+        means.append((mineral, mean, n_used))
+    return means, tuple(skipped)
 
 
 @dataclass(frozen=True)
@@ -164,6 +184,28 @@ class AttenuationModel:
 
     def predict(self, gray):
         return self.slope * np.asarray(gray, np.float64) + self.intercept
+
+
+def save_model(model: AttenuationModel, path) -> None:
+    """Write the line and its interval as ``key = value`` lines; the
+    residuals are not stored."""
+    with _atomic_text(path) as fh:
+        fh.write(f"slope = {model.slope!r}\n")
+        fh.write(f"intercept = {model.intercept!r}\n")
+        fh.write(f"gray_min = {model.gray_min!r}\n")
+        fh.write(f"gray_max = {model.gray_max!r}\n")
+        fh.write(f"r_squared = {model.r_squared!r}\n")
+
+
+def load_model(path) -> AttenuationModel:
+    """A ``save_model`` file; ``r_squared`` may be absent (NaN). A missing or
+    malformed key raises ValueError naming the file and the key."""
+    vals = read_key_values(path)
+    slope, intercept, gray_min, gray_max = (
+        key_value(path, vals, key, float) for key in ("slope", "intercept", "gray_min", "gray_max")
+    )
+    r2 = key_value(path, vals, "r_squared", float) if "r_squared" in vals else math.nan
+    return AttenuationModel(slope, intercept, gray_min, gray_max, r2, ())
 
 
 def _ols(x: np.ndarray, y: np.ndarray, w: np.ndarray | None):
@@ -254,18 +296,12 @@ def validate_section(
     section, or present only in slivers that erosion empties, are listed in
     ``skipped``.
     """
-    rows = []
-    skipped = []
-    for mineral in table.minerals:
-        phase = erode_phase(plane, mineral.code, table, erode_px)
-        if len(phase) == 0:
-            skipped.append(mineral.name)
-            continue
-        mean, n_used, _ = mean_phase_gray(vol, transform, phase, pixel_to_voxel)
-        rows.append(
-            ValidationRow(mineral.name, mean, n_used, float(model.predict(mean)), mineral.rho_mu)
-        )
-    return ValidationReport(tuple(rows), tuple(skipped))
+    means, skipped = phase_means(vol, transform, plane, table, pixel_to_voxel, erode_px)
+    rows = tuple(
+        ValidationRow(m.name, mean, n_used, float(model.predict(mean)), m.rho_mu)
+        for m, mean, n_used in means
+    )
+    return ValidationReport(rows, skipped)
 
 
 def write_scatter(report: ValidationReport, path) -> None:

@@ -225,9 +225,8 @@ def stage_attenuation_fit(*, out: str, samples: Input | None = None, vol: Input 
                           pixel_to_voxel: float | None = None):
     """fit the gray-to-rho*mu_m line from samples, or from vol, plane and transform"""
     mineral_table = atn.load_mineral_table(table)
-    fit_samples = []
-    weights = []
     if samples is not None:
+        fit_samples, weights = [], []
         with open(samples, encoding="utf-8") as fh:
             header = fh.readline().strip()
             if header != "mineral,mean_gray,n_pixels":
@@ -242,42 +241,20 @@ def stage_attenuation_fit(*, out: str, samples: Input | None = None, vol: Input 
     else:
         gray_vol = load_volume(vol)
         section = load_volume(plane)
-        rigid = rg.read_transform(transform)
         ptv = section.spacing / gray_vol.spacing if pixel_to_voxel is None else pixel_to_voxel
-        for mineral in mineral_table.minerals:
-            phase = atn.erode_phase(section, mineral.code, mineral_table, erode_px)
-            if len(phase) == 0:
-                continue
-            mean, n_used, _ = atn.mean_phase_gray(gray_vol, rigid, phase, ptv)
-            fit_samples.append((mineral.name, mean, mineral.rho, mineral.mu_m))
-            weights.append(n_used)
+        means, _ = atn.phase_means(gray_vol, rg.read_transform(transform), section,
+                                   mineral_table, ptv, erode_px)
+        fit_samples = [(m.name, mean, m.rho, m.mu_m) for m, mean, _ in means]
+        weights = [n_used for _, _, n_used in means]
     model = atn.fit_attenuation(fit_samples, weights if weighted else None)
-    with _atomic_text(out) as fh:
-        fh.write(f"slope = {model.slope!r}\n")
-        fh.write(f"intercept = {model.intercept!r}\n")
-        fh.write(f"gray_min = {model.gray_min!r}\n")
-        fh.write(f"gray_max = {model.gray_max!r}\n")
-        fh.write(f"r_squared = {model.r_squared!r}\n")
+    atn.save_model(model, out)
     return [out]
-
-
-def _read_attenuation_model(path) -> atn.AttenuationModel:
-    vals = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if "=" in line:
-                k, _, v = line.partition("=")
-                vals[k.strip()] = float(v.strip())
-    return atn.AttenuationModel(
-        vals["slope"], vals["intercept"], vals["gray_min"], vals["gray_max"],
-        vals.get("r_squared", float("nan")), (),
-    )
 
 
 def stage_attenuation_predict(*, vol: Input, mask: Input, model: Input, out: str):
     """map rho*mu_m over a mask, flagging voxels outside the calibration"""
     gray_vol = load_volume(vol)
-    pred, flags = atn.predict_map(gray_vol, _read_attenuation_model(model), load_volume(mask))
+    pred, flags = atn.predict_map(gray_vol, atn.load_model(model), load_volume(mask))
     # the payload, the flags and their sidecar are renamed into place together
     flags_payload, flags_meta = _encode_volume(BinaryVolume(flags, gray_vol.spacing))
     with _atomic_files(out, out + ".flags", out + ".flags.meta") as (fh, flags_fh, meta_fh):
@@ -297,7 +274,7 @@ def stage_attenuation_validate(*, vol: Input, plane: Input, transform: Input, mo
     section = load_volume(plane)
     ptv = section.spacing / gray_vol.spacing if pixel_to_voxel is None else pixel_to_voxel
     report = atn.validate_section(
-        gray_vol, _read_attenuation_model(model), rg.read_transform(transform), section,
+        gray_vol, atn.load_model(model), rg.read_transform(transform), section,
         atn.load_mineral_table(table), ptv, erode_px=erode_px,
     )
     atn.write_scatter(report, out)

@@ -293,26 +293,3 @@ def export_distributions(rows, bins: int, out_dir) -> dict:
                 fh.write(f"{float(cvt)!r},{float(f)!r}\n")
         written[field] = path
     return written
-
-
-def block_downsample_labels(labels_2d: np.ndarray, factor: float) -> np.ndarray:
-    """Majority-vote coarsening of a 2D code image by ``factor`` (may be
-    non-integer; block edges are rounded). Ties pick the smaller code;
-    background competes like any other code."""
-    labels_2d = np.asarray(labels_2d)
-    if factor <= 1.0:
-        raise ValueError("factor must exceed 1")
-    ny, nx = labels_2d.shape
-    out_ny = max(1, int(np.ceil(ny / factor)))
-    out_nx = max(1, int(np.ceil(nx / factor)))
-    out = np.zeros((out_ny, out_nx), labels_2d.dtype)
-    for j in range(out_ny):
-        y0, y1 = int(round(j * factor)), min(ny, max(int(round((j + 1) * factor)), int(round(j * factor)) + 1))
-        for i in range(out_nx):
-            x0 = int(round(i * factor))
-            x1 = min(nx, max(int(round((i + 1) * factor)), x0 + 1))
-            block = labels_2d[y0:y1, x0:x1]
-            if block.size == 0:
-                continue
-            out[j, i] = np.bincount(block.ravel()).argmax()
-    return out

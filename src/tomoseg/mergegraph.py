@@ -28,22 +28,10 @@ import numpy as np
 
 from ._kernels.cc import _canonicalize
 from ._kernels.convsep import sobel_magnitude_field
+from ._kernels.recon import _shifted_slices, _split_scan_offsets, neighbor_offsets
 from .volgrid import LabelVolume, ScalarVolume, _atomic_text
 
 FEATURE_DIM = 18
-
-# the 13 offsets after the center in raster order; scanning them covers all
-# 26 neighbor pairs once
-_HALF_OFFSETS = np.array(
-    [
-        (a, b, c)
-        for a in (-1, 0, 1)
-        for b in (-1, 0, 1)
-        for c in (-1, 0, 1)
-        if a * 9 + b * 3 + c > 0
-    ],
-    np.int64,
-)
 
 
 def _ball_offsets(radius: float) -> np.ndarray:
@@ -72,11 +60,9 @@ def build_region_graph(labels: LabelVolume) -> RegionGraph:
     flat = np.arange(lab.size, dtype=np.int64).reshape(lab.shape)
     keys = []
     voxels = []
-    for dz, dy, dx in _HALF_OFFSETS:
-        a_lo = [max(0, -d) for d in (dz, dy, dx)]
-        a_hi = [s - max(0, d) for s, d in zip(lab.shape, (dz, dy, dx))]
-        ctr = tuple(slice(lo, hi) for lo, hi in zip(a_lo, a_hi))
-        nbr = tuple(slice(lo + d, hi + d) for lo, hi, d in zip(a_lo, a_hi, (dz, dy, dx)))
+    # scanning the 13 offsets after the center covers all 26 neighbor pairs once
+    for d in _split_scan_offsets(neighbor_offsets(26))[1]:
+        ctr, nbr = _shifted_slices(lab.shape, d)
         a = lab[ctr]
         b = lab[nbr]
         m = (a > 0) & (b > 0) & (a != b)

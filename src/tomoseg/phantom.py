@@ -12,15 +12,18 @@ line (up to noise).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+import typing
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from ._kernels.render import stamp_superellipsoid
 from .attenuation import REFERENCE_MEAN_GRAY, MineralTable, load_mineral_table
 from .mergegraph import RegionGraph
-from .register import RigidTransform
-from .volgrid import BinaryVolume, LabelPlane, LabelVolume, ScalarVolume
+from .register import RigidTransform, sample_plane
+from .volgrid import (
+    BinaryVolume, LabelPlane, LabelVolume, ScalarVolume, key_value, read_key_values,
+)
 
 DEFAULT_MINERAL_FRACTIONS = {
     "quartz": 0.40,
@@ -273,35 +276,33 @@ def generate(spec: PhantomSpec, table: MineralTable | None = None) -> PhantomOut
     return replace(out, sections=tuple(sections))
 
 
+def _sample_section(out: PhantomOutput, transform: RigidTransform, ratio: float, plane_dims):
+    """Ground-truth labels at the nearest voxel of each pixel of a section
+    whose pixel i lies at i * ratio voxels (``sample_plane``); (ph, pw)."""
+    nx, ny, _ = out.spec.dims
+    if plane_dims is None:
+        pw = int(out.spec.section_extent * nx / ratio)
+        ph = int(out.spec.section_extent * ny / ratio)
+    else:
+        pw, ph = plane_dims
+    jj, ii = np.meshgrid(np.arange(ph), np.arange(pw), indexing="ij")
+    uv = np.column_stack([ii.ravel() * ratio, jj.ravel() * ratio])
+    labels, inside = sample_plane(out.labels.data, transform, uv)
+    if not inside.any():
+        raise ValueError("section plane does not intersect the volume")
+    return labels.reshape(ph, pw)
+
+
 def render_mla_section(
     out: PhantomOutput, transform: RigidTransform, mla_spacing_um: float, plane_dims=None
 ) -> LabelPlane:
     """Mineral-code image sampled from the ground truth along the transformed
     plane, at the (finer) section resolution. The output is already
     classified, so no noise is added."""
-    spec = out.spec
-    nx, ny, nz = spec.dims
-    ratio = mla_spacing_um / spec.spacing  # voxels per section pixel
-    if plane_dims is None:
-        pw = int(spec.section_extent * nx / ratio)
-        ph = int(spec.section_extent * ny / ratio)
-    else:
-        pw, ph = plane_dims
-    jj, ii = np.meshgrid(np.arange(ph), np.arange(pw), indexing="ij")
-    uv = np.column_stack([ii.ravel() * ratio, jj.ravel() * ratio])
-    pts = transform.map_plane_points(uv, out.labels.data.shape)
-    idx = np.floor(pts + 0.5).astype(np.int64)
-    ok = (
-        (idx[:, 0] >= 0) & (idx[:, 0] < nx)
-        & (idx[:, 1] >= 0) & (idx[:, 1] < ny)
-        & (idx[:, 2] >= 0) & (idx[:, 2] < nz)
-    )
-    if not ok.any():
-        raise ValueError("section plane does not intersect the volume")
-    codes = np.zeros(pw * ph, np.uint8)
-    lab = out.labels.data[idx[ok, 2], idx[ok, 1], idx[ok, 0]]
-    codes[ok] = out.mineral_of_label[lab]
-    return LabelPlane(codes.reshape(ph, pw), mla_spacing_um)
+    ratio = mla_spacing_um / out.spec.spacing  # voxels per section pixel
+    labels = _sample_section(out, transform, ratio, plane_dims)
+    # label 0, which pixels outside the volume read too, is mineral code 0
+    return LabelPlane(out.mineral_of_label[labels], mla_spacing_um)
 
 
 def render_section_mask(
@@ -310,26 +311,7 @@ def render_section_mask(
     """Binary section of the ground-truth foreground sampled directly on the
     voxel lattice (one pixel per voxel edge); the cleanest registration
     input, free of coarsening artifacts."""
-    nx, ny, nz = out.spec.dims
-    if plane_dims is None:
-        pw = int(out.spec.section_extent * nx)
-        ph = int(out.spec.section_extent * ny)
-    else:
-        pw, ph = plane_dims
-    jj, ii = np.meshgrid(np.arange(ph), np.arange(pw), indexing="ij")
-    uv = np.column_stack([ii.ravel(), jj.ravel()]).astype(np.float64)
-    pts = transform.map_plane_points(uv, out.labels.data.shape)
-    idx = np.floor(pts + 0.5).astype(np.int64)
-    ok = (
-        (idx[:, 0] >= 0) & (idx[:, 0] < nx)
-        & (idx[:, 1] >= 0) & (idx[:, 1] < ny)
-        & (idx[:, 2] >= 0) & (idx[:, 2] < nz)
-    )
-    if not ok.any():
-        raise ValueError("section plane does not intersect the volume")
-    mask = np.zeros(pw * ph, bool)
-    mask[ok] = out.labels.data[idx[ok, 2], idx[ok, 1], idx[ok, 0]] > 0
-    return mask.reshape(ph, pw)
+    return _sample_section(out, transform, 1.0, plane_dims) > 0
 
 
 def section_to_voxel_mask(plane: LabelPlane, pixel_to_voxel: float, spacing: float) -> BinaryVolume:
@@ -447,35 +429,31 @@ def adjusted_rand_index(a: np.ndarray, b: np.ndarray) -> float:
     return float((sum_ij - expected) / (max_index - expected))
 
 
+def _fractions(text: str) -> dict:
+    fractions = {}
+    for item in text.split(","):
+        name, _, frac = item.partition(":")
+        fractions[name.strip()] = float(frac)
+    return fractions
+
+
 def parse_spec_file(path) -> PhantomSpec:
-    """key=value phantom description; mineral fractions as
-    ``mineral_fractions=quartz:0.4,topaz:0.6``."""
+    """``key = value`` phantom description; the keys are the PhantomSpec
+    fields. A tuple field takes comma-separated values (``dims = 32,40,48``)
+    and mineral fractions read ``mineral_fractions = quartz:0.4,topaz:0.6``.
+    An unknown key, a tuple of the wrong length or a value that does not
+    parse raises ValueError naming the file and the key."""
+    hints = typing.get_type_hints(PhantomSpec)
+    types = {f.name: hints[f.name] for f in fields(PhantomSpec)}
+    vals = read_key_values(path)
     kwargs = {}
-    with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#") or "=" not in line:
-                continue
-            key, _, val = line.partition("=")
-            key, val = key.strip(), val.strip()
-            if key == "dims":
-                kwargs["dims"] = tuple(int(v) for v in val.split(","))
-            elif key in ("size_range_um", "exponent_range", "aspect_range"):
-                kwargs[key] = tuple(float(v) for v in val.split(","))
-            elif key == "mineral_fractions":
-                fr = {}
-                for item in val.split(","):
-                    name, _, frac = item.partition(":")
-                    fr[name.strip()] = float(frac)
-                kwargs[key] = fr
-            elif key in ("count", "n_sections", "rng_seed"):
-                kwargs[key] = int(val)
-            elif key in (
-                "spacing", "elongated_fraction", "noise_std", "ring_amplitude",
-                "ring_period", "background_gray", "contact_fraction",
-                "section_max_angle_deg", "section_max_shift", "mla_spacing_um",
-            ):
-                kwargs[key] = float(val)
-            else:
-                raise ValueError(f"unknown phantom spec key {key!r}")
+    for key in vals:
+        if key not in types:
+            raise ValueError(f"{path}: unknown phantom spec key {key!r}")
+        tp = types[key]
+        if typing.get_origin(tp) is tuple:
+            args = typing.get_args(tp)
+            kwargs[key] = key_value(path, vals, key, args[0], len(args), ",")
+        else:
+            kwargs[key] = key_value(path, vals, key, _fractions if tp is dict else tp)
     return PhantomSpec(**kwargs)

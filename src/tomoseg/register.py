@@ -40,7 +40,7 @@ import numpy as np
 from scipy import fft as sfft
 
 from ._kernels.rotate import guard_volume, rotate_nearest
-from .volgrid import BinaryVolume, _atomic_files
+from .volgrid import BinaryVolume, _atomic_files, key_value, read_key_values
 
 
 def _wrap_angle(a: float) -> float:
@@ -431,12 +431,13 @@ class _PlaneSampler:
     evaluations against one volume: the volume with a background guard
     (``guard_volume``), flattened, and buffers for every step.
 
-    Each evaluation computes the same float64 values as
-    ``RigidTransform.map_plane_points``: q - center column by column in the
-    same order, then the same (N, 3) @ R product on a C-contiguous q (BLAS
-    may fuse its multiply-adds, so a hand-written sum would differ). The
-    rest runs on a (3, N) copy: + center, + 0.5, floor, then a clip to
-    [-1, n] that sends every point outside the volume onto a guard voxel.
+    Each evaluation counts what ``sample_plane`` reads, from the same
+    float64 values as ``RigidTransform.map_plane_points``: q - center
+    column by column in the same order, then the same (N, 3) @ R product on
+    a C-contiguous q (BLAS may fuse its multiply-adds, so a hand-written sum
+    would differ). The rest runs on a (3, N) copy: + center, + 0.5, floor,
+    then a clip to [-1, n] that sends every point outside the volume onto a
+    guard voxel.
     The flat index is summed in float64, exactly, as every term is an
     integer far below 2**53, and one gather reads every sample."""
 
@@ -479,30 +480,38 @@ class _PlaneSampler:
         return int(np.count_nonzero(self.volume.take(self.flat.astype(np.intp), mode="clip")))
 
 
-def direct_overlap(vol: BinaryVolume, plane, transform: RigidTransform, uv=None) -> int:
-    """Overlap evaluated by mapping the plane's foreground pixels through the
-    transform and sampling the volume at the nearest voxel; supports
-    fractional shifts, unlike the lattice correlation. ``uv``, when given,
-    is ``plane_points(plane)``, or a ``_PlaneSampler`` of those points and
-    ``vol``, built once by a caller that evaluates the same plane many
-    times; all three give the same count."""
-    if isinstance(uv, _PlaneSampler):
-        if uv.shape != vol.data.shape:
-            raise ValueError(f"sampler built for volume shape {uv.shape}, got {vol.data.shape}")
-        return uv.overlap(transform)
-    if uv is None:
-        uv = plane_points(plane)
-    if len(uv) == 0:
-        return 0
-    pts = transform.map_plane_points(uv, vol.data.shape)
-    idx = np.floor(pts + 0.5).astype(np.int64)
-    nz, ny, nx = vol.data.shape
-    ok = (
+def sample_plane(data: np.ndarray, transform: RigidTransform, uv) -> tuple[np.ndarray, np.ndarray]:
+    """The section-to-volume rule: plane points ``uv`` (N, 2) of (u, v) are
+    mapped through ``transform`` (``map_plane_points``) and read at their
+    nearest voxel, floor(p + 0.5) per axis, of ``data`` (nz, ny, nx).
+    Returns the values and the mask of points whose voxel lies inside the
+    volume; points outside read 0."""
+    uv = np.asarray(uv, np.float64).reshape(-1, 2)
+    idx = np.floor(transform.map_plane_points(uv, data.shape) + 0.5).astype(np.int64)
+    nz, ny, nx = data.shape
+    inside = (
         (idx[:, 0] >= 0) & (idx[:, 0] < nx)
         & (idx[:, 1] >= 0) & (idx[:, 1] < ny)
         & (idx[:, 2] >= 0) & (idx[:, 2] < nz)
     )
-    return int(vol.data[idx[ok, 2], idx[ok, 1], idx[ok, 0]].sum())
+    values = np.zeros(len(uv), data.dtype)
+    values[inside] = data[idx[inside, 2], idx[inside, 1], idx[inside, 0]]
+    return values, inside
+
+
+def direct_overlap(vol: BinaryVolume, plane, transform: RigidTransform, sampler=None) -> int:
+    """Overlap evaluated by sampling the volume at the nearest voxel of each
+    of the plane's foreground pixels (``sample_plane``); supports fractional
+    shifts, unlike the lattice correlation. ``sampler``, when given, is a
+    ``_PlaneSampler`` of ``plane_points(plane)`` and ``vol``, built once by a
+    caller that evaluates the same plane many times; it gives the same
+    count."""
+    if sampler is not None:
+        if sampler.shape != vol.data.shape:
+            raise ValueError(f"sampler built for volume shape {sampler.shape}, got {vol.data.shape}")
+        return sampler.overlap(transform)
+    values, _ = sample_plane(vol.data, transform, plane_points(plane))
+    return int(np.count_nonzero(values))
 
 
 @dataclass(frozen=True)
@@ -738,12 +747,10 @@ def write_result(result: RegistrationResult, path) -> None:
 
 
 def read_transform(path) -> RigidTransform:
-    vals = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if "=" in line:
-                key, _, rest = line.partition("=")
-                vals[key.strip()] = rest.split()
-    angles = tuple(math.radians(float(v)) for v in vals["angles_deg"])
-    translation = tuple(float(v) for v in vals["translation"])
-    return RigidTransform(angles, translation)
+    """The transform of a ``write_result`` file; a missing or malformed
+    ``angles_deg`` or ``translation`` raises ValueError naming the file and
+    the key."""
+    vals = read_key_values(path)
+    angles = key_value(path, vals, "angles_deg", float, 3)
+    translation = key_value(path, vals, "translation", float, 3)
+    return RigidTransform(tuple(math.radians(a) for a in angles), translation)

@@ -248,28 +248,46 @@ def write_volume(vol, path) -> None:
         meta_fh.write(meta)
 
 
-def read_sidecar(path) -> dict:
-    meta = {}
-    with open(f"{path}.meta", encoding="utf-8") as fh:
+def read_key_values(path) -> dict[str, str]:
+    """The ``key = value`` lines of a UTF-8 text file as stripped strings.
+    Blank lines, lines starting with ``#`` and lines without ``=`` are
+    skipped; a later line overrides an earlier one with the same key."""
+    values = {}
+    with open(path, encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
-            if not line or "=" not in line:
+            if not line or line.startswith("#") or "=" not in line:
                 continue
-            key, val = line.split("=", 1)
-            meta[key.strip()] = val.strip()
-    for key in ("dims", "spacing_um", "element"):
-        if key not in meta:
-            raise ValueError(f"{path}.meta: missing key {key!r}")
-    return meta
+            key, _, val = line.partition("=")
+            values[key.strip()] = val.strip()
+    return values
+
+
+def key_value(path, values: dict, key: str, convert=str, count=None, sep=None):
+    """``values[key]``, read from ``path``, converted by ``convert``; with
+    ``count``, a tuple of exactly that many items split at ``sep``
+    (whitespace when None). A missing key or a value that does not convert
+    raises ValueError naming the file and the key."""
+    if key not in values:
+        raise ValueError(f"{path}: missing key {key!r}")
+    try:
+        if count is None:
+            return convert(values[key])
+        items = values[key].split(sep)
+        if len(items) != count:
+            raise ValueError(f"expected {count} values, got {len(items)}")
+        return tuple(convert(v) for v in items)
+    except ValueError as exc:
+        raise ValueError(f"{path}: key {key!r}: {exc}") from None
 
 
 def load_volume(path):
     """Read a payload using its sidecar metadata."""
-    meta = read_sidecar(path)
-    dims = tuple(int(v) for v in meta["dims"].split(","))
-    if len(dims) != 3:
-        raise ValueError(f"{path}.meta: dims must have three entries")
-    return read_volume(path, dims, float(meta["spacing_um"]), meta["element"])
+    meta_path = f"{path}.meta"
+    meta = read_key_values(meta_path)
+    dims = key_value(meta_path, meta, "dims", int, 3, ",")
+    spacing = key_value(meta_path, meta, "spacing_um", float)
+    return read_volume(path, dims, spacing, key_value(meta_path, meta, "element"))
 
 
 _AXIS_INDEX = {"x": 2, "y": 1, "z": 0}

@@ -13,7 +13,9 @@ import numpy as np
 
 from ._kernels.cc import connected_components_mask
 from ._kernels.flood import priority_flood
-from ._kernels.recon import neighbor_offsets, reconstruct_erosion, regional_minima
+from ._kernels.recon import (
+    _shifted_slices, neighbor_offsets, reconstruct_erosion, regional_minima,
+)
 from .binarize import distance_transform
 from .volgrid import BinaryVolume, LabelVolume
 
@@ -85,13 +87,9 @@ def marker_watershed(
 def watershed_line(labels: LabelVolume, connectivity: int = 26) -> np.ndarray:
     """Foreground voxels adjacent to a voxel with a different positive label."""
     lab = labels.data
-    offs = neighbor_offsets(connectivity)
     line = np.zeros(lab.shape, bool)
-    for dz, dy, dx in offs:
-        a_lo = [max(0, -d) for d in (dz, dy, dx)]
-        a_hi = [n - max(0, d) for n, d in zip(lab.shape, (dz, dy, dx))]
-        ctr = tuple(slice(lo, hi) for lo, hi in zip(a_lo, a_hi))
-        nbr = tuple(slice(lo + d, hi + d) for lo, hi, d in zip(a_lo, a_hi, (dz, dy, dx)))
+    for d in neighbor_offsets(connectivity):
+        ctr, nbr = _shifted_slices(lab.shape, d)
         hit = (lab[ctr] > 0) & (lab[nbr] > 0) & (lab[ctr] != lab[nbr])
         line[ctr] |= hit
     return line

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tomoseg import cli
-from tomoseg.volgrid import BinaryVolume, ScalarVolume, load_volume, write_volume
+from tomoseg.volgrid import BinaryVolume, LabelPlane, ScalarVolume, load_volume, write_volume
 
 from conftest import ball_mask, fill_disk_on
 
@@ -473,6 +473,40 @@ def test_missing_model_same_exit_code_on_both_fronts(tmp_path, tiny_volume):
     cfg = tmp_path / "merge.cfg"
     cfg.write_text("[merge]\n" + "".join(f"{key} = {path}\n" for key, path in io.items()))
     assert cli.main(["pipeline", "--config", str(cfg)]) == cli.EXIT_MISSING_INPUT
+
+
+def _stage_fault(capsys, argv):
+    rc = cli.main(argv)
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_STAGE_FAILURE
+    assert len(err.strip().splitlines()) == 1
+    return err
+
+
+def test_model_without_slope_names_file_and_key(tmp_path, capsys, tiny_volume):
+    mask = tmp_path / "mask.raw"
+    write_volume(BinaryVolume(load_volume(tiny_volume).data > 10000, 4.5), mask)
+    model = tmp_path / "model.txt"
+    model.write_text("intercept = 0.5\ngray_min = 0\ngray_max = 30000\n")
+    err = _stage_fault(capsys, ["attenuation", "predict", "--vol", str(tiny_volume),
+                                "--mask", str(mask), "--model", str(model),
+                                "--out", str(tmp_path / "rmu.f32")])
+    assert str(model) in err and "'slope'" in err
+
+
+def test_short_transform_angles_name_file_and_key(tmp_path, capsys, tiny_volume):
+    # every mineral is absent from the section, so no phase ever uses the
+    # transform: the file is still read whole
+    plane = tmp_path / "section.raw"
+    write_volume(LabelPlane(np.zeros((10, 12), np.uint8), 1.0), plane)
+    transform = tmp_path / "reg.txt"
+    transform.write_text("angles_deg = 1 2\ntranslation = 0 0 12\n")
+    model = tmp_path / "model.txt"
+    model.write_text("slope = 0.0001\nintercept = 0.5\ngray_min = 0\ngray_max = 30000\n")
+    err = _stage_fault(capsys, ["attenuation", "validate", "--vol", str(tiny_volume),
+                                "--plane", str(plane), "--transform", str(transform),
+                                "--model", str(model), "--out", str(tmp_path / "scatter.csv")])
+    assert str(transform) in err and "'angles_deg'" in err
 
 
 def test_manifest_hashes_sidecars_and_records_defaults(tmp_path, tiny_volume):

@@ -6,7 +6,6 @@ from tomoseg.descriptors import (
     ClampStats,
     ParticleSection,
     area,
-    block_downsample_labels,
     boundary_chain,
     compute_descriptors,
     convex_hull,
@@ -17,6 +16,8 @@ from tomoseg.descriptors import (
     rows_to_csv,
     shape_factors,
 )
+from tomoseg.phantom import section_to_voxel_mask
+from tomoseg.volgrid import LabelPlane
 
 
 def section_from(mask, spacing=1.0, pid=1):
@@ -171,12 +172,13 @@ def test_scale_covariance_via_spacing():
 
 
 def test_coarsening_comparability():
-    # fine disk at spacing 1 vs the same shape block-coarsened 4.5x: sizes in
-    # micrometers must agree within discretization tolerances
+    # fine disk at spacing 1 vs the same shape coarsened 4.5x onto the voxel
+    # lattice as the pipeline does: sizes in micrometers must agree within
+    # discretization tolerances
     fine_mask = disk(60)
     fine = section_from(fine_mask, spacing=1.0)
-    coarse_plane = block_downsample_labels(fine_mask.astype(np.uint8), 4.5)
-    coarse = section_from(coarse_plane > 0, spacing=4.5)
+    plane = LabelPlane(fine_mask.astype(np.uint8), 1.0)
+    coarse = section_from(section_to_voxel_mask(plane, 1.0 / 4.5, 4.5).data[0], spacing=4.5)
     assert abs(area(coarse) - area(fine)) / area(fine) < 0.05
     assert abs(mean_width(coarse) - mean_width(fine)) / mean_width(fine) < 0.05
     assert abs(perimeter_cornercount(coarse) - perimeter_cornercount(fine)) / perimeter_cornercount(fine) < 0.10

@@ -318,6 +318,39 @@ def test_spec_file_roundtrip(tmp_path):
         parse_spec_file(bad)
 
 
+def test_spec_file_sets_every_field(tmp_path):
+    from dataclasses import fields
+
+    spec = PhantomSpec(
+        dims=(32, 40, 48), spacing=3.5, count=4, size_range_um=(30.0, 50.0),
+        exponent_range=(2.5, 3.5), aspect_range=(1.0, 2.0), elongated_fraction=0.25,
+        mineral_fractions={"quartz": 0.6, "topaz": 0.4}, noise_std=100.0, ring_amplitude=5.0,
+        ring_period=11.0, background_gray=10.0, contact_fraction=0.2, max_contact_voxels=40,
+        n_sections=3, section_max_angle_deg=4.0, section_max_shift=6.0, section_extent=0.9,
+        mla_spacing_um=2.0, rng_seed=42,
+    )
+    default = PhantomSpec()
+    assert all(getattr(spec, f.name) != getattr(default, f.name) for f in fields(spec))
+
+    def text(value):
+        if isinstance(value, tuple):
+            return ",".join(repr(v) for v in value)
+        if isinstance(value, dict):
+            return ",".join(f"{k}:{v!r}" for k, v in value.items())
+        return repr(value)
+
+    path = tmp_path / "spec.txt"
+    path.write_text("".join(f"{f.name} = {text(getattr(spec, f.name))}\n" for f in fields(spec)))
+    assert parse_spec_file(path) == spec
+
+
+def test_spec_file_tuple_of_wrong_length_names_the_key(tmp_path):
+    path = tmp_path / "spec.txt"
+    path.write_text("count=3\ndims=32,40\n")
+    with pytest.raises(ValueError, match=r"spec\.txt: key 'dims': expected 3 values, got 2"):
+        parse_spec_file(path)
+
+
 def test_instrument_line_anchored_to_reference():
     # the rendering line is the exact least squares through the reference
     # (rho*mu, mean gray) pairs; the pairs themselves scatter by up to ~850

@@ -14,6 +14,7 @@ from tomoseg.register import (
     read_transform,
     register_section,
     rotate_volume,
+    sample_plane,
     write_result,
 )
 from tomoseg.volgrid import BinaryVolume
@@ -617,7 +618,6 @@ def _sampler_overlaps(vol, plane, transforms):
     sampler = _PlaneSampler(vol.data, uv)
     for t in transforms:
         plain = direct_overlap(vol, plane, t)
-        assert direct_overlap(vol, plane, t, uv) == plain
         assert direct_overlap(vol, plane, t, sampler) == plain, t
         if len(uv):
             # the mapped points before rounding, bit for bit: a count only
@@ -672,6 +672,55 @@ def test_prepared_sampler_single_pixel_and_empty_plane(rng):
     assert list(_sampler_overlaps(vol, empty, transforms[:5])) == [0] * 5
     with pytest.raises(ValueError):
         direct_overlap(binary(m[:5]), one, transforms[0], _PlaneSampler(m, [[2.0, 1.0]]))
+
+
+def _sample_plane_loop(data, transform, uv):
+    """sample_plane one point at a time: nearest voxel, bounds per axis, 0
+    outside."""
+    pts = transform.map_plane_points(np.asarray(uv, np.float64).reshape(-1, 2), data.shape)
+    nz, ny, nx = data.shape
+    values, inside = np.zeros(len(pts), data.dtype), np.zeros(len(pts), bool)
+    for n, (x, y, z) in enumerate(pts):
+        i, j, k = (math.floor(v + 0.5) for v in (x, y, z))
+        if 0 <= i < nx and 0 <= j < ny and 0 <= k < nz:
+            values[n], inside[n] = data[k, j, i], True
+    return values, inside
+
+
+def test_sample_plane_matches_per_point_loop(rng):
+    data = np.arange(1, 5 * 6 * 7 + 1, dtype=np.int32).reshape(5, 6, 7)
+    nz, ny, nx = data.shape
+    eps = 1e-6
+
+    def near(n):
+        # just outside, on, and just inside each face; a .5 tie inside
+        return (-0.5 - eps, -0.5, 2.5, n - 0.5 - eps, n - 0.5)
+
+    uv = [(u, v) for u in near(nx) for v in near(ny)]
+    cases = [(RigidTransform((0.0, 0.0, 0.0), (0.0, 0.0, tz)), uv) for tz in near(nz)]
+    # a .5 tie rounds up; -0.5 - eps rounds to -1 and n - 0.5 to n, both outside
+    values, inside = sample_plane(data, cases[2][0], uv)
+    on_face = np.array([-0.5 <= u < nx - 0.5 and -0.5 <= v < ny - 0.5 for u, v in uv])
+    np.testing.assert_array_equal(inside, on_face)
+    assert values[uv.index((2.5, 2.5))] == data[3, 3, 3]
+    for axis in range(3):
+        for far in (-1e6, 1e6):
+            shift = [1.0, 2.0, 2.0]
+            shift[axis] = far
+            cases.append((RigidTransform((0.1, -0.2, 0.05), tuple(shift)), uv))
+    cases += [
+        (RigidTransform(tuple(rng.uniform(-np.pi, np.pi, 3)), tuple(rng.uniform(-3, 8, 3))),
+         rng.uniform(-2, 9, (40, 2)))
+        for _ in range(50)
+    ]
+    cases.append((RigidTransform((0.3, 0.0, 0.0), (1.0, 1.0, 1.0)), np.empty((0, 2))))
+    for t, points in cases:
+        values, inside = sample_plane(data, t, points)
+        expect_values, expect_inside = _sample_plane_loop(data, t, points)
+        assert values.dtype == data.dtype
+        np.testing.assert_array_equal(inside, expect_inside)
+        np.testing.assert_array_equal(values, expect_values)
+    assert not sample_plane(data, cases[5][0], uv)[1].any()  # shifted 1e6 off along x
 
 
 def test_result_file_roundtrip(tmp_path):
