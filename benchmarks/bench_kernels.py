@@ -6,10 +6,19 @@ Usage:
 
 Flooding (a bucket queue) is the one kernel that still steps voxel by
 voxel in Python. Non-local means splits its z-rows over worker threads
-(the usable CPUs); its row names the worker count. The translation solve
-is a float32 FFT correlation plus an exact count of each candidate shift.
-Rotation reads a guarded copy of the volume built once, as the
-registration does. The opening rows time radius 1 and 2 on the ball
+(the usable CPUs); its rows name the worker count. It has two rows. The
+random uint16 row (h = 800, search 2) sees almost no similar patches:
+every weight but the centre's has an exponent far below -104 and comes
+out 0, so it times the patch passes more than the weights. The phantom row
+is the `cli` workload's regime: the 64^3 phantom the edge-features row
+uses (ten particles, noise std 2000), h from the noise estimate as
+`tomoseg denoise` sets it, search 5. There float32 ``np.exp`` has one slow
+band: exponents in (-103.97, -87.34), whose results are subnormal, cost
+about 6.7 ns per element against 0.48 ns elsewhere (numpy 2.4.6 on a
+2-core AVX-512 x86-64), and hold under 1% of that workload's weights.
+The translation solve is a float32 FFT correlation plus an exact count of
+each candidate shift. Rotation reads a guarded copy of the volume built
+once, as the registration does. The opening rows time radius 1 and 2 on the ball
 footprint, beside the distance-threshold formulation that radii above
 ``BALL_FOOTPRINT_MAX_RADIUS`` use. The polish rows time one
 ``direct_overlap`` evaluation of a plane of about 15% foreground, prepared
@@ -70,10 +79,22 @@ def main():
     k = convsep.gaussian_kernel(1.5)
     add("separable correlate (3 axes)", lambda: convsep.correlate_separable(imgf, (k, k, k)))
 
-    nlm_img = imgf[: min(n, 32), : min(n, 32), : min(n, 32)]
+    from tomoseg import phantom, prefilter
+
+    spec = phantom.PhantomSpec(
+        dims=(64, 64, 64), count=10, size_range_um=(36, 56),
+        aspect_range=(1.0, 2.5), noise_std=2000.0, contact_fraction=0.5, n_sections=0, rng_seed=7,
+    )
+    phan = phantom.generate(spec)
+
+    nlm_img = img[: min(n, 32), : min(n, 32), : min(n, 32)]
     nlm_workers = nlm._slab_workers(nlm_img.shape[0], 1)
-    add(f"non-local means ({nlm_img.shape[0]}^3, search 2, {nlm_workers} workers)",
+    add(f"non-local means (random u16 {nlm_img.shape[0]}^3, search 2, {nlm_workers} workers)",
         lambda: nlm._nlm_numpy(nlm_img, 800.0**2, 1, 1.0, 2))
+    nlm_h = prefilter.default_nlm_params(phan.gray).h
+    nlm_workers = nlm._slab_workers(phan.gray.data.shape[0], 1)
+    add(f"non-local means (64^3 phantom, h {nlm_h:.0f}, search 5, {nlm_workers} workers)",
+        lambda: nlm._nlm_numpy(phan.gray.data, nlm_h**2, 1, 1.0, 5))
 
     add("sauvola threshold field",
         lambda: sauvola.sauvola_threshold_field(img, 15, 0.34, 32768.0))
@@ -131,14 +152,9 @@ def main():
 
     from scipy import ndimage
 
-    from tomoseg import mergegraph, phantom
+    from tomoseg import mergegraph
     from tomoseg.volgrid import LabelVolume
 
-    spec = phantom.PhantomSpec(
-        dims=(64, 64, 64), count=10, size_range_um=(36, 56),
-        aspect_range=(1.0, 2.5), noise_std=2000.0, contact_fraction=0.5, n_sections=0, rng_seed=7,
-    )
-    phan = phantom.generate(spec)
     fg = phan.labels.data > 0
     seeds = np.zeros(fg.shape, np.int32)
     picks = np.flatnonzero(fg)[rng.permutation(int(fg.sum()))[:96]]

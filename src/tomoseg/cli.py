@@ -127,9 +127,21 @@ def stage_watershed(*, mask: Input, out: str, h_depth: float = ws.WatershedParam
     return [out, out + ".meta"]
 
 
-def _edge_features(labels, gray):
+def _check_dims(first, *others):
+    """Raise ValueError naming both files unless every (path, volume) pair
+    has the dims of the first."""
+    path0, vol0 = first
+    for path, vol in others:
+        if vol.dims != vol0.dims:
+            raise ValueError(f"dims (x, y, z) differ: {path0} is {vol0.dims}, {path} is {vol.dims}")
+
+
+def _edge_features(labels, gray, *others):
+    """The region graph and edge features of ``labels`` on ``gray``; the
+    ``(path, volume)`` pairs in ``others`` must share their dims too."""
     label_vol = load_volume(labels)
     gray_vol = load_volume(gray)
+    _check_dims((labels, label_vol), (gray, gray_vol), *others)
     graph = mg.build_region_graph(label_vol)
     grad = mg.sobel_gradient_magnitude(gray_vol)
     return label_vol, graph, mg.extract_edge_features(graph, gray_vol, grad, label_vol)
@@ -147,8 +159,9 @@ def stage_merge(*, labels: Input, gray: Input, model: Input, out: str, lambda_: 
 
 def stage_edge_features(*, labels: Input, gray: Input, truth: Input, out: str):
     """labeled edge features from ground truth (training data for train-merge)"""
-    label_vol, graph, feats = _edge_features(labels, gray)
-    train = ph.edge_training_set(load_volume(truth), label_vol, graph, feats)
+    truth_vol = load_volume(truth)
+    label_vol, graph, feats = _edge_features(labels, gray, (truth, truth_vol))
+    train = ph.edge_training_set(truth_vol, label_vol, graph, feats)
     edge_labels = {e: int(v) for e, v in zip(train.edges, train.labels)}
     mg.features_to_csv(out, graph, feats, edge_labels)
     return [out]
@@ -219,6 +232,36 @@ def stage_register(*, vol: Input, plane: Input, out: str, pyramid: str = "4,2,1"
     return [out]
 
 
+def _read_samples(path, mineral_table):
+    """Fit samples and pixel counts from a mineral,mean_gray,n_pixels CSV;
+    blank lines are skipped, and a bad line raises ValueError naming the
+    file and the line number."""
+    samples, weights = [], []
+    with open(path, encoding="utf-8") as fh:
+        if fh.readline().strip() != "mineral,mean_gray,n_pixels":
+            raise ValueError(f"{path}: samples CSV must have header mineral,mean_gray,n_pixels")
+        for lineno, line in enumerate(fh, start=2):
+            fields = line.strip().split(",")
+            if fields == [""]:
+                continue
+            where = f"{path} line {lineno}"
+            if len(fields) != 3:
+                raise ValueError(f"{where}: expected mineral,mean_gray,n_pixels, "
+                                 f"got {len(fields)} fields")
+            name, gray, n = fields
+            try:
+                m = mineral_table.by_name(name)
+            except KeyError:
+                raise ValueError(f"{where}: unknown mineral {name!r}") from None
+            try:
+                gray, n = float(gray), float(n)
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+            samples.append((name, gray, m.rho, m.mu_m))
+            weights.append(n)
+    return samples, weights
+
+
 def stage_attenuation_fit(*, out: str, samples: Input | None = None, vol: Input | None = None,
                           plane: Input | None = None, transform: Input | None = None,
                           table: Input | None = None, weighted: bool = False, erode_px: int = 0,
@@ -226,16 +269,7 @@ def stage_attenuation_fit(*, out: str, samples: Input | None = None, vol: Input 
     """fit the gray-to-rho*mu_m line from samples, or from vol, plane and transform"""
     mineral_table = atn.load_mineral_table(table)
     if samples is not None:
-        fit_samples, weights = [], []
-        with open(samples, encoding="utf-8") as fh:
-            header = fh.readline().strip()
-            if header != "mineral,mean_gray,n_pixels":
-                raise ValueError("samples CSV must have header mineral,mean_gray,n_pixels")
-            for line in fh:
-                name, gray, n = line.strip().split(",")
-                m = mineral_table.by_name(name)
-                fit_samples.append((name, float(gray), m.rho, m.mu_m))
-                weights.append(float(n))
+        fit_samples, weights = _read_samples(samples, mineral_table)
     elif vol is None or plane is None or transform is None:
         raise ValueError("attenuation fit needs samples, or vol, plane and transform")
     else:
@@ -253,8 +287,9 @@ def stage_attenuation_fit(*, out: str, samples: Input | None = None, vol: Input 
 
 def stage_attenuation_predict(*, vol: Input, mask: Input, model: Input, out: str):
     """map rho*mu_m over a mask, flagging voxels outside the calibration"""
-    gray_vol = load_volume(vol)
-    pred, flags = atn.predict_map(gray_vol, atn.load_model(model), load_volume(mask))
+    gray_vol, mask_vol = load_volume(vol), load_volume(mask)
+    _check_dims((vol, gray_vol), (mask, mask_vol))
+    pred, flags = atn.predict_map(gray_vol, atn.load_model(model), mask_vol)
     # the payload, the flags and their sidecar are renamed into place together
     flags_payload, flags_meta = _encode_volume(BinaryVolume(flags, gray_vol.spacing))
     with _atomic_files(out, out + ".flags", out + ".flags.meta") as (fh, flags_fh, meta_fh):

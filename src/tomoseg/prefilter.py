@@ -78,13 +78,7 @@ def default_nlm_params(vol: ScalarVolume) -> NlmParams:
 def nonlocal_means(vol: ScalarVolume, params: NlmParams) -> ScalarVolume:
     """Weighted patch average per voxel; weights are normalized over the
     search window, patch offsets reaching outside the volume are dropped."""
-    out = nlm_field(
-        vol.data.astype(np.float64),
-        params.h,
-        params.patch_radius,
-        params.sigma,
-        params.search_radius,
-    )
+    out = nlm_field(vol.data, params.h, params.patch_radius, params.sigma, params.search_radius)
     return ScalarVolume(_to_u16(out), vol.spacing)
 
 

@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 
 from tomoseg import cli
-from tomoseg.volgrid import BinaryVolume, LabelPlane, ScalarVolume, load_volume, write_volume
+from tomoseg import neuralnet as nn
+from tomoseg.volgrid import (
+    BinaryVolume, LabelPlane, LabelVolume, ScalarVolume, load_volume, write_volume,
+)
 
 from conftest import ball_mask, fill_disk_on
 
@@ -507,6 +510,64 @@ def test_short_transform_angles_name_file_and_key(tmp_path, capsys, tiny_volume)
                                 "--plane", str(plane), "--transform", str(transform),
                                 "--model", str(model), "--out", str(tmp_path / "scatter.csv")])
     assert str(transform) in err and "'angles_deg'" in err
+
+
+def test_samples_csv_trailing_blank_line_is_skipped(tmp_path, samples_csv):
+    padded = tmp_path / "padded.csv"
+    padded.write_text(samples_csv.read_text() + "\n\n")
+    plain, out = tmp_path / "plain.txt", tmp_path / "padded.txt"
+    assert cli.main(["attenuation", "fit", "--samples", str(samples_csv), "--out", str(plain)]) == 0
+    assert cli.main(["attenuation", "fit", "--samples", str(padded), "--out", str(out)]) == 0
+    assert out.read_text() == plain.read_text()
+
+
+@pytest.mark.parametrize("bad_line, reason", [("muscovite,21000", "got 2 fields"),
+                                              ("beryl,21000,40", "'beryl'")])
+def test_samples_csv_bad_line_names_file_and_line(tmp_path, capsys, bad_line, reason):
+    samples = tmp_path / "samples.csv"
+    samples.write_text(f"mineral,mean_gray,n_pixels\nquartz,19400,10\n{bad_line}\n"
+                       "topaz,21800,900\n")
+    err = _stage_fault(capsys, ["attenuation", "fit", "--samples", str(samples),
+                                "--out", str(tmp_path / "m.txt")])
+    assert f"{samples} line 3" in err and reason in err
+    assert not (tmp_path / "m.txt").exists()
+
+
+def _mismatch_inputs(tmp_path, tiny_volume):
+    # 24^3 volumes, and a gray volume four planes short
+    gray = load_volume(tiny_volume)
+    paths = {"gray": tiny_volume, "short": tmp_path / "short.raw", "labels": tmp_path / "lab.raw",
+             "mask": tmp_path / "mask.raw", "model": tmp_path / "mlp.txt",
+             "line": tmp_path / "line.txt"}
+    write_volume(ScalarVolume(gray.data[4:], 4.5), paths["short"])
+    write_volume(LabelVolume((gray.data > 10000).astype(np.uint32), 4.5), paths["labels"])
+    write_volume(BinaryVolume(gray.data > 10000, 4.5), paths["mask"])
+    d = 18
+    nn.save_model(nn.MlpModel(np.zeros(2), np.zeros((2, d)), 0.0, np.zeros(2), np.zeros(d),
+                              np.ones(d)), paths["model"])
+    paths["line"].write_text("slope = 0.0001\nintercept = 0.5\ngray_min = 0\ngray_max = 30000\n")
+    return paths
+
+
+# stage argv (keys of _mismatch_inputs), and the two files whose dims differ
+DIMS_MISMATCH = [
+    ("merge --labels labels --gray short --model model --out OUT", ("labels", "short")),
+    ("edge-features --labels labels --gray short --truth labels --out OUT", ("labels", "short")),
+    ("edge-features --labels labels --gray gray --truth short --out OUT", ("labels", "short")),
+    ("attenuation predict --vol short --mask mask --model line --out OUT", ("short", "mask")),
+]
+
+
+@pytest.mark.parametrize("argv, named", DIMS_MISMATCH)
+def test_stage_inputs_of_different_dims_name_both_files(tmp_path, capsys, tiny_volume, argv,
+                                                        named):
+    paths = _mismatch_inputs(tmp_path, tiny_volume)
+    out = tmp_path / "out"
+    paths["OUT"] = out
+    err = _stage_fault(capsys, [str(paths.get(a, a)) for a in argv.split()])
+    assert all(str(paths[key]) in err for key in named)
+    assert "(24, 24, 24)" in err and "(24, 24, 20)" in err
+    assert not out.exists()
 
 
 def test_manifest_hashes_sidecars_and_records_defaults(tmp_path, tiny_volume):

@@ -48,38 +48,62 @@ def test_nlm_matches_oracle_exactly(rng):
         )
 
 
+def _correlate_zero_fill(a, g1, axis):
+    """``a`` correlated with the symmetric ``g1`` along ``axis``, zero fill,
+    step by step in scipy's order for a symmetric kernel: the centre term,
+    then each (left + right) pair times its weight, outermost first. For a
+    float32 ``a`` every step rounds to float32, which ``correlate1d`` does
+    not do (it computes in double and rounds once)."""
+    r = len(g1) // 2
+    n = a.shape[axis]
+    pad = np.pad(a, [(r, r) if ax == axis else (0, 0) for ax in range(a.ndim)])
+
+    def at(lo):
+        return pad[(slice(None),) * axis + (slice(lo, lo + n),)]
+
+    out = at(r) * g1[r]
+    for k in range(r, 0, -1):
+        out = out + (at(r - k) + at(r + k)) * g1[r - k]
+    return out
+
+
+def _shift_valid(img, s):
+    # img(x + s), 0 where x + s leaves the volume, and where it stays inside
+    out = np.zeros_like(img)
+    valid = np.zeros(img.shape, bool)
+    src = []
+    dst = []
+    for n, d in zip(img.shape, s):
+        lo_dst, hi_dst = max(0, -d), min(n, n - d)
+        if lo_dst >= hi_dst:
+            return out, valid
+        dst.append(slice(lo_dst, hi_dst))
+        src.append(slice(lo_dst + d, hi_dst + d))
+    out[tuple(dst)] = img[tuple(src)]
+    valid[tuple(dst)] = True
+    return out, valid
+
+
 def _nlm_full_volume(img, h2, patch_radius, patch_sigma, search):
-    """The earlier numpy kernel, kept as the reference: every search offset
-    is computed on the whole volume and masked where x+s leaves it."""
-
-    def shift_valid(img, s):
-        out = np.zeros_like(img)
-        valid = np.zeros(img.shape, bool)
-        src = []
-        dst = []
-        for n, d in zip(img.shape, s):
-            lo_dst, hi_dst = max(0, -d), min(n, n - d)
-            if lo_dst >= hi_dst:
-                return out, valid
-            dst.append(slice(lo_dst, hi_dst))
-            src.append(slice(lo_dst + d, hi_dst + d))
-        out[tuple(dst)] = img[tuple(src)]
-        valid[tuple(dst)] = True
-        return out, valid
-
+    """The kernel's arithmetic as one plain full-volume pass, kept as the
+    reference: float32 image, differences, patch passes and weights, float64
+    sums; every search offset is computed on the whole volume and masked
+    where x+s leaves it."""
+    img = np.asarray(img, np.float32)
+    h2 = np.float32(h2)
     g1 = np.exp(-(np.arange(-patch_radius, patch_radius + 1) ** 2) / (2.0 * patch_sigma**2))
-    g1 = g1 / g1.sum()
+    g1 = (g1 / g1.sum()).astype(np.float32)
     norm = np.zeros(img.shape, np.float64)
     acc = np.zeros(img.shape, np.float64)
     rng = range(-search, search + 1)
     for sz in rng:
         for sy in rng:
             for sx in rng:
-                shifted, valid = shift_valid(img, (sz, sy, sx))
-                dsq = np.where(valid, (img - shifted) ** 2, 0.0)
+                shifted, valid = _shift_valid(img, (sz, sy, sx))
+                dsq = np.where(valid, (img - shifted) ** 2, np.float32(0.0))
                 for axis in range(3):
-                    dsq = ndimage.correlate1d(dsq, g1, axis=axis, mode="constant", cval=0.0)
-                w = np.where(valid, np.exp(-dsq / h2), 0.0)
+                    dsq = _correlate_zero_fill(dsq, g1, axis)
+                w = np.where(valid, np.exp(-dsq / h2), np.float32(0.0))
                 norm += w
                 acc += w * shifted
     return acc / norm
@@ -130,6 +154,61 @@ def test_nlm_default_workers_bit_identical(rng):
     img = rng.integers(0, 65536, (12, 9, 10)).astype(np.float64)
     want = _nlm_full_volume(img, 700.0**2, 1, 1.0, 3)
     np.testing.assert_array_equal(nlm._nlm_numpy(img, 700.0**2, 1, 1.0, 3), want)
+
+
+def _smooth_volume(rng, n=8):
+    # a ramp, three Gaussian blobs and mild noise: many patches look alike
+    z, y, x = np.mgrid[:n, :n, :n].astype(np.float64)
+    f = 20000.0 + 100.0 * (z + 2 * y + 3 * x)
+    for cz, cy, cx in rng.uniform(1, n - 2, (3, 3)):
+        f += 6000.0 * np.exp(-((z - cz) ** 2 + (y - cy) ** 2 + (x - cx) ** 2) / (2 * 1.5**2))
+    return np.round(f + rng.normal(0.0, 250.0, f.shape)).astype(np.uint16)
+
+
+def _window_weights(img, h, search):
+    # every weight w(x, x+s) of the definition, float64, one per valid pair
+    g1 = np.exp(-(np.arange(-1, 2) ** 2) / 2.0)
+    g1 /= g1.sum()
+    img = img.astype(np.float64)
+    weights = []
+    for s in np.ndindex(*(2 * search + 1,) * 3):
+        shifted, valid = _shift_valid(img, np.subtract(s, search))
+        dsq = np.where(valid, (img - shifted) ** 2, 0.0)
+        for axis in range(3):
+            dsq = ndimage.correlate1d(dsq, g1, axis=axis, mode="constant", cval=0.0)
+        weights.append(np.exp(-dsq[valid] / (h * h)))
+    return np.concatenate(weights)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_nlm_float32_weights_match_float64_oracle_on_smooth_data(seed):
+    # Bound on the float32 kernel's error against the float64 definition.
+    # u = 2**-24. The exp argument a = -d / h**2 goes through about 20
+    # float32 roundings (the squared difference; centre product, pair sum,
+    # pair product and accumulation in each of the three passes; g1, h**2
+    # and the division), each a relative error of at most u on a sum of
+    # non-negative terms: |da| <= 20u |a|. A float32 exp adds at most 4u. So
+    # a weight carries relative error dw/w <= 20u |a| + 4u, and the output
+    # sum(w I) / sum(w) moves by at most span * sum(w |dw/w|) / sum(w).
+    # There w |a| = |a| exp(-|a|) <= 1/e, and sum(w) >= 1 (the centre's own
+    # weight is exactly 1), so over N = 125 window offsets the move is at
+    # most span * u * (20 N / e + 4). Rounding each w * I to float32 adds at
+    # most u * max(I).
+    rng = np.random.default_rng(seed)
+    img = _smooth_volume(rng)
+    h, search = 300.0, 2
+    weights = _window_weights(img, h, search)
+    assert (weights > 1e-3).mean() >= 0.2  # not just the centre weight
+    want = nlm_oracle(img.astype(np.float64), h, 1.0, 1, search)
+    got = nlm._nlm_numpy(img, h * h, 1, 1.0, search)
+    u = 2.0**-24
+    span = float(img.max()) - float(img.min())
+    tol = span * u * (20 * 125 / math.e + 4) + u * float(img.max())
+    assert np.abs(got - want).max() <= tol
+    rounded = np.clip(np.floor(got + 0.5), 0, 65535)
+    want_rounded = np.clip(np.floor(want + 0.5), 0, 65535)
+    assert np.abs(rounded - want_rounded).max() <= 1
+    assert np.abs(want - img).max() > 100 * tol  # the filter really moved the data
 
 
 def test_nlm_slab_workers_keep_halo_thickness(monkeypatch):
