@@ -64,20 +64,30 @@ class MineralTable:
 
 
 def load_mineral_table(path=None) -> MineralTable:
-    """CSV with header name,code,rho,mu_m; defaults to the bundled table."""
+    """CSV with header name,code,rho,mu_m; defaults to the bundled table.
+    Blank lines are skipped; a file without the header, or a row without
+    four fields or with a code or value that is not a number, raises
+    ValueError naming the file (and the row's line number)."""
     if path is None:
-        ref = resources.files("tomoseg").joinpath("data/minerals.csv")
-        text = ref.read_text(encoding="utf-8")
+        path = resources.files("tomoseg").joinpath("data/minerals.csv")
+        text = path.read_text(encoding="utf-8")
     else:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if lines[0] != "name,code,rho,mu_m":
-        raise ValueError("mineral table must start with header name,code,rho,mu_m")
+    rows = [(n, ln.strip()) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    if not rows or rows[0][1] != "name,code,rho,mu_m":
+        raise ValueError(f"{path}: mineral table must start with header name,code,rho,mu_m")
     minerals = []
-    for ln in lines[1:]:
-        name, code, rho, mu = ln.split(",")
-        minerals.append(Mineral(name, int(code), float(rho), float(mu)))
+    for lineno, ln in rows[1:]:
+        fields = ln.split(",")
+        where = f"{path} line {lineno}"
+        if len(fields) != 4:
+            raise ValueError(f"{where}: expected name,code,rho,mu_m, got {len(fields)} fields")
+        name, code, rho, mu = fields
+        try:
+            minerals.append(Mineral(name, int(code), float(rho), float(mu)))
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
     return MineralTable(tuple(minerals))
 
 

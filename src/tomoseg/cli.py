@@ -217,16 +217,7 @@ def stage_descriptors(*, labels: Input, out: str, slice_: str | None = None,
 def stage_register(*, vol: Input, plane: Input, out: str, pyramid: str = "4,2,1",
                    max_iter: int = rg.RegisterOptions.max_iter):
     """locate a 2D section in the volume"""
-    factors = tuple(int(v) for v in pyramid.split(","))
-    steps = dict(zip(rg.RegisterOptions.pyramid, rg.RegisterOptions.simplex_step_deg))
-    for f in factors:
-        if f not in steps:
-            raise ValueError(f"pyramid factor {f} has no simplex step (steps for {tuple(steps)})")
-    opts = rg.RegisterOptions(
-        pyramid=factors,
-        max_iter=max_iter,
-        simplex_step_deg=tuple(steps[f] for f in factors),
-    )
+    opts = rg.RegisterOptions(pyramid=tuple(int(v) for v in pyramid.split(",")), max_iter=max_iter)
     result = rg.register_section(load_volume(vol), load_volume(plane), opts)
     rg.write_result(result, out)
     return [out]

@@ -300,24 +300,6 @@ def extract_edge_features(
     return features
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, a: int) -> int:
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
-
-    def union(self, a: int, b: int):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            if ra > rb:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
-
-
 def merge_regions(labels: LabelVolume, graph: RegionGraph, weights: dict, lam: float) -> LabelVolume:
     """Merge regions joined by edges with weight >= lam; connected components
     of the kept edges become one region each. Output labels are contiguous,
@@ -327,13 +309,16 @@ def merge_regions(labels: LabelVolume, graph: RegionGraph, weights: dict, lam: f
     missing = [e for e in graph.edges if e not in weights]
     if missing:
         raise ValueError(f"weights missing for {len(missing)} edges, e.g. {missing[0]}")
-    uf = _UnionFind(graph.n_regions + 1)
-    for edge in graph.edges:
-        if weights[edge] >= lam:
-            uf.union(edge[0], edge[1])
-    remap = np.zeros(graph.n_regions + 1, np.int32)
-    for v in range(1, graph.n_regions + 1):
-        remap[v] = uf.find(v)
+    # imported here, as in _kernels.recon: loading scipy.sparse adds about
+    # 11 MB of resident memory to every process that imports this module
+    from scipy.sparse import coo_matrix, csgraph
+
+    kept = np.array([e for e in graph.edges if weights[e] >= lam], np.int64).reshape(-1, 2)
+    n = graph.n_regions + 1
+    adjacency = coo_matrix((np.ones(len(kept), np.int8), (kept[:, 0], kept[:, 1])), shape=(n, n))
+    _, component = csgraph.connected_components(adjacency, directed=False)
+    remap = component.astype(np.int32) + 1
+    remap[0] = 0  # background stays background
     merged = remap[labels.data]
     return LabelVolume(_canonicalize(merged), labels.spacing)
 

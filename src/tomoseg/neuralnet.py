@@ -2,9 +2,8 @@
 
 Architecture: d inputs -> M tanh hidden units -> one logistic output in
 (0, 1). Training is plain mini-batch gradient descent with backpropagation
-on the cross entropy (or sum of squared errors), an L2 penalty on the
-weights, and a best-validation-epoch snapshot. Everything is deterministic
-given the seed.
+on the cross entropy, an L2 penalty on the weights, and a
+best-validation-epoch snapshot. Everything is deterministic given the seed.
 """
 
 from __future__ import annotations
@@ -13,9 +12,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .volgrid import _atomic_text
-
-DEFAULT_HIDDEN_UNITS = (25, 50, 75, 100)
+from .volgrid import _atomic_text, key_value
 
 
 @dataclass(frozen=True)
@@ -59,15 +56,12 @@ class TrainConfig:
     l2_penalty: float = 1e-4
     validation_fraction: float = 0.2
     rng_seed: int = 0
-    loss: str = "cross_entropy"
 
     def __post_init__(self):
         if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
         if not 0.0 <= self.validation_fraction <= 0.5:
             raise ValueError("validation_fraction must lie in [0, 0.5]")
-        if self.loss not in ("cross_entropy", "sse"):
-            raise ValueError(f"loss must be 'cross_entropy' or 'sse', got {self.loss!r}")
 
 
 _P_LO = np.finfo(np.float64).tiny
@@ -112,11 +106,6 @@ def cross_entropy(model: MlpModel, X: np.ndarray, y: np.ndarray) -> float:
     Xs = (X - model.feat_mean) / model.feat_std
     _, T = _raw_output(model.alpha0, model.alpha, model.beta0, model.beta, Xs)
     return float(np.sum(y * np.logaddexp(0.0, -T) + (1.0 - y) * np.logaddexp(0.0, T)))
-
-
-def sum_squared_errors(model: MlpModel, X: np.ndarray, y: np.ndarray) -> float:
-    p = forward_many(model, X)
-    return float(np.sum((np.asarray(y, np.float64) - p) ** 2))
 
 
 def loss_and_gradients(model: MlpModel, X, y, loss="cross_entropy", l2=0.0, reduction="sum"):
@@ -206,7 +195,7 @@ def train_detailed(X: np.ndarray, y: np.ndarray, hidden_units: int, cfg: TrainCo
         for start in range(0, len(order), cfg.batch_size):
             sel = order[start : start + cfg.batch_size]
             _, (g_a0, g_a, g_b0, g_b) = loss_and_gradients(
-                model, Xtr[sel], ytr[sel], loss=cfg.loss, l2=cfg.l2_penalty, reduction="mean"
+                model, Xtr[sel], ytr[sel], l2=cfg.l2_penalty, reduction="mean"
             )
             model = replace(
                 model,
@@ -270,6 +259,9 @@ def save_model(model: MlpModel, path) -> None:
 
 
 def load_model(path) -> MlpModel:
+    """A ``save_model`` file. A missing key, a row of the wrong length or a
+    value that is not a number raises ValueError naming the file and the
+    key."""
     with open(path, encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     if not lines or lines[0] != _FORMAT_TAG:
@@ -279,18 +271,20 @@ def load_model(path) -> MlpModel:
     for ln in lines[1:]:
         key, _, rest = ln.partition(" ")
         if key == "alpha":
-            alpha_rows.append([float(v) for v in rest.split()])
+            alpha_rows.append(rest)
         else:
             fields[key] = rest
-    d = int(fields["d"])
-    m = int(fields["M"])
-    alpha = np.array(alpha_rows, np.float64).reshape(m, d)
-    vec = lambda key: np.array([float(v) for v in fields[key].split()], np.float64)
+    d = key_value(path, fields, "d", int)
+    m = key_value(path, fields, "M", int)
+    if len(alpha_rows) != m:
+        raise ValueError(f"{path}: key 'alpha': expected {m} rows, got {len(alpha_rows)}")
+    alpha = [key_value(path, {"alpha": row}, "alpha", float, d) for row in alpha_rows]
+    vec = lambda key, n: np.array(key_value(path, fields, key, float, n), np.float64)
     return MlpModel(
-        alpha0=vec("alpha0"),
-        alpha=alpha,
-        beta0=float(fields["beta0"]),
-        beta=vec("beta"),
-        feat_mean=vec("feat_mean"),
-        feat_std=vec("feat_std"),
+        alpha0=vec("alpha0", m),
+        alpha=np.array(alpha, np.float64).reshape(m, d),
+        beta0=key_value(path, fields, "beta0", float),
+        beta=vec("beta", m),
+        feat_mean=vec("feat_mean", d),
+        feat_std=vec("feat_std", d),
     )

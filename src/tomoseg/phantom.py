@@ -305,15 +305,6 @@ def render_mla_section(
     return LabelPlane(out.mineral_of_label[labels], mla_spacing_um)
 
 
-def render_section_mask(
-    out: PhantomOutput, transform: RigidTransform, plane_dims=None
-) -> np.ndarray:
-    """Binary section of the ground-truth foreground sampled directly on the
-    voxel lattice (one pixel per voxel edge); the cleanest registration
-    input, free of coarsening artifacts."""
-    return _sample_section(out, transform, 1.0, plane_dims) > 0
-
-
 def section_to_voxel_mask(plane: LabelPlane, pixel_to_voxel: float, spacing: float) -> BinaryVolume:
     """Binarize a mineral-code section and majority-coarsen it onto the voxel
     lattice, as a single-slice BinaryVolume ready for registration.

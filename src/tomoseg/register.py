@@ -92,15 +92,6 @@ def volume_center(shape) -> tuple[float, float, float]:
     return ((nx - 1) / 2.0, (ny - 1) / 2.0, (nz - 1) / 2.0)
 
 
-def rotate_volume(vol: BinaryVolume, angles) -> BinaryVolume:
-    """Nearest-neighbor rotation about the volume center; samples falling
-    outside the original window become background."""
-    t = RigidTransform(tuple(angles), (0.0, 0.0, 0.0))
-    rinv = t.rotation().T
-    out = rotate_nearest(vol.data, rinv, volume_center(vol.data.shape))
-    return BinaryVolume(out, vol.spacing)
-
-
 @dataclass(frozen=True)
 class TranslationResult:
     shift: tuple[int, int, int]
@@ -320,43 +311,6 @@ class TranslationSolver:
         return res
 
 
-def best_translation(volR, plane) -> TranslationResult:
-    """Exact integer-shift maximizer of the overlap, via zero-padded FFT
-    cross-correlation in float32. The float32 values only nominate the
-    shifts within twice a proven error bound of the computed maximum; each
-    is then counted exactly, and a solve nominating more than
-    MAX_CANDIDATES reruns in float64. Ties resolve to the lexicographically
-    smallest (x, y, z) shift."""
-    vol = volR.data if isinstance(volR, BinaryVolume) else np.asarray(volR, bool)
-    return TranslationSolver(vol.shape, plane).solve(vol)
-
-
-def brute_force_translation(volR, plane) -> TranslationResult:
-    """Reference enumeration over every shift; used to cross-check the FFT
-    path on small instances. Shifts are visited in (x, y, z) order and a
-    later one wins only with a strictly larger overlap."""
-    vol = volR.data if isinstance(volR, BinaryVolume) else np.asarray(volR, bool)
-    p = _as_plane_array(plane)
-    nz, ny, nx = vol.shape
-    ph, pw = p.shape
-    if not p.any():
-        return TranslationResult((0, 0, 0), 0, empty_plane=True)
-    best = None
-    for tx in range(-(pw - 1), nx):
-        for ty in range(-(ph - 1), ny):
-            x0, x1 = max(0, tx), min(nx, tx + pw)
-            y0, y1 = max(0, ty), min(ny, ty + ph)
-            if x0 >= x1 or y0 >= y1:
-                ov = np.zeros(nz, np.int64)
-            else:
-                psub = p[y0 - ty : y1 - ty, x0 - tx : x1 - tx]
-                ov = np.count_nonzero(vol[:, y0:y1, x0:x1] & psub, axis=(1, 2))
-            tz = int(np.argmax(ov))  # the first slice with the most overlap
-            if best is None or ov[tz] > best[1]:
-                best = ((tx, ty, tz), int(ov[tz]))
-    return TranslationResult(best[0], best[1])
-
-
 def block_or_downsample(mask: np.ndarray, factor: int) -> np.ndarray:
     """OR-pool over factor^d blocks (padding with background)."""
     if factor == 1:
@@ -518,20 +472,13 @@ def direct_overlap(vol: BinaryVolume, plane, transform: RigidTransform, sampler=
 class RegisterOptions:
     pyramid: tuple[int, ...] = (4, 2, 1)
     max_iter: int = 200
-    simplex_step_deg: tuple[float, ...] = (5.0, 2.5, 1.0)  # one per pyramid level
-    coarse_seed_deg: float = 10.0  # seed grid half-width at the coarsest level
-    # final joint simplex over (angles, shift) with subvoxel sampling; the
-    # integer lattice alone biases the tilt angles when the true shift is
-    # fractional
-    joint_polish: bool = True
-    polish_iter: int = 200
-    # the polish restarts from its best point, and from that point with one
-    # axis nudged by +-1 degree, while the first polish still looks weak
-    polish_restart_below: float = 0.98
 
     def __post_init__(self):
-        if len(self.simplex_step_deg) != len(self.pyramid):
-            raise ValueError("need one simplex step per pyramid level")
+        for f in self.pyramid:
+            if f not in SIMPLEX_STEP_DEG:
+                raise ValueError(
+                    f"pyramid factor {f} has no simplex step (steps for {tuple(SIMPLEX_STEP_DEG)})"
+                )
         if sorted(self.pyramid, reverse=True) != list(self.pyramid) or self.pyramid[-1] != 1:
             raise ValueError("pyramid must be decreasing and end at 1")
 
@@ -551,6 +498,16 @@ class RegistrationResult:
 # test_register_three_starts_escape_wrong_coarse_basin ended 15 degrees
 # off), so the runner-up basins are kept until a finer level separates them.
 COARSE_STARTS = 3
+COARSE_SEED_DEG = 10.0  # seed grid half-width at the coarsest level
+SIMPLEX_STEP_DEG = {4: 5.0, 2: 2.5, 1: 1.0}  # initial simplex step per pyramid factor
+# Registration ends in the polish, a joint simplex over (angles, shift) with
+# subvoxel sampling: the integer lattice alone biases the tilt angles when
+# the true shift is fractional. POLISH_ITER caps each polish run; the
+# polish restarts from its best point, and from that point with one
+# axis nudged by +-1 degree, while the first polish still looks weak (below
+# POLISH_RESTART_BELOW of the plane's pixels).
+POLISH_ITER = 200
+POLISH_RESTART_BELOW = 0.98
 
 
 def _prefer(key, res):
@@ -610,21 +567,18 @@ class _BandObjective:
         return key, self.cache[key]
 
 
-def register_section(vol: BinaryVolume, plane, opts: RegisterOptions = RegisterOptions()):
-    """Coarse-to-fine rotation search with the exact translation solve inside.
+def _lattice_search(vol: BinaryVolume, p: np.ndarray, opts: RegisterOptions, trace: list):
+    """Coarse-to-fine rotation search with the exact translation solve
+    inside; returns the best (angles, TranslationResult) at full resolution
+    and appends every evaluation to ``trace``.
 
     The coarsest level ranks a small angle grid and runs the simplex from
     the best COARSE_STARTS seeds; each finer level runs it again from every
     carried optimum, each with its own z band. At full resolution every
     carried optimum is scored once and only the best is refined, so the
-    final overlap can never fall below the best carried optimum re-evaluated
-    at full resolution.
+    result can never fall below the best carried optimum re-evaluated at
+    full resolution.
     """
-    p = _as_plane_array(plane)
-    if not p.any():
-        raise ValueError("plane is empty")
-    plane_count = int(p.sum())
-    trace = []
     starts = None  # (angles, z estimate at this level's scale or None)
 
     for level, factor in enumerate(opts.pyramid):
@@ -651,7 +605,7 @@ def register_section(vol: BinaryVolume, plane, opts: RegisterOptions = RegisterO
 
         if starts is None:
             full = objective_at(None)
-            s = math.radians(opts.coarse_seed_deg)
+            s = math.radians(COARSE_SEED_DEG)
             steps = (-s, -0.5 * s, 0.0, 0.5 * s, s)
             seeds = [(za, yb, xg) for za in steps for yb in steps for xg in steps]
             ranked = sorted(seeds, key=lambda a: _prefer(a, full.result(a)))
@@ -659,70 +613,83 @@ def register_section(vol: BinaryVolume, plane, opts: RegisterOptions = RegisterO
         if level == len(opts.pyramid) - 1:
             # score each carried optimum once; refine only the best
             starts = [min(starts, key=lambda st: _prefer(st[0], objective_at(st[1]).result(st[0])))]
-        step = math.radians(opts.simplex_step_deg[level])
+        step = math.radians(SIMPLEX_STEP_DEG[factor])
         optima = [objective_at(tz).simplex(angles, step, opts.max_iter) for angles, tz in starts]
         next_factor = opts.pyramid[level + 1] if level + 1 < len(opts.pyramid) else factor
         starts = list(dict.fromkeys(
             (key, res.shift[2] * factor / next_factor) for key, res in optima
         ))
 
-    final_angles, final_res = min(optima, key=lambda o: _prefer(*o))
-    transform = RigidTransform(final_angles, tuple(float(v) for v in final_res.shift))
-    overlap = final_res.overlap
+    return min(optima, key=lambda o: _prefer(*o))
 
-    if opts.joint_polish:
-        polish_cache = {}
-        sampler = _PlaneSampler(vol.data, plane_points(p))
 
-        def joint_objective(params):
-            key = tuple(round(v, 12) for v in params)
-            if key not in polish_cache:
-                t = RigidTransform(tuple(params[:3]), tuple(params[3:]))
-                ov = direct_overlap(vol, p, t, sampler)
-                polish_cache[key] = ov
-                trace.append((len(trace), ov))
-            return -polish_cache[key]
+def _polish(vol: BinaryVolume, p: np.ndarray, x0: np.ndarray, trace: list):
+    """Joint simplex over (angles, shift) from ``x0``, sampling the plane at
+    subvoxel shifts (``direct_overlap``); returns the best parameters and
+    their overlap and appends every evaluation to ``trace``."""
+    polish_cache = {}
+    sampler = _PlaneSampler(vol.data, plane_points(p))
 
-        # anisotropic steps: radians for angles, voxels for the shift
-        x0 = np.array(list(final_angles) + list(transform.translation), np.float64)
-        scale = np.array([math.radians(0.5)] * 3 + [0.5] * 3)
+    def joint_objective(params):
+        key = tuple(round(v, 12) for v in params)
+        if key not in polish_cache:
+            t = RigidTransform(tuple(params[:3]), tuple(params[3:]))
+            ov = direct_overlap(vol, p, t, sampler)
+            polish_cache[key] = ov
+            trace.append((len(trace), ov))
+        return -polish_cache[key]
 
-        def polish_from(start):
-            def scaled_objective(u):
-                return joint_objective(tuple(start + scale * np.asarray(u)))
+    # anisotropic steps: radians for angles, voxels for the shift
+    scale = np.array([math.radians(0.5)] * 3 + [0.5] * 3)
 
-            u, neg = nelder_mead(
-                scaled_objective, np.zeros(6), step=1.0, max_iter=opts.polish_iter, ftol=1.0
-            )
-            return start + scale * np.asarray(u), int(-neg)
+    def polish_from(start):
+        def scaled_objective(u):
+            return joint_objective(tuple(start + scale * np.asarray(u)))
 
-        best_params, best_ov = polish_from(x0)
-        if best_ov < opts.polish_restart_below * plane_count:
-            # the overlap is piecewise constant, so a simplex stalls on
-            # plateaus; restart it from the best point, then from the best
-            # point nudged by 1 degree about each axis, until no start gains
-            nudge = math.radians(1.0)
+        u, neg = nelder_mead(scaled_objective, np.zeros(6), step=1.0, max_iter=POLISH_ITER, ftol=1.0)
+        return start + scale * np.asarray(u), int(-neg)
 
-            def starts_around(center):
-                yield center
-                for axis in range(3):
-                    for sign in (-1.0, 1.0):
-                        start = center.copy()
-                        start[axis] += sign * nudge
-                        yield start
+    best_params, best_ov = polish_from(x0)
+    if best_ov < POLISH_RESTART_BELOW * int(p.sum()):
+        # the overlap is piecewise constant, so a simplex stalls on
+        # plateaus; restart it from the best point, then from the best
+        # point nudged by 1 degree about each axis, until no start gains
+        nudge = math.radians(1.0)
 
-            improved = True
-            while improved:
-                improved = False
-                for start in starts_around(best_params):
-                    params, ov = polish_from(start)
-                    if ov > best_ov:
-                        best_params, best_ov, improved = params, ov, True
-                        break
-        if best_ov >= overlap:
-            transform = RigidTransform(tuple(best_params[:3]), tuple(best_params[3:]))
-            overlap = best_ov
+        def starts_around(center):
+            yield center
+            for axis in range(3):
+                for sign in (-1.0, 1.0):
+                    start = center.copy()
+                    start[axis] += sign * nudge
+                    yield start
 
+        improved = True
+        while improved:
+            improved = False
+            for start in starts_around(best_params):
+                params, ov = polish_from(start)
+                if ov > best_ov:
+                    best_params, best_ov, improved = params, ov, True
+                    break
+    return best_params, best_ov
+
+
+def register_section(vol: BinaryVolume, plane, opts: RegisterOptions = RegisterOptions()):
+    """The lattice search (``_lattice_search``), then the joint polish from
+    its optimum (``_polish``), kept when it does not lower the overlap. The
+    result's trace holds the evaluations of both stages."""
+    p = _as_plane_array(plane)
+    if not p.any():
+        raise ValueError("plane is empty")
+    plane_count = int(p.sum())
+    trace = []
+    angles, lattice = _lattice_search(vol, p, opts, trace)
+    shift = tuple(float(v) for v in lattice.shift)
+    params, overlap = _polish(vol, p, np.array(angles + shift, np.float64), trace)
+    transform = RigidTransform(tuple(params[:3]), tuple(params[3:]))
+    if overlap < lattice.overlap:
+        transform, overlap = RigidTransform(angles, shift), lattice.overlap
     norm = overlap / plane_count
     return RegistrationResult(
         transform=transform,

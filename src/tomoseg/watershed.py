@@ -13,9 +13,7 @@ import numpy as np
 
 from ._kernels.cc import connected_components_mask
 from ._kernels.flood import priority_flood
-from ._kernels.recon import (
-    _shifted_slices, neighbor_offsets, reconstruct_erosion, regional_minima,
-)
+from ._kernels.recon import neighbor_offsets, reconstruct_erosion, regional_minima
 from .binarize import distance_transform
 from .volgrid import BinaryVolume, LabelVolume
 
@@ -33,11 +31,6 @@ class WatershedParams:
             raise ValueError(f"h_depth must be >= 0, got {self.h_depth}")
         if self.connectivity not in (6, 26):
             raise ValueError(f"connectivity must be 6 or 26, got {self.connectivity}")
-
-
-def connected_components(mask: BinaryVolume, connectivity: int = 26) -> LabelVolume:
-    """Standard labeling, labels contiguous from 1 in deterministic scan order."""
-    return LabelVolume(connected_components_mask(mask.data, connectivity), mask.spacing)
 
 
 def extended_minima_markers(
@@ -82,17 +75,6 @@ def marker_watershed(
     offs = neighbor_offsets(connectivity)
     out = priority_flood(inv, mk, m, offs)
     return LabelVolume(out, mask.spacing)
-
-
-def watershed_line(labels: LabelVolume, connectivity: int = 26) -> np.ndarray:
-    """Foreground voxels adjacent to a voxel with a different positive label."""
-    lab = labels.data
-    line = np.zeros(lab.shape, bool)
-    for d in neighbor_offsets(connectivity):
-        ctr, nbr = _shifted_slices(lab.shape, d)
-        hit = (lab[ctr] > 0) & (lab[nbr] > 0) & (lab[ctr] != lab[nbr])
-        line[ctr] |= hit
-    return line
 
 
 def watershed_segment(mask: BinaryVolume, params: WatershedParams) -> LabelVolume:

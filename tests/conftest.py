@@ -7,6 +7,8 @@ import os
 import numpy as np
 import pytest
 
+from tomoseg import phantom
+from tomoseg.register import TranslationResult
 from tomoseg.volgrid import BinaryVolume, LabelVolume, ScalarVolume
 
 
@@ -33,6 +35,38 @@ def ball_mask(shape, center, radius):
     zz, yy, xx = np.mgrid[0:nz, 0:ny, 0:nx]
     cz, cy, cx = center
     return (zz - cz) ** 2 + (yy - cy) ** 2 + (xx - cx) ** 2 <= radius * radius
+
+
+def brute_force_translation(vol, plane) -> TranslationResult:
+    """Reference enumeration of the translation solve over every shift.
+    Shifts are visited in (x, y, z) order and a later one wins only with a
+    strictly larger overlap."""
+    p = np.asarray(plane, bool)
+    nz, ny, nx = vol.shape
+    ph, pw = p.shape
+    if not p.any():
+        return TranslationResult((0, 0, 0), 0, empty_plane=True)
+    best = None
+    for tx in range(-(pw - 1), nx):
+        for ty in range(-(ph - 1), ny):
+            x0, x1 = max(0, tx), min(nx, tx + pw)
+            y0, y1 = max(0, ty), min(ny, ty + ph)
+            if x0 >= x1 or y0 >= y1:
+                ov = np.zeros(nz, np.int64)
+            else:
+                psub = p[y0 - ty : y1 - ty, x0 - tx : x1 - tx]
+                ov = np.count_nonzero(vol[:, y0:y1, x0:x1] & psub, axis=(1, 2))
+            tz = int(np.argmax(ov))  # the first slice with the most overlap
+            if best is None or ov[tz] > best[1]:
+                best = ((tx, ty, tz), int(ov[tz]))
+    return TranslationResult(best[0], best[1])
+
+
+def render_section_mask(out, transform, plane_dims=None) -> np.ndarray:
+    """Binary section of a phantom's ground-truth foreground sampled directly
+    on the voxel lattice (one pixel per voxel edge); the cleanest
+    registration input, free of coarsening artifacts."""
+    return phantom._sample_section(out, transform, 1.0, plane_dims) > 0
 
 
 def mirror(i, n):

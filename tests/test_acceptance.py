@@ -13,10 +13,14 @@ import numpy as np
 import pytest
 
 from tomoseg import binarize, mergegraph, neuralnet, phantom, prefilter, register, watershed
+from tomoseg._kernels.cc import connected_components_mask
+from tomoseg._kernels.rotate import rotate_nearest
 from tomoseg.attenuation import fit_attenuation, load_mineral_table, mu_only_fit, reference_samples
 from tomoseg.volgrid import BinaryVolume, write_volume
 
-from conftest import ball_mask, binary, scalar
+from conftest import (
+    ball_mask, binary, brute_force_translation, labels, render_section_mask, scalar,
+)
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -31,7 +35,7 @@ def warm_kernels():
     binarize.morphological_opening(binary(np.ones((5, 5, 5), bool)), 1.0)
     m = binary(ball_mask((12, 12, 12), (6, 6, 6), 4))
     watershed.watershed_segment(m, watershed.WatershedParams(h_depth=0.5))
-    register.rotate_volume(m, (0.1, 0.0, 0.0))
+    rotate_nearest(m.data, np.eye(3), register.volume_center(m.data.shape))
     spec = phantom.PhantomSpec(
         dims=(24, 24, 24), count=1, size_range_um=(30, 40), aspect_range=(1.0, 1.5),
         elongated_fraction=0.0, noise_std=0.0, rng_seed=0, n_sections=0,
@@ -293,7 +297,7 @@ def test_criterion_7_registration_recovery():
             tuple(np.radians(rng.uniform(-10, 10, 3))),
             (rng.uniform(-15, 15), rng.uniform(-15, 15), rng.uniform(40, 90)),
         )
-        plane = phantom.render_section_mask(out, true)
+        plane = render_section_mask(out, true)
         res = register.register_section(vol, plane)
         ang_err = max(abs(math.degrees(a - b)) for a, b in zip(res.transform.angles, true.angles))
         tr_err = max(abs(a - b) for a, b in zip(res.transform.translation, true.translation))
@@ -306,10 +310,10 @@ def test_criterion_7_registration_recovery():
     # exact equivalence with brute force on 24^3 x 12^2 instances
     rng = np.random.default_rng(77)
     for _ in range(25):
-        vol = binary(rng.random((24, 24, 24)) > rng.uniform(0.4, 0.7))
+        vol = rng.random((24, 24, 24)) > rng.uniform(0.4, 0.7)
         plane = rng.random((12, 12)) > rng.uniform(0.3, 0.6)
-        fft_res = register.best_translation(vol, plane)
-        bf_res = register.brute_force_translation(vol, plane)
+        fft_res = register.TranslationSolver(vol.shape, plane).solve(vol)
+        bf_res = brute_force_translation(vol, plane)
         assert fft_res.shift == bf_res.shift and fft_res.overlap == bf_res.overlap
     elapsed = time.perf_counter() - t0
     assert elapsed < 300.0
@@ -398,7 +402,7 @@ def test_criterion_9_morphology_and_graph_properties(tmp_path):
     checked = 0
     while checked < 20:
         m = rng.random((10, 10, 10)) > 0.55
-        lab = watershed.connected_components(binary(m), 6)
+        lab = labels(connected_components_mask(m, 6))
         if lab.n_labels < 3:
             continue
         graph = mergegraph.build_region_graph(lab)

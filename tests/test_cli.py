@@ -382,7 +382,7 @@ def test_register_simplex_steps_follow_register_options(tmp_path, monkeypatch, p
     monkeypatch.setattr(cli.rg, "register_section", lambda vol, plane, opts: seen.append(opts))
     monkeypatch.setattr(cli.rg, "write_result", lambda result, out: None)
     assert cli.main(_register_inputs(tmp_path) + ["--pyramid", pyramid]) == 0
-    assert seen[0].simplex_step_deg == steps
+    assert tuple(cli.rg.SIMPLEX_STEP_DEG[f] for f in seen[0].pyramid) == steps
 
 
 def test_register_pyramid_factor_without_step_exits_3(tmp_path, monkeypatch, capsys):
@@ -531,6 +531,53 @@ def test_samples_csv_bad_line_names_file_and_line(tmp_path, capsys, bad_line, re
                                 "--out", str(tmp_path / "m.txt")])
     assert f"{samples} line 3" in err and reason in err
     assert not (tmp_path / "m.txt").exists()
+
+
+# mineral table faults: the table's text, and what the error names after
+# the file
+TABLE_FAULTS = [
+    ("name,code,rho,mu_m\nquartz,19,2.65,0.22\nmuscovite,25,2.83\n", "line 3"),
+    ("name,code,rho,mu_m\nquartz,19,2.65,0.22\n\nmuscovite,x,2.83,0.2\n", "line 4"),
+    ("", ""),
+]
+
+
+@pytest.mark.parametrize("text, where", TABLE_FAULTS, ids=["short-row", "non-number", "empty"])
+def test_bad_mineral_table_names_file_and_line(tmp_path, capsys, samples_csv, text, where):
+    table = tmp_path / "table.csv"
+    table.write_text(text)
+    err = _stage_fault(capsys, ["attenuation", "fit", "--samples", str(samples_csv),
+                                "--table", str(table), "--out", str(tmp_path / "m.txt")])
+    assert f"{table} {where}".strip() in err
+    assert not (tmp_path / "m.txt").exists()
+
+
+# merge-model faults: the key of the save_model line changed, its new text
+# (None drops it), and the key the error names
+MLP_FAULTS = [
+    ("beta", None, "'beta'"),
+    ("beta", "beta 0.5", "'beta'"),
+    ("beta0", "beta0 half", "'beta0'"),
+    ("M", None, "'M'"),
+    ("alpha", None, "'alpha'"),
+    ("alpha", "alpha 1 2", "'alpha'"),
+    ("feat_std", "feat_std 1", "'feat_std'"),
+]
+
+
+@pytest.mark.parametrize("key, line, named", MLP_FAULTS)
+def test_bad_merge_model_names_file_and_key(tmp_path, capsys, tiny_volume, key, line, named):
+    model = tmp_path / "mlp.txt"
+    d = 18
+    nn.save_model(nn.MlpModel(np.zeros(2), np.zeros((2, d)), 0.0, np.zeros(2), np.zeros(d),
+                              np.ones(d)), model)
+    lines = model.read_text().splitlines()
+    i = next(i for i, ln in enumerate(lines) if ln.split(" ")[0] == key)
+    lines[i : i + 1] = [] if line is None else [line]
+    model.write_text("\n".join(lines) + "\n")
+    err = _stage_fault(capsys, ["merge", "--labels", str(tiny_volume), "--gray", str(tiny_volume),
+                                "--model", str(model), "--out", str(tmp_path / "merged.raw")])
+    assert str(model) in err and named in err
 
 
 def _mismatch_inputs(tmp_path, tiny_volume):

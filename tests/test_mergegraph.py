@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tomoseg._kernels.cc import _canonicalize
 from tomoseg.mergegraph import (
     FEATURE_DIM,
     build_region_graph,
@@ -352,13 +353,56 @@ def test_merge_requires_all_weights():
         merge_regions(lab, g, {}, 0.5)
 
 
+class _UnionFind:
+    """Union-find with the smaller root winning; merge_regions used it
+    before it labelled the kept edges with scipy's graph components."""
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, a: int) -> int:
+        while self.parent[a] != a:
+            self.parent[a] = self.parent[self.parent[a]]
+            a = self.parent[a]
+        return a
+
+    def union(self, a: int, b: int):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            if ra > rb:
+                ra, rb = rb, ra
+            self.parent[rb] = ra
+
+
+def union_find_merge(lab, graph, weights, lam):
+    uf = _UnionFind(graph.n_regions + 1)
+    for edge in graph.edges:
+        if weights[edge] >= lam:
+            uf.union(edge[0], edge[1])
+    remap = np.array([uf.find(v) for v in range(graph.n_regions + 1)], np.int32)
+    return _canonicalize(remap[lab.data])
+
+
+# random labels on a line: runs of neighbouring regions are chained by edges
+# that the sorted edge list visits out of chain order; and random labels in
+# a block, with background voxels and denser adjacency
+@pytest.mark.parametrize("shape, n", [((1, 1, 60), 40), ((6, 6, 6), 30)])
+def test_merge_matches_union_find_oracle(rng, shape, n):
+    for _ in range(5):
+        lab = labels(_canonicalize(rng.integers(0, n + 1, shape)))
+        g = build_region_graph(lab)
+        weights = {e: float(rng.random()) for e in g.edges}
+        for lam in (0.0, 0.3, 0.6, 0.9, 1.0):
+            merged = merge_regions(lab, g, weights, lam)
+            np.testing.assert_array_equal(merged.data, union_find_merge(lab, g, weights, lam))
+
+
 def test_merge_monotone_in_lambda(rng):
-    from tomoseg.watershed import connected_components
-    from conftest import binary
+    from tomoseg._kernels.cc import connected_components_mask
 
     for _ in range(5):
         mask = rng.random((12, 12, 12)) > 0.55
-        lab = connected_components(binary(mask), 6)
+        lab = labels(connected_components_mask(mask, 6))
         if lab.n_labels < 3:
             continue
         g = build_region_graph(lab)

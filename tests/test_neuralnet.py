@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from tomoseg.neuralnet import (
-    DEFAULT_HIDDEN_UNITS,
     MlpModel,
     TrainConfig,
     cross_entropy,
@@ -14,7 +13,6 @@ from tomoseg.neuralnet import (
     load_model,
     loss_and_gradients,
     save_model,
-    sum_squared_errors,
     train,
     train_detailed,
 )
@@ -222,10 +220,6 @@ def test_grid_search_picks_lower_validation_loss():
     assert best == min(candidates, key=lambda m: losses[m])
 
 
-def test_default_candidates_include_75():
-    assert 75 in DEFAULT_HIDDEN_UNITS
-
-
 def test_serialization_roundtrip(tmp_path, rng):
     model = make_model(6, 3, rng)
     path = tmp_path / "model.txt"
@@ -240,4 +234,4 @@ def test_sse_loss_value(rng):
     x = rng.normal(size=(9, 3))
     y = (rng.random(9) > 0.5).astype(float)
     p = forward_many(model, x)
-    assert abs(sum_squared_errors(model, x, y) - np.sum((y - p) ** 2)) < 1e-12
+    assert abs(loss_and_gradients(model, x, y, loss="sse")[0] - np.sum((y - p) ** 2)) < 1e-12

@@ -11,11 +11,12 @@ from tomoseg.phantom import (
     instrument_line,
     parse_spec_file,
     render_mla_section,
-    render_section_mask,
     section_to_voxel_mask,
 )
 from tomoseg.register import RigidTransform
 from tomoseg.volgrid import LabelPlane
+
+from conftest import render_section_mask
 
 
 def small_spec(**kw):

@@ -3,23 +3,24 @@ import math
 import numpy as np
 import pytest
 
+from tomoseg._kernels.rotate import rotate_nearest
 from tomoseg.register import (
     RegisterOptions,
     RigidTransform,
-    best_translation,
+    TranslationSolver,
+    _lattice_search,
     block_or_downsample,
-    brute_force_translation,
     direct_overlap,
     nelder_mead,
     read_transform,
     register_section,
-    rotate_volume,
     sample_plane,
+    volume_center,
     write_result,
 )
 from tomoseg.volgrid import BinaryVolume
 
-from conftest import ball_mask, binary
+from conftest import ball_mask, binary, brute_force_translation, render_section_mask
 
 
 def test_rotation_matrix_orthonormal(rng):
@@ -36,17 +37,23 @@ def test_angles_wrap_into_interval():
         assert -math.pi < a <= math.pi
 
 
+def rotate(m, angles):
+    """Nearest-neighbor rotation of ``m`` by the Euler ``angles`` about its
+    center; samples outside the window become background."""
+    rinv = RigidTransform(tuple(angles), (0.0, 0.0, 0.0)).rotation().T
+    return rotate_nearest(m, rinv, volume_center(m.shape))
+
+
 def test_rotate_identity_exact(rng):
     m = rng.random((9, 10, 11)) > 0.5
-    vol = binary(m)
-    out = rotate_volume(vol, (0.0, 0.0, 0.0))
-    np.testing.assert_array_equal(out.data, m)
+    out = rotate(m, (0.0, 0.0, 0.0))
+    np.testing.assert_array_equal(out, m)
 
 
 def test_rotate_quarter_turn_matches_permutation(rng):
     n = 9
     m = rng.random((n, n, n)) > 0.5
-    out = rotate_volume(binary(m), (math.pi / 2, 0.0, 0.0))
+    out = rotate(m, (math.pi / 2, 0.0, 0.0))
     # +90 deg about z maps (x, y) -> (-y, x); sampling inverts it
     expect = np.zeros_like(m)
     c = (n - 1) / 2.0
@@ -56,20 +63,17 @@ def test_rotate_quarter_turn_matches_permutation(rng):
                 sx = int(round(c + (y - c)))
                 sy = int(round(c - (x - c)))
                 expect[z, y, x] = m[z, sy, sx]
-    np.testing.assert_array_equal(out.data, expect)
+    np.testing.assert_array_equal(out, expect)
 
 
 def test_rotate_roundtrip_mostly_self_inverse():
     m = ball_mask((24, 24, 24), (12, 12, 12), 8) | ball_mask((24, 24, 24), (8, 14, 16), 4)
     angles = (0.3, -0.2, 0.15)
-    once = rotate_volume(binary(m), angles)
+    once = rotate(m, angles)
     # the inverse rotation is the transposed matrix; apply it via the kernel
     # directly since it has no Euler-angle triple of the same convention
     inv = RigidTransform(angles, (0, 0, 0)).rotation().T
-    from tomoseg._kernels.rotate import rotate_nearest
-    from tomoseg.register import volume_center
-
-    restored = rotate_nearest(once.data, inv.T, volume_center(m.shape))
+    restored = rotate_nearest(once, inv.T, volume_center(m.shape))
     agree = (restored == m).mean()
     assert agree >= 0.98
 
@@ -454,27 +458,26 @@ def test_hinted_solve_with_plane_as_large_as_slice(rng):
 
 def test_best_translation_self_slice_exact(rng):
     m = rng.random((16, 20, 22)) > 0.6
-    vol = binary(m)
     a, b, c = 3, 5, 7
     plane = m[c, b : b + 8, a : a + 9]
-    res = best_translation(vol, plane)
+    res = TranslationSolver(m.shape, plane).solve(m)
     assert res.shift == (a, b, c)
     assert res.overlap == int(plane.sum())
 
 
 def test_best_translation_matches_brute_force(rng):
     for _ in range(5):
-        vol = binary(rng.random((10, 12, 14)) > 0.55)
+        vol = rng.random((10, 12, 14)) > 0.55
         plane = rng.random((6, 7)) > 0.45
-        fft_res = best_translation(vol, plane)
+        fft_res = TranslationSolver(vol.shape, plane).solve(vol)
         bf_res = brute_force_translation(vol, plane)
         assert fft_res.shift == bf_res.shift
         assert fft_res.overlap == bf_res.overlap
 
 
 def test_best_translation_empty_plane():
-    vol = binary(np.ones((4, 4, 4), bool))
-    res = best_translation(vol, np.zeros((2, 2), bool))
+    vol = np.ones((4, 4, 4), bool)
+    res = TranslationSolver(vol.shape, np.zeros((2, 2), bool)).solve(vol)
     assert res.empty_plane
     assert res.overlap == 0
     assert res.shift == (0, 0, 0)
@@ -500,7 +503,7 @@ def test_register_identity_plane_recovers_slice():
     vol = binary(m)
     k = 16
     plane = m[k][2:30, 2:30]
-    res = register_section(vol, plane, RegisterOptions(pyramid=(2, 1), simplex_step_deg=(2.5, 1.0)))
+    res = register_section(vol, plane, RegisterOptions(pyramid=(2, 1)))
     assert res.normalized_overlap == pytest.approx(1.0)
     assert abs(res.transform.translation[0] - 2) <= 0.75
     assert abs(res.transform.translation[1] - 2) <= 0.75
@@ -521,7 +524,7 @@ def test_register_recovers_known_transform():
     true = RigidTransform(
         (math.radians(4.0), math.radians(-6.0), math.radians(7.5)), (3.3, -2.1, 44.6)
     )
-    plane = phantom.render_section_mask(out, true)
+    plane = render_section_mask(out, true)
     res = register_section(vol, plane)
     for got, want in zip(res.transform.angles, true.angles):
         assert abs(math.degrees(got - want)) <= 1.0
@@ -563,7 +566,7 @@ def test_register_mirrored_plane_flagged():
     out = phantom.generate(spec)
     vol = BinaryVolume(out.labels.data > 0, spec.spacing)
     true = RigidTransform((0.05, -0.04, 0.08), (1.0, -2.0, 40.0))
-    plane = phantom.render_section_mask(out, true)
+    plane = render_section_mask(out, true)
     genuine = register_section(vol, plane)
     mirrored = register_section(vol, plane[:, ::-1].copy())
     assert mirrored.normalized_overlap < genuine.normalized_overlap
@@ -582,14 +585,11 @@ def test_register_pyramid_monotone():
     out = phantom.generate(spec)
     vol = BinaryVolume(out.labels.data > 0, spec.spacing)
     true = RigidTransform((0.03, 0.06, -0.05), (2.0, 1.0, 30.0))
-    plane = phantom.render_section_mask(out, true)
+    plane = render_section_mask(out, true)
     # the joint polish must never fall below the lattice stage, and the fine
     # lattice stage never below the coarse solution re-evaluated at full res
     res = register_section(vol, plane)
-    coarse_only = register_section(
-        vol, plane, RegisterOptions(pyramid=(4, 2, 1), simplex_step_deg=(5.0, 2.5, 1.0),
-                                    max_iter=0, joint_polish=False)
-    )
+    _, coarse_only = _lattice_search(vol, plane, RegisterOptions(max_iter=0), [])
     assert res.overlap >= coarse_only.overlap
 
 

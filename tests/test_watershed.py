@@ -3,13 +3,13 @@ from collections import deque
 import numpy as np
 import pytest
 
+from tomoseg._kernels.cc import connected_components_mask
+from tomoseg._kernels.recon import _shifted_slices, neighbor_offsets
 from tomoseg.binarize import distance_transform
 from tomoseg.watershed import (
     WatershedParams,
-    connected_components,
     extended_minima_markers,
     marker_watershed,
-    watershed_line,
     watershed_segment,
 )
 
@@ -55,7 +55,7 @@ def inv_edt(mask):
 
 
 def test_cc_empty():
-    out = connected_components(binary(np.zeros((3, 3, 3), bool)))
+    out = labels(connected_components_mask(np.zeros((3, 3, 3), bool), 26))
     assert out.n_labels == 0
 
 
@@ -63,16 +63,16 @@ def test_cc_connectivity_semantics():
     m = np.zeros((3, 3, 3), bool)
     m[0, 0, 0] = True
     m[1, 1, 1] = True
-    assert connected_components(binary(m), 26).n_labels == 1
-    assert connected_components(binary(m), 6).n_labels == 2
+    assert labels(connected_components_mask(m, 26)).n_labels == 1
+    assert labels(connected_components_mask(m, 6)).n_labels == 2
 
 
 @pytest.mark.parametrize("connectivity", [6, 26])
 def test_cc_matches_bfs_oracle(rng, connectivity):
     for _ in range(3):
         m = rng.random((10, 10, 10)) > 0.6
-        got = connected_components(binary(m), connectivity)
-        np.testing.assert_array_equal(got.data, bfs_components_oracle(m, connectivity))
+        got = connected_components_mask(m, connectivity)
+        np.testing.assert_array_equal(got, bfs_components_oracle(m, connectivity))
 
 
 def test_single_ball_single_marker():
@@ -150,7 +150,12 @@ def test_two_ball_split_near_bisector():
     m = binary(ball_mask(shape, c1, 13) | ball_mask(shape, c2, 13))
     lab = watershed_segment(m, WatershedParams(h_depth=2.0))
     assert lab.n_labels == 2
-    line = watershed_line(lab)
+    # foreground voxels next to a voxel of the other label
+    line = np.zeros(lab.data.shape, bool)
+    for d in neighbor_offsets(26):
+        ctr, nbr = _shifted_slices(lab.data.shape, d)
+        a, b = lab.data[ctr], lab.data[nbr]
+        line[ctr] |= (a > 0) & (b > 0) & (a != b)
     pts = np.argwhere(line)
     # analytic bisector plane: z = 28 (midway along the last axis)
     dist_to_plane = np.abs(pts[:, 2] - 28.0)
