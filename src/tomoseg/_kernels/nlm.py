@@ -10,15 +10,32 @@ falling outside are simply dropped, without reweighting. The output is
 
     out(x) = sum_y w(x,y) I(y) / sum_y w(x,y),   w = exp(-d / h^2).
 
-The kernel accumulates offset-major: for each search offset s, in a fixed
-order, the squared differences are patch-weighted by a separable zero-fill
-Gaussian correlation (z, then y, then x) and the weights are added into the
-per-voxel sums.
+The patch distance is symmetric, d(x, x+s) = d(x+s, x) (Darbon et al.,
+ISBI 2008; Coupe et al., IEEE TMI 2008), so the kernel computes a weight
+field W_s(x) = w(x, x+s) only for the offsets after (0, 0, 0) in
+lexicographic order, one of each pair +-s (665 of 1 331 at search 5). For
+each, in that order, the squared differences are patch-weighted by a
+separable zero-fill Gaussian correlation (z, then y, then x), and W_s is
+added twice: forward, norm(x) += W_s(x) and acc(x) += W_s(x) I(x+s); then
+mirrored, norm(x+s) += W_s(x) and acc(x+s) += W_s(x) I(x). The sums start
+from the centre's weight, exactly 1: norm = 1 and acc = I(x). So each
+voxel's sums run in a fixed order: the centre, then for each half offset
+its forward term and then its mirrored term.
+
+The mirrored term is bitwise the weight the offset -s would give at x+s:
+the squared-difference field of -s is that of s moved by s (subtraction
+and squaring are sign-symmetric), and a zero-fill pass commutes with the
+move, combining the same values in the same order. So every term is the
+one a pass over all 1 331 offsets adds; only the order of the float64 sums
+differs from such a pass (by at most about 1e-14 relative on 64^3
+phantoms at search 5; the rounded outputs of the `cli` workload are
+unchanged). Where h is huge every float32 weight is exactly 1, and sums of
+integers are exact in any order.
 
 It works on a flat layout: the image, norm and acc are (nz, NY, NX)
 planes, NY = ny + r and NX = nx + r for patch radius r, whose r guard rows
 and columns are zero; the image copy also has a zero margin on both ends,
-as wide as the flat reach of any in-plane shift. For search
+as wide as the flat reach m of any in-plane shift. For search
 offset s, at flat shift f = sz*NY*NX + sy*NX + sx, each step is one numpy
 call on a contiguous range: the squared differences I(x) - I(x+f); the z,
 y and x passes as shifted-slice sums at flat strides NY*NX, NX and 1, in
@@ -28,16 +45,19 @@ exp; the sums. Before the passes, the rows and columns where x+s leaves
 the volume (the invalid strips, next to the guards) are zeroed, and r zero
 planes lie on each side of the planes the z pass reads, so every pass
 reads the zeros scipy's zero fill would supply. After exp the weights on the
-strips and guards are zeroed. There norm += 0.0 and acc += +-0.0 are
-exact: both sums start at +0.0, and a sum is -0.0 only when both terms
-are. So every voxel sees the same floating-point operations, in the same
-order, as zero-fill passes over the valid box taken step by step in that
-order.
+strips and guards are zeroed, and the weight buffer has a zero margin of
+m + r*NX on both sides. The mirrored sums read W_s at flat index y - f for
+each y: where y - s is a voxel that is valid for s, that is its pair's
+weight; anywhere else the index lands on a zeroed strip or guard (a shift
+that leaves a row or plane wraps onto them) or in the margin, and adds an
+exact 0. Adding 0 leaves a sum unchanged, up to the sign of a zero sum,
+and every voxel adds its zeros at the same steps for any slab split.
 
 Precision: the image copy, the differences, the patch passes, g1, h^2 and
 the weights are float32; norm and acc are float64, and each float32 weight
-and product w * I(x+s) converts to float64 exactly. Integer inputs below
-2**24 (every uint16 volume) are held exactly. Each step rounds to float32,
+and product (W_s(x) I(x+s), W_s(x) I(x)) converts to float64 exactly.
+Integer inputs below 2**24 (every uint16 volume) are held exactly. Each
+step rounds to float32,
 so this is not scipy's correlate1d on float32 data, which computes in
 double and rounds once. Against the same kernel in float64, the rounded
 uint16 output of the `cli` workload's 64^3 volumes (search 5) differs on
@@ -49,10 +69,13 @@ that workload's weights fall there.
 The output z-planes are split into disjoint slabs, one per worker thread
 (``backend.worker_count``: the least of the ``--threads`` bound, the usable
 CPUs and nz // (2 * patch_radius + 1), so no slab is thinner than its
-halo). Each runs every offset in order over its own planes, plus the
-patch-radius halo planes the z pass reads, so the result is bitwise
-independent of the worker count; numpy ufuncs release the GIL, so the slabs
-run in parallel. Workers call only private functions (perfbench's span
+halo). Each runs every half offset in order. It computes W_s on its own
+planes plus the sz planes below them (the mirror halo), whose mirrored
+terms land in its own planes, and reads the patch-radius halo planes
+around those for the z pass. So each slab writes only its own planes, each
+voxel's sums run in the order above, and the result is bitwise independent
+of the worker count; numpy ufuncs release the GIL, so the slabs run in
+parallel. Workers call only private functions (perfbench's span
 tracer wraps the public ones on a single, thread-unsafe stack) and write
 into buffers the calling thread allocated.
 """
@@ -84,48 +107,64 @@ def _zero_outside(planes, y0, y1, x0, x1):
 
 
 def _nlm_slab(pad, m, shape, h2, g1, search, norm, acc, z0, z1, buf_a, buf_b, buf_c):
-    # Every search offset in order, for output planes [z0, z1). dsq (ext planes),
-    # w and ypass follow r zero planes, rows and elements, the zeros a pass reads.
+    # The half offsets in order, for output planes [z0, z1). The weights are
+    # computed on planes [cz0, cz1): the slab's own and the sz planes below,
+    # whose mirrored terms land in its own. dsq (ext planes) and ypass follow
+    # r zero planes and elements; w follows a zero margin of M = m + r * NX.
     nz, ny, nx = shape
     r = g1.shape[0] // 2
     NY, NX = ny + r, nx + r
     P = NY * NX
+    M = m + r * NX
     rng = range(-search, search + 1)
-    for sz in rng:
-        lo, hi = max(0, -sz), min(nz, nz - sz)
-        oz0, oz1 = max(z0, lo), min(z1, hi)
-        if oz0 >= oz1:
+    for sz in range(search + 1):
+        hi = nz - sz  # x and x+s both lie in the volume's planes for x_z < hi
+        cz0, cz1 = max(0, z0 - sz), min(z1, hi)
+        if cz0 >= cz1:
             continue
-        ez0, ez1 = max(lo, oz0 - r), min(hi, oz1 + r)
-        n_own = (oz1 - oz0) * P
+        ez0, ez1 = max(0, cz0 - r), min(hi, cz1 + r)
+        n_c = (cz1 - cz0) * P
         dsq = buf_a[r * P : (r + ez1 - ez0) * P]
         buf_a[(r + ez1 - ez0) * P :] = 0.0  # the zero planes after ext
-        tmp = buf_a[r * P : r * P + n_own]
-        w = buf_b[r * NX : r * NX + n_own]
-        ypass = buf_c[r : r + n_own]
-        own = slice(oz0 * P, oz1 * P)
+        tmp = buf_a[r * P : r * P + n_c]
+        w = buf_b[M : M + n_c]
+        buf_b[M + n_c :] = 0.0  # the mirrored reads reach up to m past w
+        ypass = buf_c[r : r + n_c]
+        fwd = slice(z0 * P, cz1 * P)  # x in own planes, x+s in the volume
+        n_f = max(0, cz1 - z0) * P
+        t0 = max(z0, sz)
+        mir = slice(t0 * P, z1 * P)  # x+s in own planes, x in the volume
+        n_m = max(0, z1 - t0) * P
         for sy in rng:
             y0, y1 = max(0, -sy), min(ny, ny - sy)
             if y0 >= y1:
                 continue
             for sx in rng:
                 x0, x1 = max(0, -sx), min(nx, nx - sx)
-                if x0 >= x1:
+                if x0 >= x1 or (sz, sy, sx) <= (0, 0, 0):
                     continue
                 f = m + sz * P + sy * NX + sx
                 np.subtract(pad[m + ez0 * P : m + ez1 * P], pad[f + ez0 * P : f + ez1 * P], out=dsq)
                 np.square(dsq, out=dsq)
                 _zero_outside(dsq.reshape(-1, NY, NX), y0, y1, x0, x1)
-                _correlate_flat(buf_a, (r + oz0 - ez0) * P, n_own, P, g1, w, ypass)
-                _correlate_flat(buf_b, r * NX, n_own, NX, g1, ypass, tmp)
-                _correlate_flat(buf_c, r, n_own, 1, g1, w, tmp)
+                _correlate_flat(buf_a, (r + cz0 - ez0) * P, n_c, P, g1, w, ypass)
+                _correlate_flat(buf_b, M, n_c, NX, g1, ypass, tmp)
+                _correlate_flat(buf_c, r, n_c, 1, g1, w, tmp)
                 # -dsq / h2 == dsq / -h2 bitwise: IEEE division rounds sign-symmetrically
                 np.divide(w, -h2, out=w)
                 np.exp(w, out=w)
                 _zero_outside(w.reshape(-1, NY, NX), y0, y1, x0, x1)
-                np.add(norm[own], w, out=norm[own])
-                np.multiply(w, pad[f + oz0 * P : f + oz1 * P], out=w)
-                np.add(acc[own], w, out=acc[own])
+                if n_f:
+                    wf = w[(z0 - cz0) * P :][:n_f]
+                    np.add(norm[fwd], wf, out=norm[fwd])
+                    np.multiply(wf, pad[f + z0 * P : f + cz1 * P], out=tmp[:n_f])
+                    np.add(acc[fwd], tmp[:n_f], out=acc[fwd])
+                if n_m:
+                    src = t0 * P - (f - m)  # the flat x of the first x+s in mir
+                    wm = buf_b[M + src - cz0 * P :][:n_m]
+                    np.add(norm[mir], wm, out=norm[mir])
+                    np.multiply(wm, pad[m + src : m + src + n_m], out=tmp[:n_m])
+                    np.add(acc[mir], tmp[:n_m], out=acc[mir])
 
 
 def _slab_workers(nz: int, patch_radius: int) -> int:
@@ -146,17 +185,19 @@ def _nlm_numpy(img, h2, patch_radius, patch_sigma, search):
     m = search * (NX + 1)  # |sy * NX + sx| <= m: no shift reads past the margin
     pad = np.zeros(nz * P + 2 * m, np.float32)
     pad[m : m + nz * P].reshape(nz, NY, NX)[:, :ny, :nx] = img
-    norm, acc = np.zeros(nz * P), np.zeros(nz * P)
+    # the centre's weight is exactly 1: the sums start at 1 and I(x)
+    norm, acc = np.ones(nz * P), pad[m : m + nz * P].astype(np.float64)
     n = _slab_workers(nz, patch_radius)
     cuts = [nz * i // n for i in range(n + 1)]
-    # all buffers are allocated here, not in the workers: memory a worker
-    # thread allocates lands in a glibc per-thread arena that keeps it
+    # all buffers and the centre term are allocated here, not in the workers:
+    # memory a worker thread allocates lands in a glibc per-thread arena that
+    # keeps it
     jobs = []
     for z0, z1 in zip(cuts[:-1], cuts[1:]):
-        own = (z1 - z0) * P
-        ext = (min(nz, z1 - z0 + 2 * r) + 2 * r) * P
-        bufs = [np.zeros(size, np.float32) for size in (ext, own + 2 * r * NX, own + 2 * r)]
-        jobs.append((z0, z1, *bufs))
+        planes = z1 - max(0, z0 - search)  # own planes and the mirror halo
+        ext = (min(nz, planes + 2 * r) + 2 * r) * P
+        sizes = (ext, planes * P + 2 * (m + r * NX), planes * P + 2 * r)
+        jobs.append((z0, z1, *[np.zeros(size, np.float32) for size in sizes]))
     args = (pad, m, img.shape, h2, g1, search, norm, acc)
     with ThreadPoolExecutor(max_workers=n) as pool:
         for future in [pool.submit(_nlm_slab, *args, *job) for job in jobs]:

@@ -29,6 +29,11 @@ class Mineral:
     rho: float  # mass density, g/cm^3
     mu_m: float  # mass attenuation coefficient, cm^2/g
 
+    def __post_init__(self):
+        # the comparisons are False for nan
+        if not (0 < self.rho < math.inf and 0 < self.mu_m < math.inf):
+            raise ValueError(f"{self.name}: rho and mu_m must be positive and finite")
+
     @property
     def rho_mu(self) -> float:
         return self.rho * self.mu_m
@@ -42,9 +47,6 @@ class MineralTable:
         codes = [m.code for m in self.minerals]
         if len(set(codes)) != len(codes):
             raise ValueError("mineral codes must be unique")
-        for m in self.minerals:
-            if m.rho <= 0 or m.mu_m <= 0:
-                raise ValueError(f"{m.name}: rho and mu_m must be positive")
 
     def by_code(self, code: int) -> Mineral:
         for m in self.minerals:
@@ -65,9 +67,10 @@ class MineralTable:
 
 def load_mineral_table(path=None) -> MineralTable:
     """CSV with header name,code,rho,mu_m; defaults to the bundled table.
-    Blank lines are skipped; a file without the header, or a row without
-    four fields or with a code or value that is not a number, raises
-    ValueError naming the file (and the row's line number)."""
+    Blank lines are skipped; a file without the header, a row without four
+    fields, with a code that is not a number or with rho or mu_m not a
+    positive finite number, or two rows with one code, raise ValueError
+    naming the file (and the rows' line numbers)."""
     if path is None:
         path = resources.files("tomoseg").joinpath("data/minerals.csv")
         text = path.read_text(encoding="utf-8")
@@ -77,7 +80,7 @@ def load_mineral_table(path=None) -> MineralTable:
     rows = [(n, ln.strip()) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not rows or rows[0][1] != "name,code,rho,mu_m":
         raise ValueError(f"{path}: mineral table must start with header name,code,rho,mu_m")
-    minerals = []
+    minerals, code_lines = [], {}
     for lineno, ln in rows[1:]:
         fields = ln.split(",")
         where = f"{path} line {lineno}"
@@ -88,6 +91,11 @@ def load_mineral_table(path=None) -> MineralTable:
             minerals.append(Mineral(name, int(code), float(rho), float(mu)))
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
+        code = minerals[-1].code
+        if code in code_lines:
+            raise ValueError(f"{path} lines {code_lines[code]} and {lineno}: "
+                             f"mineral code {code} appears twice")
+        code_lines[code] = lineno
     return MineralTable(tuple(minerals))
 
 

@@ -31,7 +31,7 @@ from . import register as rg
 from . import watershed as ws
 from .volgrid import (
     BinaryVolume, LabelPlane, _atomic_files, _atomic_text, _encode_volume, extract_slice,
-    load_volume, write_volume,
+    finite_float, load_volume, write_volume,
 )
 
 EXIT_OK = 0
@@ -225,8 +225,9 @@ def stage_register(*, vol: Input, plane: Input, out: str, pyramid: str = "4,2,1"
 
 def _read_samples(path, mineral_table):
     """Fit samples and pixel counts from a mineral,mean_gray,n_pixels CSV;
-    blank lines are skipped, and a bad line raises ValueError naming the
-    file and the line number."""
+    blank lines are skipped, and a bad line (a wrong field count, an
+    unknown mineral, a value that is not a finite number) raises ValueError
+    naming the file and the line number."""
     samples, weights = [], []
     with open(path, encoding="utf-8") as fh:
         if fh.readline().strip() != "mineral,mean_gray,n_pixels":
@@ -245,7 +246,7 @@ def _read_samples(path, mineral_table):
             except KeyError:
                 raise ValueError(f"{where}: unknown mineral {name!r}") from None
             try:
-                gray, n = float(gray), float(n)
+                gray, n = finite_float(gray), finite_float(n)
             except ValueError as exc:
                 raise ValueError(f"{where}: {exc}") from None
             samples.append((name, gray, m.rho, m.mu_m))

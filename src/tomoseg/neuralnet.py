@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .volgrid import _atomic_text, key_value
+from .volgrid import _atomic_text, finite_float, key_value
 
 
 @dataclass(frozen=True)
@@ -260,8 +260,8 @@ def save_model(model: MlpModel, path) -> None:
 
 def load_model(path) -> MlpModel:
     """A ``save_model`` file. A missing key, a row of the wrong length or a
-    value that is not a number raises ValueError naming the file and the
-    key."""
+    value that is not a finite number raises ValueError naming the file and
+    the key."""
     with open(path, encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     if not lines or lines[0] != _FORMAT_TAG:
@@ -278,12 +278,12 @@ def load_model(path) -> MlpModel:
     m = key_value(path, fields, "M", int)
     if len(alpha_rows) != m:
         raise ValueError(f"{path}: key 'alpha': expected {m} rows, got {len(alpha_rows)}")
-    alpha = [key_value(path, {"alpha": row}, "alpha", float, d) for row in alpha_rows]
-    vec = lambda key, n: np.array(key_value(path, fields, key, float, n), np.float64)
+    alpha = [key_value(path, {"alpha": row}, "alpha", finite_float, d) for row in alpha_rows]
+    vec = lambda key, n: np.array(key_value(path, fields, key, finite_float, n), np.float64)
     return MlpModel(
         alpha0=vec("alpha0", m),
         alpha=np.array(alpha, np.float64).reshape(m, d),
-        beta0=key_value(path, fields, "beta0", float),
+        beta0=key_value(path, fields, "beta0", finite_float),
         beta=vec("beta", m),
         feat_mean=vec("feat_mean", d),
         feat_std=vec("feat_std", d),

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import math
 import os
 import secrets
 from dataclasses import dataclass
@@ -261,6 +262,14 @@ def read_key_values(path) -> dict[str, str]:
             key, _, val = line.partition("=")
             values[key.strip()] = val.strip()
     return values
+
+
+def finite_float(text) -> float:
+    """``float(text)``; nan and the infinities raise ValueError."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
 
 
 def key_value(path, values: dict, key: str, convert=str, count=None, sep=None):

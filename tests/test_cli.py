@@ -522,7 +522,9 @@ def test_samples_csv_trailing_blank_line_is_skipped(tmp_path, samples_csv):
 
 
 @pytest.mark.parametrize("bad_line, reason", [("muscovite,21000", "got 2 fields"),
-                                              ("beryl,21000,40", "'beryl'")])
+                                              ("beryl,21000,40", "'beryl'"),
+                                              ("muscovite,nan,40", "'nan' is not a finite"),
+                                              ("muscovite,21000,inf", "'inf' is not a finite")])
 def test_samples_csv_bad_line_names_file_and_line(tmp_path, capsys, bad_line, reason):
     samples = tmp_path / "samples.csv"
     samples.write_text(f"mineral,mean_gray,n_pixels\nquartz,19400,10\n{bad_line}\n"
@@ -539,10 +541,15 @@ TABLE_FAULTS = [
     ("name,code,rho,mu_m\nquartz,19,2.65,0.22\nmuscovite,25,2.83\n", "line 3"),
     ("name,code,rho,mu_m\nquartz,19,2.65,0.22\n\nmuscovite,x,2.83,0.2\n", "line 4"),
     ("", ""),
+    ("name,code,rho,mu_m\nquartz,19,2.65,0.22\nmuscovite,19,2.83,0.2\n", "lines 2 and 3"),
+    ("name,code,rho,mu_m\nquartz,19,2.65,0.22\nmuscovite,25,nan,0.2\n", "line 3"),
+    ("name,code,rho,mu_m\nquartz,19,2.65,inf\nmuscovite,25,2.83,0.2\n", "line 2"),
+    ("name,code,rho,mu_m\nquartz,19,2.65,0.22\nmuscovite,25,0,0.2\n", "line 3"),
 ]
 
 
-@pytest.mark.parametrize("text, where", TABLE_FAULTS, ids=["short-row", "non-number", "empty"])
+@pytest.mark.parametrize("text, where", TABLE_FAULTS, ids=[
+    "short-row", "non-number", "empty", "duplicate-code", "nan-rho", "inf-mu", "zero-rho"])
 def test_bad_mineral_table_names_file_and_line(tmp_path, capsys, samples_csv, text, where):
     table = tmp_path / "table.csv"
     table.write_text(text)
@@ -562,6 +569,9 @@ MLP_FAULTS = [
     ("alpha", None, "'alpha'"),
     ("alpha", "alpha 1 2", "'alpha'"),
     ("feat_std", "feat_std 1", "'feat_std'"),
+    ("beta0", "beta0 nan", "'beta0'"),
+    ("beta", "beta inf 0", "'beta'"),
+    ("alpha", "alpha " + " ".join(["-inf"] + ["0"] * 17), "'alpha'"),
 ]
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -34,6 +35,30 @@ def test_nlm_huge_h_is_window_mean(rng):
                 win = f[max(0, z - 2) : z + 3, max(0, y - 2) : y + 3, max(0, x - 2) : x + 3]
                 expect[z, y, x] = win.mean()
     np.testing.assert_array_equal(out.data, np.clip(np.floor(expect + 0.5), 0, 65535))
+
+
+@pytest.mark.parametrize("shape", [(1, 6, 5), (4, 9, 1), (3, 2, 2), (16, 3, 4)])
+def test_nlm_huge_h_window_mean_with_mirrored_pairs(rng, shape, monkeypatch):
+    # Every weight is exactly 1, so the sums of integers are exact: the
+    # output is the window mean only if each valid pair (x, x+s) reaches both
+    # x and x+s exactly once, on every slab split, with the search reaching
+    # past the volume on some axis.
+    from tomoseg import backend
+
+    monkeypatch.setattr(backend.os, "sched_getaffinity", lambda pid: set(range(8)))
+    img = rng.integers(0, 65536, shape).astype(np.float64)
+    search = 5
+    expect = np.zeros_like(img)
+    for x in np.ndindex(*shape):
+        expect[x] = img[tuple(slice(max(0, c - search), c + search + 1) for c in x)].mean()
+    try:
+        for patch_radius in (1, 2):
+            for workers in (1, 2, 3, 5):
+                backend.set_thread_bound(workers)
+                got = nlm._nlm_numpy(img, 1e24, patch_radius, 1.0, search)
+                assert np.array_equal(got, expect), (patch_radius, workers)
+    finally:
+        backend.set_thread_bound(None)
 
 
 def test_nlm_matches_oracle_exactly(rng):
@@ -87,25 +112,30 @@ def _shift_valid(img, s):
 def _nlm_full_volume(img, h2, patch_radius, patch_sigma, search):
     """The kernel's arithmetic as one plain full-volume pass, kept as the
     reference: float32 image, differences, patch passes and weights, float64
-    sums; every search offset is computed on the whole volume and masked
-    where x+s leaves it."""
+    sums. The sums start from the centre's weight 1. Then for each offset s
+    after the centre in lexicographic order, the weight field W_s is computed
+    on the whole volume and masked where x+s leaves it; it is added at x with
+    I(x+s), and then at x+s with I(x)."""
     img = np.asarray(img, np.float32)
     h2 = np.float32(h2)
     g1 = np.exp(-(np.arange(-patch_radius, patch_radius + 1) ** 2) / (2.0 * patch_sigma**2))
     g1 = (g1 / g1.sum()).astype(np.float32)
-    norm = np.zeros(img.shape, np.float64)
-    acc = np.zeros(img.shape, np.float64)
+    norm = np.ones(img.shape, np.float64)
+    acc = img.astype(np.float64)
     rng = range(-search, search + 1)
-    for sz in rng:
-        for sy in rng:
-            for sx in rng:
-                shifted, valid = _shift_valid(img, (sz, sy, sx))
-                dsq = np.where(valid, (img - shifted) ** 2, np.float32(0.0))
-                for axis in range(3):
-                    dsq = _correlate_zero_fill(dsq, g1, axis)
-                w = np.where(valid, np.exp(-dsq / h2), np.float32(0.0))
-                norm += w
-                acc += w * shifted
+    for s in itertools.product(range(search + 1), rng, rng):
+        if s <= (0, 0, 0):
+            continue
+        shifted, valid = _shift_valid(img, s)
+        dsq = np.where(valid, (img - shifted) ** 2, np.float32(0.0))
+        for axis in range(3):
+            dsq = _correlate_zero_fill(dsq, g1, axis)
+        w = np.where(valid, np.exp(-dsq / h2), np.float32(0.0))
+        norm += w
+        acc += w * shifted
+        back = tuple(-d for d in s)  # the value at x - s
+        norm += _shift_valid(w, back)[0]
+        acc += _shift_valid(w * img, back)[0]
     return acc / norm
 
 
@@ -115,17 +145,21 @@ def _nlm_full_volume(img, h2, patch_radius, patch_sigma, search):
      (5, 1, 7), (4, 9, 1), (3, 2, 2), (9, 13, 2)],
 )
 def test_nlm_slabs_bit_identical_to_full_volume(rng, shape, monkeypatch):
-    # the flat layout and z slabs keep every voxel's sums in the same order,
-    # so the result is bitwise equal for any worker count; the short volumes
-    # fall back to fewer slabs than the bound asks for; on the 1- and 2-wide
-    # axes the guard rows and columns do most of the zero fill's work
+    # the flat layout and z slabs, mirror halo included, keep every voxel's
+    # sums in the same order, so the result is bitwise equal for any worker
+    # count; the short volumes fall back to fewer slabs than the bound asks
+    # for; on the 1- and 2-wide axes the guard rows and columns do most of
+    # the zero fill's work. At h = 6000 the weights span many binades, so
+    # the float64 sums round and their order shows (forward and mirrored
+    # terms swapped change the output); at 300 and 900 nearly every weight
+    # but the centre's is 0.
     from tomoseg import backend
 
     monkeypatch.setattr(backend.os, "sched_getaffinity", lambda pid: set(range(8)))
     img = rng.integers(0, 65536, shape).astype(np.float64)
     try:
         for search in (1, 2, 5):
-            for h in (300.0, 900.0, 1e12):
+            for h in (300.0, 900.0, 6000.0, 1e12):
                 for patch_radius in (1, 2):
                     want = _nlm_full_volume(img, h * h, patch_radius, 1.0, search)
                     for workers in (1, 2, 3, 5):
