@@ -20,10 +20,10 @@ The translation solve is a float32 FFT correlation plus an exact count of
 each candidate shift. Rotation reads a guarded copy of the volume built
 once, as the registration does. The opening rows time radius 1 and 2 on the ball
 footprint, beside the distance-threshold formulation that radii above
-``BALL_FOOTPRINT_MAX_RADIUS`` use. The polish rows time one
-``direct_overlap`` evaluation of a plane of about 15% foreground, prepared
-as the polish runs it and plain (``sample_plane``); rows under a
-millisecond print in microseconds. The solve runs at the band and
+``BALL_FOOTPRINT_MAX_RADIUS`` use. The polish row times one
+``direct_overlap`` evaluation of a plane of about 15% foreground on a
+sampler prepared once, as the polish runs it; rows under a millisecond
+print in microseconds. The solve runs at the band and
 plane shapes of the three pyramid levels of a 96^3 registration, twice: cold,
 over the full zero-padded length, and hinted, with the plane planted in
 the band and the solver's hint at its shift, so the transform shrinks to
@@ -90,11 +90,11 @@ def main():
     nlm_img = img[: min(n, 32), : min(n, 32), : min(n, 32)]
     nlm_workers = nlm._slab_workers(nlm_img.shape[0], 1)
     add(f"non-local means (random u16 {nlm_img.shape[0]}^3, search 2, {nlm_workers} workers)",
-        lambda: nlm._nlm_numpy(nlm_img, 800.0**2, 1, 1.0, 2))
+        lambda: nlm.nlm_field(nlm_img, 800.0, 1, 1.0, 2))
     nlm_h = prefilter.default_nlm_params(phan.gray).h
     nlm_workers = nlm._slab_workers(phan.gray.data.shape[0], 1)
     add(f"non-local means (64^3 phantom, h {nlm_h:.0f}, search 5, {nlm_workers} workers)",
-        lambda: nlm._nlm_numpy(phan.gray.data, nlm_h**2, 1, 1.0, 5))
+        lambda: nlm.nlm_field(phan.gray.data, nlm_h, 1, 1.0, 5))
 
     add("sauvola threshold field",
         lambda: sauvola.sauvola_threshold_field(img, 15, 0.34, 32768.0))
@@ -103,7 +103,7 @@ def main():
     inv = -edt.edt(mask)
     inv[~mask] = 0.0
     add("grayscale reconstruction", lambda: recon.reconstruct_erosion(inv + 1.0, inv, mask, 26))
-    add("regional minima", lambda: recon._minima_numpy(inv, mask, offs26))
+    add("regional minima", lambda: recon.regional_minima(inv, mask, 26))
 
     add("connected components", lambda: cc.connected_components_mask(mask, 26))
 
@@ -112,7 +112,7 @@ def main():
     for i, (z, y, x) in enumerate(seeds, start=1):
         markers[z, y, x] = i
 
-    add("watershed flood", lambda: flood._flood_numpy(inv, markers, mask, offs26))
+    add("watershed flood", lambda: flood.priority_flood(inv, markers, mask, offs26))
 
     from tomoseg.register import RigidTransform, volume_center
 
@@ -139,10 +139,8 @@ def main():
     plane = rng.random((n - n // 16, n - n // 16)) > 0.85
     sampler = _PlaneSampler(mask, plane_points(plane))
     pose = RigidTransform((0.01, -0.02, 0.015), (n / 32 + 0.3, n / 32 - 0.2, n / 2 + 0.4))
-    add(f"direct overlap, prepared ({len(sampler.u)} plane points)",
+    add(f"direct overlap ({len(sampler.u)} plane points)",
         lambda: direct_overlap(bmask, plane, pose, sampler))
-    add(f"direct overlap, plain (sample_plane, {len(sampler.u)} plane points)",
-        lambda: direct_overlap(bmask, plane, pose))
 
     grid = np.zeros(mask.shape, np.int32)
     rot = RigidTransform((0.4, 0.1, -0.3), (0, 0, 0)).rotation()

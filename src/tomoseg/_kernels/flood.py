@@ -23,7 +23,10 @@ from collections import deque
 import numpy as np
 
 
-def _flood_numpy(height, markers, mask, offs):
+def priority_flood(height: np.ndarray, markers: np.ndarray, mask: np.ndarray, offs: np.ndarray):
+    height = np.ascontiguousarray(height, np.float64)
+    markers = np.ascontiguousarray(markers, np.int32)
+    mask = np.ascontiguousarray(mask, bool)
     # Every entry a binary heap would hold for a voxel carries that voxel's
     # height, so its first entry pops first and the later ones are no-ops:
     # a voxel is queued once, taking the label of the voxel that queued it.
@@ -72,10 +75,3 @@ def _flood_numpy(height, markers, mask, offs):
             heapq.heappop(active)
         spread(i)
     return np.ascontiguousarray(lab_arr[inner])
-
-
-def priority_flood(height: np.ndarray, markers: np.ndarray, mask: np.ndarray, offs: np.ndarray):
-    height = np.ascontiguousarray(height, np.float64)
-    markers = np.ascontiguousarray(markers, np.int32)
-    mask = np.ascontiguousarray(mask, bool)
-    return _flood_numpy(height, markers, mask, offs)

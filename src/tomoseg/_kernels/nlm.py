@@ -172,12 +172,18 @@ def _slab_workers(nz: int, patch_radius: int) -> int:
     return worker_count(nz // (2 * patch_radius + 1))
 
 
-def _nlm_numpy(img, h2, patch_radius, patch_sigma, search):
+def nlm_field(img: np.ndarray, h: float, patch_radius: int, patch_sigma: float, search: int):
+    """Non-local means of a real-valued volume, as a float64 field.
+
+    The volume is copied straight into the kernel's float32 image, with no
+    float64 staging copy: integers below 2**24, so every uint16 volume, are
+    held exactly; other values are rounded to float32 first."""
+    img = np.asarray(img)
     # Per-axis normalization makes the 3D product of g1, the Gaussian patch
     # weights G, sum to 1 over the patch.
     g1 = np.exp(-(np.arange(-patch_radius, patch_radius + 1) ** 2) / (2.0 * patch_sigma**2))
     g1 = (g1 / g1.sum()).astype(np.float32)
-    h2 = np.float32(h2)
+    h2 = np.float32(float(h) * float(h))
     nz, ny, nx = img.shape
     r = patch_radius
     NY, NX = ny + r, nx + r
@@ -204,13 +210,3 @@ def _nlm_numpy(img, h2, patch_radius, patch_sigma, search):
             future.result()
     valid = (slice(None), slice(ny), slice(nx))
     return acc.reshape(nz, NY, NX)[valid] / norm.reshape(nz, NY, NX)[valid]
-
-
-def nlm_field(img: np.ndarray, h: float, patch_radius: int, patch_sigma: float, search: int):
-    """Non-local means of a real-valued volume, as a float64 field.
-
-    The volume is copied straight into the kernel's float32 image, with no
-    float64 staging copy: integers below 2**24, so every uint16 volume, are
-    held exactly; other values are rounded to float32 first."""
-    h2 = float(h) * float(h)
-    return _nlm_numpy(np.asarray(img), h2, patch_radius, patch_sigma, search)

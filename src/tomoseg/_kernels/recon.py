@@ -3,10 +3,10 @@ to a mask (non-mask voxels act as an impassable +inf wall).
 
 Reconstruction repeats full-volume erosion rounds until nothing changes.
 Its fixpoint is unique, so the tests hold it to sequential raster sweeps.
-Regional minima are a set, too: the equal-valued plateaus are labelled as
-graph components and those with no voxel that has a strictly lower
-neighbor are kept; the tests hold this to a breadth-first spread of "not
-minimal" across equal-valued neighbors.
+Regional minima are a set, too: the components of the voxels with no
+strictly lower neighbor that are whole equal-valued plateaus; the tests
+hold this to a breadth-first spread of "not minimal" across equal-valued
+neighbors.
 """
 
 from __future__ import annotations
@@ -71,46 +71,36 @@ def _shifted_slices(shape, d):
     return ctr, nbr
 
 
-def _minima_numpy(val, mask, offs):
-    # A plateau (a connected set of equal-valued mask voxels) is minimal iff
-    # none of its voxels has a strictly lower mask neighbor. Each unordered
-    # neighbor pair is visited once, through the offsets after the center.
-    # scipy.sparse is imported here: loading it adds about 11 MB of
-    # resident memory to every process that imports this module,
-    # registration too.
-    from scipy.sparse import coo_matrix, csgraph
+def regional_minima(val: np.ndarray, mask: np.ndarray, connectivity: int) -> np.ndarray:
+    """Boolean set of mask voxels belonging to equal-valued plateaus with no
+    strictly lower neighbor inside the mask.
 
-    out = np.zeros(val.shape, bool)
-    n = int(mask.sum())
-    if n == 0:
-        return out
-    node = np.full(val.shape, -1, np.int64)
-    node[mask] = np.arange(n)
+    Let C be the mask voxels with no strictly lower mask neighbor. Two
+    adjacent voxels of C are equal, since the higher would have a lower
+    neighbor, so each component of C lies in one plateau. It is the whole
+    plateau, which is then minimal, unless one of its voxels has an
+    equal-valued mask neighbor outside C. Each unordered neighbor pair is
+    visited once, through the offsets after the center."""
+    val = np.asarray(val, np.float64)
+    mask = np.asarray(mask, bool)
+    after = [_shifted_slices(val.shape, d)
+             for d in _split_scan_offsets(neighbor_offsets(connectivity))[1]]
     lower = np.zeros(val.shape, bool)
-    rows, cols = [], []
-    for d in _split_scan_offsets(offs)[1]:
-        ctr, nbr = _shifted_slices(val.shape, d)
+    for ctr, nbr in after:
         both = mask[ctr] & mask[nbr]
         a, b = val[ctr], val[nbr]
         lower[ctr] |= both & (b < a)
         lower[nbr] |= both & (a < b)
-        eq = both & (a == b)
-        rows.append(node[ctr][eq])
-        cols.append(node[nbr][eq])
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    graph = coo_matrix((np.ones(len(rows), np.int8), (rows, cols)), shape=(n, n))
-    _, plateau = csgraph.connected_components(graph, directed=False)
-    has_lower = np.zeros(plateau.max() + 1, bool)
-    has_lower[plateau[lower[mask]]] = True
-    out[mask] = ~has_lower[plateau]
-    return out
-
-
-def regional_minima(val: np.ndarray, mask: np.ndarray, connectivity: int) -> np.ndarray:
-    """Boolean set of mask voxels belonging to equal-valued plateaus with no
-    strictly lower neighbor inside the mask."""
-    offs = neighbor_offsets(connectivity)
-    val = np.asarray(val, np.float64)
-    mask = np.asarray(mask, bool)
-    return _minima_numpy(val, mask, offs)
+    cand = mask & ~lower
+    leaks = np.zeros(val.shape, bool)
+    for ctr, nbr in after:
+        # equal mask pairs with one voxel in C; the values are compared
+        # only where the rest holds
+        eq = (cand[ctr] != cand[nbr]) & mask[ctr] & mask[nbr]
+        np.equal(val[ctr], val[nbr], out=eq, where=eq)
+        leaks[ctr] |= eq & cand[ctr]
+        leaks[nbr] |= eq & cand[nbr]
+    plateau, n = ndimage.label(cand, neighbor_structure(connectivity))
+    leaking = np.zeros(n + 1, bool)
+    leaking[plateau[leaks]] = True
+    return cand & ~leaking[plateau]

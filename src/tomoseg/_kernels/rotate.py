@@ -24,15 +24,15 @@ CHUNK_VOXELS = 1 << 15
 
 
 def guard_volume(vol: np.ndarray) -> np.ndarray:
-    """``vol`` as bool with one background voxel added on every side."""
-    return np.pad(np.asarray(vol, bool), 1)
+    """``vol`` with one zero voxel added on every side, in its dtype."""
+    return np.pad(np.asarray(vol), 1)
 
 
 def rotate_nearest(vol: np.ndarray, rinv: np.ndarray, center, z0: int = 0, z1=None,
                    guarded=None) -> np.ndarray:
     """Rotate ``vol`` and return output slices ``[z0, z1)`` (the full height
-    by default). ``guarded``, when given, is ``guard_volume(vol)``, built
-    once by a caller that rotates the same volume many times."""
+    by default). ``guarded``, when given, is ``guard_volume(vol)`` of the
+    bool volume, built once by a caller that rotates it many times."""
     rinv = np.ascontiguousarray(rinv, np.float64)
     cx, cy, cz = (float(c) for c in center)
     nz, ny, nx = np.shape(vol)
@@ -40,7 +40,7 @@ def rotate_nearest(vol: np.ndarray, rinv: np.ndarray, center, z0: int = 0, z1=No
     if not 0 <= z0 <= z1 <= nz:
         raise ValueError(f"z-range [{z0}, {z1}) outside 0..{nz}")
     if guarded is None:
-        guarded = guard_volume(vol)
+        guarded = guard_volume(np.asarray(vol, bool))
     # axis vectors broadcast to (z, y, x); each source coordinate is summed
     # as rinv[row] . (dx, dy, dz) + c + 0.5, left to right, so a per-voxel
     # loop in that order gets the same values bit for bit

@@ -18,7 +18,8 @@ import numpy as np
 
 from .register import RigidTransform, sample_plane
 from .volgrid import (
-    BinaryVolume, LabelPlane, ScalarVolume, _atomic_text, key_value, read_key_values,
+    BinaryVolume, LabelPlane, ScalarVolume, _atomic_text, finite_float, key_value,
+    read_key_values,
 )
 
 
@@ -216,12 +217,12 @@ def save_model(model: AttenuationModel, path) -> None:
 
 
 def load_model(path) -> AttenuationModel:
-    """A ``save_model`` file; ``r_squared`` may be absent (NaN). A missing or
-    malformed key raises ValueError naming the file and the key."""
+    """A ``save_model`` file; ``r_squared`` may be absent or NaN. A missing
+    or malformed key, or a line or interval bound that is not finite,
+    raises ValueError naming the file and the key."""
     vals = read_key_values(path)
-    slope, intercept, gray_min, gray_max = (
-        key_value(path, vals, key, float) for key in ("slope", "intercept", "gray_min", "gray_max")
-    )
+    keys = ("slope", "intercept", "gray_min", "gray_max")
+    slope, intercept, gray_min, gray_max = (key_value(path, vals, k, finite_float) for k in keys)
     r2 = key_value(path, vals, "r_squared", float) if "r_squared" in vals else math.nan
     return AttenuationModel(slope, intercept, gray_min, gray_max, r2, ())
 

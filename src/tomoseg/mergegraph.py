@@ -309,8 +309,8 @@ def merge_regions(labels: LabelVolume, graph: RegionGraph, weights: dict, lam: f
     missing = [e for e in graph.edges if e not in weights]
     if missing:
         raise ValueError(f"weights missing for {len(missing)} edges, e.g. {missing[0]}")
-    # imported here, as in _kernels.recon: loading scipy.sparse adds about
-    # 11 MB of resident memory to every process that imports this module
+    # imported here: loading scipy.sparse adds about 11 MB of resident
+    # memory to every process that imports this module
     from scipy.sparse import coo_matrix, csgraph
 
     kept = np.array([e for e in graph.edges if weights[e] >= lam], np.int64).reshape(-1, 2)

@@ -8,7 +8,7 @@ best-validation-epoch snapshot. Everything is deterministic given the seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -142,8 +142,6 @@ def loss_and_gradients(model: MlpModel, X, y, loss="cross_entropy", l2=0.0, redu
 class TrainResult:
     model: MlpModel
     val_loss: float  # mean cross entropy of the returned snapshot, nan if no split
-    best_epoch: int
-    history: tuple = field(repr=False, default=())
 
 
 def _mean_ce(model: MlpModel, X, y) -> float:
@@ -187,10 +185,8 @@ def train_detailed(X: np.ndarray, y: np.ndarray, hidden_units: int, cfg: TrainCo
     Xval, yval = X[val_idx], y[val_idx]
     best = model
     best_val = np.inf
-    best_epoch = -1
-    history = []
     lr = cfg.learning_rate
-    for epoch in range(cfg.epochs):
+    for _ in range(cfg.epochs):
         order = rng.permutation(len(tr_idx))
         for start in range(0, len(order), cfg.batch_size):
             sel = order[start : start + cfg.batch_size]
@@ -206,14 +202,12 @@ def train_detailed(X: np.ndarray, y: np.ndarray, hidden_units: int, cfg: TrainCo
             )
         if len(val_idx):
             vloss = _mean_ce(model, Xval, yval)
-            history.append(vloss)
             if vloss < best_val:
                 best_val = vloss
                 best = model
-                best_epoch = epoch
     if len(val_idx):
-        return TrainResult(best, best_val, best_epoch, tuple(history))
-    return TrainResult(model, float("nan"), cfg.epochs - 1, tuple(history))
+        return TrainResult(best, best_val)
+    return TrainResult(model, float("nan"))
 
 
 def train(X: np.ndarray, y: np.ndarray, hidden_units: int, cfg: TrainConfig) -> MlpModel:

@@ -74,20 +74,9 @@ class RigidTransform:
         rx = np.array([[1.0, 0.0, 0.0], [0.0, cg, -sg], [0.0, sg, cg]])
         return rz @ ry @ rx
 
-    def map_plane_points(self, uv: np.ndarray, vol_shape) -> np.ndarray:
-        """Map plane lattice coordinates (N, 2) of (u, v) into (x, y, z)
-        coordinates of the unrotated volume with shape (nz, ny, nx)."""
-        nz, ny, nx = vol_shape
-        center = np.array([(nx - 1) / 2.0, (ny - 1) / 2.0, (nz - 1) / 2.0])
-        uv = np.atleast_2d(np.asarray(uv, np.float64))
-        q = np.column_stack(
-            [uv[:, 0] + self.translation[0], uv[:, 1] + self.translation[1],
-             np.full(len(uv), self.translation[2])]
-        )
-        return (q - center) @ self.rotation() + center
-
 
 def volume_center(shape) -> tuple[float, float, float]:
+    """(x, y, z) center of a volume of shape (nz, ny, nx)."""
     nz, ny, nx = shape
     return ((nx - 1) / 2.0, (ny - 1) / 2.0, (nz - 1) / 2.0)
 
@@ -381,25 +370,26 @@ def plane_points(plane) -> np.ndarray:
 
 
 class _PlaneSampler:
-    """The plane's foreground points prepared for many ``direct_overlap``
-    evaluations against one volume: the volume with a background guard
+    """The section-to-volume rule for many transforms of one set of plane
+    points ``uv`` (N, 2) of (u, v) and one volume ``vol`` (nz, ny, nx) of
+    any dtype, prepared: the volume with a one-voxel zero guard
     (``guard_volume``), flattened, and buffers for every step.
 
-    Each evaluation counts what ``sample_plane`` reads, from the same
-    float64 values as ``RigidTransform.map_plane_points``: q - center
-    column by column in the same order, then the same (N, 3) @ R product on
-    a C-contiguous q (BLAS may fuse its multiply-adds, so a hand-written sum
-    would differ). The rest runs on a (3, N) copy: + center, + 0.5, floor,
-    then a clip to [-1, n] that sends every point outside the volume onto a
-    guard voxel.
-    The flat index is summed in float64, exactly, as every term is an
-    integer far below 2**53, and one gather reads every sample."""
+    The point (u, v) sits at q = (u + tx, v + ty, tz), maps to
+    p = (q - c) @ R + c about the volume's center c, and reads its nearest
+    voxel floor(p + 0.5), or 0 outside the volume. The (N, 3) @ R product
+    runs on a C-contiguous q (BLAS may fuse its multiply-adds, so a
+    hand-written sum would differ in the last bit); the rest on a (3, N)
+    copy, whose clip to [-1, n] sends every point outside the volume onto a
+    guard voxel. The flat index is summed in float64, exactly, as every
+    term is an integer far below 2**53, and one gather reads every
+    sample."""
 
-    def __init__(self, vol: np.ndarray, uv: np.ndarray):
+    def __init__(self, vol: np.ndarray, uv):
         nz, ny, nx = self.shape = vol.shape
-        uv = np.atleast_2d(np.asarray(uv, np.float64))
+        uv = np.asarray(uv, np.float64).reshape(-1, 2)
         self.u, self.v = uv[:, 0].copy(), uv[:, 1].copy()
-        self.center = np.array([(nx - 1) / 2.0, (ny - 1) / 2.0, (nz - 1) / 2.0])
+        self.center = np.array(volume_center(vol.shape))
         self.volume = guard_volume(vol).ravel()
         self.top = np.array([[nx], [ny], [nz]], np.float64)
         # guarded strides of (x, y, z); the offset of guard index 1 on each axis
@@ -411,9 +401,8 @@ class _PlaneSampler:
         self.p = np.empty((3, n))
         self.flat = np.empty(n)
 
-    def overlap(self, transform: RigidTransform) -> int:
-        if len(self.u) == 0:
-            return 0
+    def _gather(self, transform: RigidTransform) -> np.ndarray:
+        """The value each point reads; leaves its clipped voxel in ``p``."""
         cx, cy, cz = self.center
         tx, ty, tz = transform.translation
         q, p = self.q, self.p
@@ -431,41 +420,37 @@ class _PlaneSampler:
         self.flat += self.offset
         # a NaN casts to an index outside the array, which "clip" sends to
         # the first or last voxel: both are guard voxels
-        return int(np.count_nonzero(self.volume.take(self.flat.astype(np.intp), mode="clip")))
+        return self.volume.take(self.flat.astype(np.intp), mode="clip")
+
+    def overlap(self, transform: RigidTransform) -> int:
+        return int(np.count_nonzero(self._gather(transform)))
+
+    def sample(self, transform: RigidTransform) -> tuple[np.ndarray, np.ndarray]:
+        """The values, and the mask of points inside the volume: 0 <= p < n
+        on every axis, which a NaN fails."""
+        values = self._gather(transform)
+        return values, ((self.p >= 0.0) & (self.p < self.top)).all(axis=0)
 
 
 def sample_plane(data: np.ndarray, transform: RigidTransform, uv) -> tuple[np.ndarray, np.ndarray]:
-    """The section-to-volume rule: plane points ``uv`` (N, 2) of (u, v) are
-    mapped through ``transform`` (``map_plane_points``) and read at their
-    nearest voxel, floor(p + 0.5) per axis, of ``data`` (nz, ny, nx).
-    Returns the values and the mask of points whose voxel lies inside the
-    volume; points outside read 0."""
-    uv = np.asarray(uv, np.float64).reshape(-1, 2)
-    idx = np.floor(transform.map_plane_points(uv, data.shape) + 0.5).astype(np.int64)
-    nz, ny, nx = data.shape
-    inside = (
-        (idx[:, 0] >= 0) & (idx[:, 0] < nx)
-        & (idx[:, 1] >= 0) & (idx[:, 1] < ny)
-        & (idx[:, 2] >= 0) & (idx[:, 2] < nz)
-    )
-    values = np.zeros(len(uv), data.dtype)
-    values[inside] = data[idx[inside, 2], idx[inside, 1], idx[inside, 0]]
-    return values, inside
+    """Plane points ``uv`` (N, 2) of (u, v) read at their nearest voxel of
+    ``data`` (nz, ny, nx) through ``transform`` (``_PlaneSampler``).
+    Returns the values, in the dtype of ``data``, and the mask of points
+    whose voxel lies inside the volume; points outside read 0."""
+    return _PlaneSampler(data, uv).sample(transform)
 
 
 def direct_overlap(vol: BinaryVolume, plane, transform: RigidTransform, sampler=None) -> int:
     """Overlap evaluated by sampling the volume at the nearest voxel of each
-    of the plane's foreground pixels (``sample_plane``); supports fractional
-    shifts, unlike the lattice correlation. ``sampler``, when given, is a
-    ``_PlaneSampler`` of ``plane_points(plane)`` and ``vol``, built once by a
-    caller that evaluates the same plane many times; it gives the same
-    count."""
-    if sampler is not None:
-        if sampler.shape != vol.data.shape:
-            raise ValueError(f"sampler built for volume shape {sampler.shape}, got {vol.data.shape}")
-        return sampler.overlap(transform)
-    values, _ = sample_plane(vol.data, transform, plane_points(plane))
-    return int(np.count_nonzero(values))
+    of the plane's foreground pixels; supports fractional shifts, unlike the
+    lattice correlation. ``sampler``, when given, is a ``_PlaneSampler`` of
+    ``plane_points(plane)`` and ``vol``, built once by a caller that
+    evaluates the same plane many times."""
+    if sampler is None:
+        sampler = _PlaneSampler(vol.data, plane_points(plane))
+    elif sampler.shape != vol.data.shape:
+        raise ValueError(f"sampler built for volume shape {sampler.shape}, got {vol.data.shape}")
+    return sampler.overlap(transform)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from tomoseg import phantom
-from tomoseg.register import TranslationResult
+from tomoseg.register import TranslationResult, volume_center
 from tomoseg.volgrid import BinaryVolume, LabelVolume, ScalarVolume
 
 
@@ -60,6 +60,18 @@ def brute_force_translation(vol, plane) -> TranslationResult:
             if best is None or ov[tz] > best[1]:
                 best = ((tx, ty, tz), int(ov[tz]))
     return TranslationResult(best[0], best[1])
+
+
+def map_plane_points(transform, uv, vol_shape) -> np.ndarray:
+    """Plane lattice coordinates (N, 2) of (u, v) mapped through
+    ``transform`` into (x, y, z) coordinates of the unrotated volume with
+    shape (nz, ny, nx), before rounding: the oracle of the registration's
+    section sampler, in the float64 operations it makes."""
+    center = np.array(volume_center(vol_shape))
+    uv = np.atleast_2d(np.asarray(uv, np.float64))
+    tx, ty, tz = transform.translation
+    q = np.column_stack([uv[:, 0] + tx, uv[:, 1] + ty, np.full(len(uv), tz)])
+    return (q - center) @ transform.rotation() + center
 
 
 def render_section_mask(out, transform, plane_dims=None) -> np.ndarray:

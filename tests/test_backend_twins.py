@@ -278,7 +278,7 @@ def test_worker_count_bounds(monkeypatch):
 def test_nlm_twins(rng):
     img = rng.integers(0, 65536, (6, 6, 6)).astype(np.float64)
     a = nlm_oracle(img, 800.0, 1.0, 1, 2)
-    b = nlm._nlm_numpy(img, 800.0**2, 1, 1.0, 2)
+    b = nlm.nlm_field(img, 800.0, 1, 1.0, 2)
     np.testing.assert_allclose(a, b, rtol=1e-10)
 
 
@@ -299,7 +299,7 @@ def test_recon_twins(rng):
 def _minima_both(vals, mask, connectivity):
     offs = recon.neighbor_offsets(connectivity)
     a = _minima_spread(vals, mask, offs)
-    b = recon._minima_numpy(vals, mask, offs)
+    b = recon.regional_minima(vals, mask, connectivity)
     np.testing.assert_array_equal(a, b)
     return b
 
@@ -330,7 +330,7 @@ def test_minima_twins_flat_and_border_plateaus(connectivity):
 def _flood_both(height, markers, mask, connectivity):
     offs = recon.neighbor_offsets(connectivity)
     a = _flood_heap(height, markers, mask, offs)
-    b = flood._flood_numpy(height, markers, mask, offs)
+    b = flood.priority_flood(height, markers, mask, offs)
     np.testing.assert_array_equal(a, b)
     return b
 

@@ -497,6 +497,22 @@ def test_model_without_slope_names_file_and_key(tmp_path, capsys, tiny_volume):
     assert str(model) in err and "'slope'" in err
 
 
+@pytest.mark.parametrize("key, value", [("slope", "nan"), ("intercept", "inf"),
+                                        ("gray_min", "-inf"), ("gray_max", "nan")])
+def test_nonfinite_attenuation_model_names_file_and_key(tmp_path, capsys, tiny_volume, key,
+                                                        value):
+    mask = tmp_path / "mask.raw"
+    write_volume(BinaryVolume(load_volume(tiny_volume).data > 10000, 4.5), mask)
+    model = tmp_path / "model.txt"
+    line = {"slope": "0.0001", "intercept": "0.5", "gray_min": "0", "gray_max": "30000", key: value}
+    model.write_text("".join(f"{k} = {v}\n" for k, v in line.items()))
+    out = tmp_path / "rmu.f32"
+    err = _stage_fault(capsys, ["attenuation", "predict", "--vol", str(tiny_volume),
+                                "--mask", str(mask), "--model", str(model), "--out", str(out)])
+    assert str(model) in err and f"'{key}'" in err
+    assert not out.exists() and not (tmp_path / "rmu.f32.meta").exists()
+
+
 def test_short_transform_angles_name_file_and_key(tmp_path, capsys, tiny_volume):
     # every mineral is absent from the section, so no phase ever uses the
     # transform: the file is still read whole

@@ -16,7 +16,7 @@ from tomoseg.phantom import (
 from tomoseg.register import RigidTransform
 from tomoseg.volgrid import LabelPlane
 
-from conftest import render_section_mask
+from conftest import map_plane_points, render_section_mask
 
 
 def small_spec(**kw):
@@ -199,7 +199,7 @@ def test_mla_section_code_counts_match_truth():
         np.arange(sec.plane.data.shape[0]), np.arange(sec.plane.data.shape[1]), indexing="ij"
     )
     uv = np.column_stack([ii.ravel() * ratio, jj.ravel() * ratio])
-    pts = sec.transform.map_plane_points(uv, out.labels.data.shape)
+    pts = map_plane_points(sec.transform, uv, out.labels.data.shape)
     idx = np.floor(pts + 0.5).astype(np.int64)
     nx, ny, nz = spec.dims
     ok = ((idx >= 0).all(axis=1) & (idx[:, 0] < nx) & (idx[:, 1] < ny) & (idx[:, 2] < nz))

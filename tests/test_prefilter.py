@@ -55,7 +55,7 @@ def test_nlm_huge_h_window_mean_with_mirrored_pairs(rng, shape, monkeypatch):
         for patch_radius in (1, 2):
             for workers in (1, 2, 3, 5):
                 backend.set_thread_bound(workers)
-                got = nlm._nlm_numpy(img, 1e24, patch_radius, 1.0, search)
+                got = nlm.nlm_field(img, 1e12, patch_radius, 1.0, search)
                 assert np.array_equal(got, expect), (patch_radius, workers)
     finally:
         backend.set_thread_bound(None)
@@ -164,7 +164,7 @@ def test_nlm_slabs_bit_identical_to_full_volume(rng, shape, monkeypatch):
                     want = _nlm_full_volume(img, h * h, patch_radius, 1.0, search)
                     for workers in (1, 2, 3, 5):
                         backend.set_thread_bound(workers)
-                        got = nlm._nlm_numpy(img, h * h, patch_radius, 1.0, search)
+                        got = nlm.nlm_field(img, h, patch_radius, 1.0, search)
                         assert np.array_equal(got, want), (search, h, patch_radius, workers)
     finally:
         backend.set_thread_bound(None)
@@ -180,14 +180,14 @@ def test_nlm_signed_input_with_exact_zeros_bit_identical(rng, shape):
         for h in (0.5, 300.0, 1e12):
             for patch_radius in (1, 2):
                 want = _nlm_full_volume(img, h * h, patch_radius, 1.0, search)
-                got = nlm._nlm_numpy(img, h * h, patch_radius, 1.0, search)
+                got = nlm.nlm_field(img, h, patch_radius, 1.0, search)
                 assert np.array_equal(got, want), (search, h, patch_radius)
 
 
 def test_nlm_default_workers_bit_identical(rng):
     img = rng.integers(0, 65536, (12, 9, 10)).astype(np.float64)
     want = _nlm_full_volume(img, 700.0**2, 1, 1.0, 3)
-    np.testing.assert_array_equal(nlm._nlm_numpy(img, 700.0**2, 1, 1.0, 3), want)
+    np.testing.assert_array_equal(nlm.nlm_field(img, 700.0, 1, 1.0, 3), want)
 
 
 def _smooth_volume(rng, n=8):
@@ -234,7 +234,7 @@ def test_nlm_float32_weights_match_float64_oracle_on_smooth_data(seed):
     weights = _window_weights(img, h, search)
     assert (weights > 1e-3).mean() >= 0.2  # not just the centre weight
     want = nlm_oracle(img.astype(np.float64), h, 1.0, 1, search)
-    got = nlm._nlm_numpy(img, h * h, 1, 1.0, search)
+    got = nlm.nlm_field(img, h, 1, 1.0, search)
     u = 2.0**-24
     span = float(img.max()) - float(img.min())
     tol = span * u * (20 * 125 / math.e + 4) + u * float(img.max())

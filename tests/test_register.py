@@ -20,7 +20,9 @@ from tomoseg.register import (
 )
 from tomoseg.volgrid import BinaryVolume
 
-from conftest import ball_mask, binary, brute_force_translation, render_section_mask
+from conftest import (
+    ball_mask, binary, brute_force_translation, map_plane_points, render_section_mask,
+)
 
 
 def test_rotation_matrix_orthonormal(rng):
@@ -617,14 +619,15 @@ def _sampler_overlaps(vol, plane, transforms):
     uv = plane_points(plane)
     sampler = _PlaneSampler(vol.data, uv)
     for t in transforms:
-        plain = direct_overlap(vol, plane, t)
-        assert direct_overlap(vol, plane, t, sampler) == plain, t
+        count = direct_overlap(vol, plane, t, sampler)
+        assert count == np.count_nonzero(_sample_plane_loop(vol.data, t, uv)[0]), t
+        assert direct_overlap(vol, plane, t) == count, t  # a sampler of its own
         if len(uv):
             # the mapped points before rounding, bit for bit: a count only
             # shows a last-bit difference where it moves a point across .5
             np.testing.assert_array_equal(sampler.m + sampler.center,
-                                          t.map_plane_points(uv, vol.data.shape))
-        yield plain
+                                          map_plane_points(t, uv, vol.data.shape))
+        yield count
 
 
 def test_prepared_sampler_matches_plain_direct_overlap(rng):
@@ -666,8 +669,7 @@ def test_prepared_sampler_single_pixel_and_empty_plane(rng):
     # the pixel (u, v) = (2, 1) lands at x = 2 + 1, y = 1 + 0.4 -> 1, z = 2.6 -> 3
     pose = RigidTransform((0.0, 0.0, 0.0), (1.0, 0.4, 2.6))
     sampler = _PlaneSampler(m, [[2.0, 1.0]])
-    assert direct_overlap(vol, one, pose) == direct_overlap(vol, one, pose, sampler)
-    assert direct_overlap(vol, one, pose) == int(m[3, 1, 3])
+    assert direct_overlap(vol, one, pose, sampler) == int(m[3, 1, 3])
     empty = np.zeros((3, 3), bool)
     assert list(_sampler_overlaps(vol, empty, transforms[:5])) == [0] * 5
     with pytest.raises(ValueError):
@@ -677,7 +679,7 @@ def test_prepared_sampler_single_pixel_and_empty_plane(rng):
 def _sample_plane_loop(data, transform, uv):
     """sample_plane one point at a time: nearest voxel, bounds per axis, 0
     outside."""
-    pts = transform.map_plane_points(np.asarray(uv, np.float64).reshape(-1, 2), data.shape)
+    pts = map_plane_points(transform, np.asarray(uv, np.float64).reshape(-1, 2), data.shape)
     nz, ny, nx = data.shape
     values, inside = np.zeros(len(pts), data.dtype), np.zeros(len(pts), bool)
     for n, (x, y, z) in enumerate(pts):
@@ -714,12 +716,17 @@ def test_sample_plane_matches_per_point_loop(rng):
         for _ in range(50)
     ]
     cases.append((RigidTransform((0.3, 0.0, 0.0), (1.0, 1.0, 1.0)), np.empty((0, 2))))
-    for t, points in cases:
-        values, inside = sample_plane(data, t, points)
-        expect_values, expect_inside = _sample_plane_loop(data, t, points)
-        assert values.dtype == data.dtype
-        np.testing.assert_array_equal(inside, expect_inside)
-        np.testing.assert_array_equal(values, expect_values)
+    # the labels, a uint16 gray volume with zeros and its full range, a mask
+    gray = (data * 317 % 65536).astype(np.uint16)
+    gray[::2, 1::3] = 0
+    gray[4, 5, 6] = 65535
+    for vol in (data, gray, rng.random(data.shape) > 0.5):
+        for t, points in cases:
+            values, inside = sample_plane(vol, t, points)
+            expect_values, expect_inside = _sample_plane_loop(vol, t, points)
+            assert values.dtype == vol.dtype
+            np.testing.assert_array_equal(inside, expect_inside)
+            np.testing.assert_array_equal(values, expect_values)
     assert not sample_plane(data, cases[5][0], uv)[1].any()  # shifted 1e6 off along x
 
 
