@@ -31,12 +31,20 @@ the few shifts that keep the whole plane inside the slice. The edge
 features row builds the region graph and extracts the 18 per-edge features
 (curvature fits included) of a 64^3 phantom's foreground, at every size,
 split into cells around 96 random seed voxels.
+
+Each row also gives the kernel's peak memory, in MiB and in bytes per voxel
+of the volume it works on: the ``tracemalloc`` peak of one more call, made
+after the timed ones, so tracing (which slows the flood about sevenfold)
+never touches a timing. It counts numpy arrays and Python objects, not
+scratch that compiled code takes with ``malloc``. The per-stage bytes per
+voxel of the ROADMAP come from this one command.
 """
 
 from __future__ import annotations
 
 import argparse
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -48,6 +56,16 @@ def timed(fn, repeats):
         fn()
         best = min(best, time.perf_counter() - t0)
     return best
+
+
+def traced_peak(fn):
+    """Bytes of the ``tracemalloc`` peak of one call of ``fn``."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def fmt(t):
@@ -73,8 +91,9 @@ def main():
 
     rows = []
 
-    def add(name, fn):
-        rows.append((name, timed(fn, args.repeats)))
+    def add(name, fn, voxels=n ** 3):
+        t = timed(fn, args.repeats)
+        rows.append((name, t, traced_peak(fn), voxels))
 
     k = convsep.gaussian_kernel(1.5)
     add("separable correlate (3 axes)", lambda: convsep.correlate_separable(imgf, (k, k, k)))
@@ -90,14 +109,20 @@ def main():
     nlm_img = img[: min(n, 32), : min(n, 32), : min(n, 32)]
     nlm_workers = nlm._slab_workers(nlm_img.shape[0], 1)
     add(f"non-local means (random u16 {nlm_img.shape[0]}^3, search 2, {nlm_workers} workers)",
-        lambda: nlm.nlm_field(nlm_img, 800.0, 1, 1.0, 2))
+        lambda: nlm.nlm_field(nlm_img, 800.0, 1, 1.0, 2), nlm_img.size)
     nlm_h = prefilter.default_nlm_params(phan.gray).h
     nlm_workers = nlm._slab_workers(phan.gray.data.shape[0], 1)
     add(f"non-local means (64^3 phantom, h {nlm_h:.0f}, search 5, {nlm_workers} workers)",
-        lambda: nlm.nlm_field(phan.gray.data, nlm_h, 1, 1.0, 5))
+        lambda: nlm.nlm_field(phan.gray.data, nlm_h, 1, 1.0, 5), phan.gray.data.size)
+
+    from tomoseg import binarize
+    from tomoseg.volgrid import BinaryVolume, ScalarVolume
 
     add("sauvola threshold field",
         lambda: sauvola.sauvola_threshold_field(img, 15, 0.34, 32768.0))
+    gray = ScalarVolume(img, 1.0)
+    add("sauvola binarization (mask only)",
+        lambda: binarize.sauvola_binarize(gray, binarize.SauvolaParams()))
     add("exact EDT", lambda: edt.edt(mask))
 
     inv = -edt.edt(mask)
@@ -125,9 +150,7 @@ def main():
         add(f"rotate ({label})",
             lambda lo=lo, hi=hi: rotate.rotate_nearest(mask, rinv, center, lo, hi, guarded))
 
-    from tomoseg import binarize
     from tomoseg.register import _PlaneSampler, direct_overlap, plane_points
-    from tomoseg.volgrid import BinaryVolume
 
     bmask = BinaryVolume(mask, 1.0)
     for r in (1.0, 2.0):
@@ -166,7 +189,7 @@ def main():
         return mergegraph.extract_edge_features(graph, phan.gray, grad, cells)
 
     n_edges = len(mergegraph.build_region_graph(cells).edges)
-    add(f"edge features (64^3 phantom, {n_edges} edges)", edge_features)
+    add(f"edge features (64^3 phantom, {n_edges} edges)", edge_features, fg.size)
 
     from tomoseg.register import TranslationSolver
 
@@ -180,19 +203,19 @@ def main():
         band = rng.random((bz, by, bx)) > 0.85
         solver = TranslationSolver(band.shape, rng.random((ph, pw)) > 0.85)
         add(f"translation solve ({bz}x{by}x{bx} band, {ph}x{pw} plane)",
-            lambda solver=solver, band=band: solve_from(solver, band, None))
+            lambda solver=solver, band=band: solve_from(solver, band, None), band.size)
         # the plane planted in the band, the hint at its shift
         planted = band.copy()
         planted[bz // 2, 1 : 1 + ph, 1 : 1 + pw] = solver.plane
         solve_from(solver, planted, (1, 1))  # fill the spectrum cache
         add(f"translation solve ({bz}x{by}x{bx} band, {ph}x{pw} plane, hinted)",
-            lambda solver=solver, band=planted: solve_from(solver, band, (1, 1)))
+            lambda solver=solver, band=planted: solve_from(solver, band, (1, 1)), band.size)
 
     width = max(len(r[0]) for r in rows)
     print(f"\nkernel benchmark at {n}^3 ({args.repeats} repeats, best of)")
-    print(f"{'kernel'.ljust(width)}  {'time':>11}")
-    for name, t in rows:
-        print(f"{name.ljust(width)}  {fmt(t)}")
+    print(f"{'kernel'.ljust(width)}  {'time':>11}  {'peak MiB':>9}  {'B/voxel':>8}")
+    for name, t, peak, voxels in rows:
+        print(f"{name.ljust(width)}  {fmt(t)}  {peak / 2**20:9.2f}  {peak / voxels:8.1f}")
 
 
 if __name__ == "__main__":

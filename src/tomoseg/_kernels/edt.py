@@ -1,6 +1,7 @@
 """Exact Euclidean distance transform.
 
-Delegates to scipy.ndimage.distance_transform_edt, which is exact.
+Delegates to scipy.ndimage.distance_transform_edt, which is exact and
+returns float64.
 Foreground voxels with no background anywhere are reported as +inf. Tests
 compare it with a brute-force nearest-background oracle.
 """
@@ -17,4 +18,4 @@ def edt(mask: np.ndarray) -> np.ndarray:
     mask = np.asarray(mask, bool)
     if mask.all():
         return np.full(mask.shape, np.inf)
-    return ndimage.distance_transform_edt(mask).astype(np.float64)
+    return ndimage.distance_transform_edt(mask)

@@ -16,6 +16,7 @@ from importlib import resources
 
 import numpy as np
 
+from ._kernels.rotate import guard_volume
 from .register import RigidTransform, sample_plane
 from .volgrid import (
     BinaryVolume, LabelPlane, ScalarVolume, _atomic_text, finite_float, key_value,
@@ -147,19 +148,21 @@ def mean_phase_gray(
     transform: RigidTransform,
     phase: np.ndarray,
     pixel_to_voxel: float = 1.0,
+    guarded=None,
 ):
     """Mean volume grayscale over the transformed phase pixels.
 
     ``pixel_to_voxel`` scales plane pixel indices into voxel units (the
     section is usually on a finer grid). Pixels mapping outside the volume
     are skipped and counted; several pixels may legitimately land in one
-    voxel and each keeps its weight.
+    voxel and each keeps its weight. ``guarded``, when given, is
+    ``guard_volume(vol.data)``, built once for many phases.
     Returns (mean, n_used, n_skipped).
     """
     phase = np.asarray(phase, np.float64).reshape(-1, 2)
     if len(phase) == 0:
         raise ValueError("phase is empty")
-    values, inside = sample_plane(vol.data, transform, phase * pixel_to_voxel)
+    values, inside = sample_plane(vol.data, transform, phase * pixel_to_voxel, guarded)
     n_used = int(inside.sum())
     if n_used == 0:
         raise ValueError("every phase pixel maps outside the volume")
@@ -179,15 +182,17 @@ def phase_means(
     Each phase loses an ``erode_px`` boundary band first (``erode_phase``).
     Returns ([(mineral, mean, n_used), ...], skipped names): a mineral
     absent from the section, or present only in slivers that erosion
-    empties, is skipped."""
+    empties, is skipped. The phases share one guarded copy of the volume,
+    each sampled on its own."""
     means = []
     skipped = []
+    guarded = guard_volume(vol.data)
     for mineral in table.minerals:
         phase = erode_phase(plane, mineral.code, table, erode_px)
         if len(phase) == 0:
             skipped.append(mineral.name)
             continue
-        mean, n_used, _ = mean_phase_gray(vol, transform, phase, pixel_to_voxel)
+        mean, n_used, _ = mean_phase_gray(vol, transform, phase, pixel_to_voxel, guarded)
         means.append((mineral, mean, n_used))
     return means, tuple(skipped)
 

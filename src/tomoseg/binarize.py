@@ -10,7 +10,7 @@ from scipy import ndimage
 
 from ._kernels.cc import connected_components_mask
 from ._kernels.edt import edt as _edt
-from ._kernels.sauvola import sauvola_threshold_field
+from ._kernels.sauvola import sauvola_mask, sauvola_threshold_field
 from .volgrid import BinaryVolume, ScalarVolume
 
 
@@ -39,9 +39,10 @@ def sauvola_threshold(vol: ScalarVolume, params: SauvolaParams) -> np.ndarray:
 
 
 def sauvola_binarize(vol: ScalarVolume, params: SauvolaParams) -> BinaryVolume:
-    """Foreground wherever the grayscale meets or exceeds its local threshold."""
-    t = sauvola_threshold(vol, params)
-    return BinaryVolume(vol.data.astype(np.float64) >= t, vol.spacing)
+    """Foreground wherever the grayscale meets or exceeds its local threshold
+    (``sauvola_threshold``), compared a slab of planes at a time."""
+    mask = sauvola_mask(vol.data, params.window_radius, params.k, params.R)
+    return BinaryVolume(mask, vol.spacing)
 
 
 def distance_transform(mask: BinaryVolume) -> np.ndarray:

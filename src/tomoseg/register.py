@@ -383,14 +383,15 @@ class _PlaneSampler:
     copy, whose clip to [-1, n] sends every point outside the volume onto a
     guard voxel. The flat index is summed in float64, exactly, as every
     term is an integer far below 2**53, and one gather reads every
-    sample."""
+    sample. ``guarded``, when given, is ``guard_volume(vol)``, built once by
+    a caller that samples the same volume at many point sets."""
 
-    def __init__(self, vol: np.ndarray, uv):
+    def __init__(self, vol: np.ndarray, uv, guarded=None):
         nz, ny, nx = self.shape = vol.shape
         uv = np.asarray(uv, np.float64).reshape(-1, 2)
         self.u, self.v = uv[:, 0].copy(), uv[:, 1].copy()
         self.center = np.array(volume_center(vol.shape))
-        self.volume = guard_volume(vol).ravel()
+        self.volume = (guard_volume(vol) if guarded is None else guarded).ravel()
         self.top = np.array([[nx], [ny], [nz]], np.float64)
         # guarded strides of (x, y, z); the offset of guard index 1 on each axis
         self.strides = np.array([1.0, nx + 2.0, (ny + 2.0) * (nx + 2.0)])
@@ -432,12 +433,14 @@ class _PlaneSampler:
         return values, ((self.p >= 0.0) & (self.p < self.top)).all(axis=0)
 
 
-def sample_plane(data: np.ndarray, transform: RigidTransform, uv) -> tuple[np.ndarray, np.ndarray]:
+def sample_plane(data: np.ndarray, transform: RigidTransform, uv,
+                 guarded=None) -> tuple[np.ndarray, np.ndarray]:
     """Plane points ``uv`` (N, 2) of (u, v) read at their nearest voxel of
-    ``data`` (nz, ny, nx) through ``transform`` (``_PlaneSampler``).
-    Returns the values, in the dtype of ``data``, and the mask of points
-    whose voxel lies inside the volume; points outside read 0."""
-    return _PlaneSampler(data, uv).sample(transform)
+    ``data`` (nz, ny, nx) through ``transform`` (``_PlaneSampler``, which
+    takes ``guarded``). Returns the values, in the dtype of ``data``, and
+    the mask of points whose voxel lies inside the volume; points outside
+    read 0."""
+    return _PlaneSampler(data, uv, guarded).sample(transform)
 
 
 def direct_overlap(vol: BinaryVolume, plane, transform: RigidTransform, sampler=None) -> int:
@@ -495,6 +498,12 @@ POLISH_ITER = 200
 POLISH_RESTART_BELOW = 0.98
 
 
+def _cache_key(params) -> tuple:
+    """Parameters rounded to 12 decimals (numpy's rounding), as one
+    hashable key."""
+    return tuple(np.round(np.asarray(params, np.float64), 12).tolist())
+
+
 def _prefer(key, res):
     """Sort key of a lattice evaluation: larger overlap first; ties prefer
     the smallest rotation, so flat stretches stay centered, then
@@ -520,7 +529,7 @@ class _BandObjective:
         self.touched = set()  # keys evaluated or looked up by the current run
 
     def result(self, a3) -> TranslationResult:
-        key = tuple(round(v, 12) for v in a3)
+        key = _cache_key(a3)
         self.touched.add(key)
         if key not in self.cache:
             z0, z1, nz = self.z0, self.z1, self.vol.shape[0]
@@ -616,7 +625,7 @@ def _polish(vol: BinaryVolume, p: np.ndarray, x0: np.ndarray, trace: list):
     sampler = _PlaneSampler(vol.data, plane_points(p))
 
     def joint_objective(params):
-        key = tuple(round(v, 12) for v in params)
+        key = _cache_key(params)
         if key not in polish_cache:
             t = RigidTransform(tuple(params[:3]), tuple(params[3:]))
             ov = direct_overlap(vol, p, t, sampler)

@@ -4,11 +4,13 @@ import pytest
 from tomoseg.attenuation import (
     AttenuationModel,
     REFERENCE_MEAN_GRAY,
+    erode_phase,
     extract_phase,
     fit_attenuation,
     load_mineral_table,
     mean_phase_gray,
     mu_only_fit,
+    phase_means,
     predict_map,
     reference_samples,
     validate_section,
@@ -150,6 +152,22 @@ def test_validate_self_consistency():
     assert not report.skipped
     for row in report.rows:
         assert row.predicted == pytest.approx(model.predict(grays[table.by_name(row.name).code]))
+
+
+def test_phase_means_equal_each_phase_sampled_alone(rng):
+    # phase_means shares one guarded copy of the volume across the phases;
+    # each phase's mean must be bitwise the one it gets alone
+    table = load_mineral_table()
+    codes = np.array([m.code for m in table.minerals])
+    plane = LabelPlane(codes[rng.integers(0, len(codes), (6, 8))].repeat(4, 0).repeat(4, 1), 1.0)
+    vol = scalar(rng.integers(0, 65536, (12, 14, 17)))
+    t = RigidTransform((0.05, -0.03, 0.02), (0.3, -0.6, 5.4))
+    for erode_px in (0, 1):
+        means, skipped = phase_means(vol, t, plane, table, 0.5, erode_px)
+        assert len(means) + len(skipped) == len(codes) and len(means) >= 3
+        for mineral, mean, n_used in means:
+            phase = erode_phase(plane, mineral.code, table, erode_px)
+            assert (mean, n_used) == mean_phase_gray(vol, t, phase, 0.5)[:2]
 
 
 def test_validate_skips_absent_minerals(tmp_path):

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import ndimage
 
+from tomoseg._kernels import sauvola
 from tomoseg.binarize import (
     BALL_FOOTPRINT_MAX_RADIUS,
     SauvolaParams,
@@ -34,6 +36,46 @@ def sauvola_oracle(img, radius, k, R):
                 s = win.std()
                 t[z, y, x] = m * (1.0 + k * (s / R - 1.0))
     return t
+
+
+def sauvola_table_oracle(img, radius, k, R):
+    """The whole-volume formulation: two (n+1)^3 int64 summed-volume tables
+    of I and I^2, eight corner gathers per table, then the same float ops."""
+    i64 = img.astype(np.int64)
+    shape = img.shape
+    s1 = np.zeros(tuple(n + 1 for n in shape), np.int64)
+    s2 = np.zeros_like(s1)
+    s1[1:, 1:, 1:] = i64.cumsum(0).cumsum(1).cumsum(2)
+    s2[1:, 1:, 1:] = (i64 * i64).cumsum(0).cumsum(1).cumsum(2)
+    lo, hi = [], []
+    for n in shape:
+        i = np.arange(n)
+        lo.append(np.clip(i - radius, 0, n - 1))
+        hi.append(np.clip(i + radius, 0, n - 1) + 1)
+    Z0, Y0, X0 = np.ix_(*lo)
+    Z1, Y1, X1 = np.ix_(*hi)
+
+    def window_sums(table):
+        return (
+            table[Z1, Y1, X1] - table[Z0, Y1, X1] - table[Z1, Y0, X1] - table[Z1, Y1, X0]
+            + table[Z0, Y0, X1] + table[Z0, Y1, X0] + table[Z1, Y0, X0] - table[Z0, Y0, X0]
+        )
+
+    cnt = (Z1 - Z0) * (Y1 - Y0) * (X1 - X0)
+    mean = window_sums(s1) / cnt
+    var = window_sums(s2) / cnt - mean * mean
+    std = np.sqrt(np.maximum(var, 0.0))
+    return mean * (1.0 + float(k) * (std / float(R) - 1.0))
+
+
+def assert_sauvola_bitwise(data, radius, k=0.34):
+    vol = scalar(data)
+    p = SauvolaParams(window_radius=radius, k=k)
+    want = sauvola_table_oracle(data, radius, k, p.R)
+    t = sauvola_threshold(vol, p)
+    assert t.dtype == np.float64 and t.shape == data.shape
+    np.testing.assert_array_equal(t.view(np.uint64), want.view(np.uint64))
+    np.testing.assert_array_equal(sauvola_binarize(vol, p).data, data.astype(np.float64) >= want)
 
 
 def edt_oracle(mask):
@@ -104,6 +146,57 @@ def test_sauvola_matches_oracle(rng):
         np.testing.assert_array_equal(
             sauvola_binarize(vol, p).data, data.astype(float) >= expect
         )
+
+
+@pytest.mark.parametrize("shape, radius", [
+    ((20, 21, 22), 3),
+    ((4, 30, 31), 3),  # one dim below 2r+1 on each axis in turn
+    ((30, 4, 31), 3),
+    ((30, 31, 4), 3),
+    ((7, 40, 33), 15),
+    ((3, 4, 5), 5),  # r at or above every dim
+    ((2, 2, 2), 9),
+    ((1, 17, 19), 2),  # one voxel thick on each axis in turn
+    ((17, 1, 19), 2),
+    ((17, 19, 1), 2),
+    ((1, 1, 1), 1),
+    ((5, 5, 5), 1),
+])
+def test_sauvola_matches_summed_volume_tables_bitwise(rng, shape, radius):
+    assert_sauvola_bitwise(rng.integers(0, 65536, shape).astype(np.uint16), radius)
+
+
+@pytest.mark.parametrize("height", [1, 2, 3, 4, 50])
+def test_sauvola_bitwise_for_every_slab_height(rng, monkeypatch, height):
+    # 23 planes: no height above 1 divides it, so the last slab is short
+    data = rng.integers(0, 65536, (23, 12, 14)).astype(np.uint16)
+    monkeypatch.setattr(sauvola, "SLAB_VOXELS", height * 12 * 14)
+    assert_sauvola_bitwise(data, 3)
+    assert_sauvola_bitwise(data, 30)
+
+
+def test_sauvola_bitwise_full_scale_and_at_96_cubed(rng):
+    # every sum at its largest: all-65535 windows
+    assert_sauvola_bitwise(np.full((33, 35, 37), 65535, np.uint16), 15)
+    data = rng.integers(0, 65536, (96, 96, 96)).astype(np.uint16)
+    assert_sauvola_bitwise(data, 15)
+
+
+def test_sauvola_memory_per_voxel(rng):
+    # a slab at a time: the binarization keeps the bool mask plus a few
+    # slab buffers, the threshold adds its float64 field (the summed-volume
+    # tables peaked at 80 bytes per voxel)
+    data = rng.integers(0, 65536, (96, 96, 96)).astype(np.uint16)
+    vol = scalar(data)
+    p = SauvolaParams(window_radius=15)
+    for fn, limit in ((sauvola_binarize, 16), (sauvola_threshold, 24)):
+        tracemalloc.start()
+        try:
+            fn(vol, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / data.size <= limit, (fn.__name__, peak / data.size)
 
 
 def test_sauvola_monotone_in_k(rng):

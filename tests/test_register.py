@@ -5,9 +5,11 @@ import pytest
 
 from tomoseg._kernels.rotate import rotate_nearest
 from tomoseg.register import (
+    COARSE_SEED_DEG,
     RegisterOptions,
     RigidTransform,
     TranslationSolver,
+    _cache_key,
     _lattice_search,
     block_or_downsample,
     direct_overlap,
@@ -31,6 +33,17 @@ def test_rotation_matrix_orthonormal(rng):
         r = t.rotation()
         np.testing.assert_allclose(r @ r.T, np.eye(3), atol=1e-12)
         assert np.linalg.det(r) == pytest.approx(1.0)
+
+
+def test_cache_key_equals_rounding_each_value(rng):
+    # the simplex passes numpy scalars, the coarse seed grid Python floats
+    for _ in range(2000):
+        v = rng.normal(size=6) * rng.choice([1e-3, 1.0, 100.0])
+        assert _cache_key(tuple(v)) == tuple(round(x, 12) for x in v)
+    s = math.radians(COARSE_SEED_DEG)
+    steps = (-s, -0.5 * s, 0.0, 0.5 * s, s)
+    for seed in ((a, b, c) for a in steps for b in steps for c in steps):
+        assert _cache_key(seed) == tuple(round(x, 12) for x in seed)
 
 
 def test_angles_wrap_into_interval():
