@@ -20,7 +20,7 @@ from ._kernels.rotate import guard_volume
 from .register import RigidTransform, sample_plane
 from .volgrid import (
     BinaryVolume, LabelPlane, ScalarVolume, _atomic_text, finite_float, key_value,
-    read_key_values,
+    read_key_values, read_table, write_table,
 )
 
 
@@ -68,32 +68,21 @@ class MineralTable:
 
 
 def load_mineral_table(path=None) -> MineralTable:
-    """CSV with header name,code,rho,mu_m; defaults to the bundled table.
-    Blank lines are skipped; a file without the header, a row without four
-    fields, with a code that is not a number or with rho or mu_m not a
-    positive finite number, or two rows with one code, raise ValueError
-    naming the file (and the rows' line numbers)."""
+    """CSV with header name,code,rho,mu_m (``read_table``); defaults to the
+    bundled table. A row with rho or mu_m not a positive finite number, or
+    two rows with one code, raise ValueError naming the file and the rows'
+    line numbers."""
     if path is None:
-        path = resources.files("tomoseg").joinpath("data/minerals.csv")
-        text = path.read_text(encoding="utf-8")
-    else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    rows = [(n, ln.strip()) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
-    if not rows or rows[0][1] != "name,code,rho,mu_m":
-        raise ValueError(f"{path}: mineral table must start with header name,code,rho,mu_m")
+        with resources.as_file(resources.files("tomoseg") / "data/minerals.csv") as bundled:
+            return load_mineral_table(bundled)
     minerals, code_lines = [], {}
-    for lineno, ln in rows[1:]:
-        fields = ln.split(",")
-        where = f"{path} line {lineno}"
-        if len(fields) != 4:
-            raise ValueError(f"{where}: expected name,code,rho,mu_m, got {len(fields)} fields")
-        name, code, rho, mu = fields
+    for where, (name, code, rho, mu) in read_table(path, "name,code,rho,mu_m",
+                                                   (str, int, float, float)):
         try:
-            minerals.append(Mineral(name, int(code), float(rho), float(mu)))
+            minerals.append(Mineral(name, code, rho, mu))
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
-        code = minerals[-1].code
+        lineno = where.rpartition(" ")[2]
         if code in code_lines:
             raise ValueError(f"{path} lines {code_lines[code]} and {lineno}: "
                              f"mineral code {code} appears twice")
@@ -329,10 +318,8 @@ def validate_section(
 
 
 def write_scatter(report: ValidationReport, path) -> None:
-    with _atomic_text(path) as fh:
-        fh.write("mineral,predicted,true\n")
-        for r in report.rows:
-            fh.write(f"{r.name},{r.predicted!r},{r.true!r}\n")
+    write_table(path, "mineral,predicted,true",
+                ((r.name, r.predicted, r.true) for r in report.rows))
 
 
 @dataclass(frozen=True)

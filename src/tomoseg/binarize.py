@@ -104,8 +104,8 @@ def morphological_opening(mask: BinaryVolume, radius: float = 1.0) -> BinaryVolu
     return BinaryVolume(opened, mask.spacing)
 
 
-def remove_small_components(mask: BinaryVolume, min_size: int, connectivity: int = 26) -> BinaryVolume:
-    """Drop foreground components smaller than ``min_size`` voxels.
+def remove_small_components(mask: BinaryVolume, min_size: int) -> BinaryVolume:
+    """Drop 26-connected foreground components smaller than ``min_size`` voxels.
 
     Local thresholding turns windows of pure background noise into speckle
     that the opening shrinks to small surviving specks; this removes them
@@ -113,7 +113,7 @@ def remove_small_components(mask: BinaryVolume, min_size: int, connectivity: int
     """
     if min_size <= 1:
         return mask
-    labels = connected_components_mask(mask.data, connectivity)
+    labels = connected_components_mask(mask.data, 26)
     counts = np.bincount(labels.ravel())
     keep = counts >= min_size
     keep[0] = False

@@ -30,8 +30,8 @@ from . import prefilter as pf
 from . import register as rg
 from . import watershed as ws
 from .volgrid import (
-    BinaryVolume, LabelPlane, _atomic_files, _atomic_text, _encode_volume, extract_slice,
-    finite_float, load_volume, write_volume,
+    BinaryVolume, LabelPlane, _atomic_files, _encode_volume, extract_slice, finite_float,
+    load_volume, read_table, write_table, write_volume,
 )
 
 EXIT_OK = 0
@@ -71,11 +71,10 @@ def stage_phantom(*, out_dir: str, spec: Input | None = None):
 
     emit(result.gray, "gray.raw")
     emit(result.labels, "truth_labels.raw")
-    with _atomic_text(os.path.join(out_dir, "truth_minerals.csv")) as fh:
-        fh.write("particle_id,mineral_code\n")
-        for p in result.particles:
-            fh.write(f"{p.label},{p.mineral_code}\n")
-    outputs.append(os.path.join(out_dir, "truth_minerals.csv"))
+    truth = os.path.join(out_dir, "truth_minerals.csv")
+    write_table(truth, "particle_id,mineral_code",
+                ((p.label, p.mineral_code) for p in result.particles))
+    outputs.append(truth)
     for i, sec in enumerate(result.sections, start=1):
         emit(sec.plane, f"section_{i}.raw")
         tpath = os.path.join(out_dir, f"section_{i}_transform.txt")
@@ -224,34 +223,17 @@ def stage_register(*, vol: Input, plane: Input, out: str, pyramid: str = "4,2,1"
 
 
 def _read_samples(path, mineral_table):
-    """Fit samples and pixel counts from a mineral,mean_gray,n_pixels CSV;
-    blank lines are skipped, and a bad line (a wrong field count, an
-    unknown mineral, a value that is not a finite number) raises ValueError
-    naming the file and the line number."""
-    samples, weights = [], []
-    with open(path, encoding="utf-8") as fh:
-        if fh.readline().strip() != "mineral,mean_gray,n_pixels":
-            raise ValueError(f"{path}: samples CSV must have header mineral,mean_gray,n_pixels")
-        for lineno, line in enumerate(fh, start=2):
-            fields = line.strip().split(",")
-            if fields == [""]:
-                continue
-            where = f"{path} line {lineno}"
-            if len(fields) != 3:
-                raise ValueError(f"{where}: expected mineral,mean_gray,n_pixels, "
-                                 f"got {len(fields)} fields")
-            name, gray, n = fields
-            try:
-                m = mineral_table.by_name(name)
-            except KeyError:
-                raise ValueError(f"{where}: unknown mineral {name!r}") from None
-            try:
-                gray, n = finite_float(gray), finite_float(n)
-            except ValueError as exc:
-                raise ValueError(f"{where}: {exc}") from None
-            samples.append((name, gray, m.rho, m.mu_m))
-            weights.append(n)
-    return samples, weights
+    """Fit samples and pixel counts from a mineral,mean_gray,n_pixels CSV
+    (``read_table``); an unknown mineral is a bad line too."""
+    def mineral(name):
+        try:
+            return mineral_table.by_name(name)
+        except KeyError:
+            raise ValueError(f"unknown mineral {name!r}") from None
+
+    rows = [values for _, values in read_table(path, "mineral,mean_gray,n_pixels",
+                                                (mineral, finite_float, finite_float))]
+    return [(m.name, gray, m.rho, m.mu_m) for m, gray, _ in rows], [n for _, _, n in rows]
 
 
 def stage_attenuation_fit(*, out: str, samples: Input | None = None, vol: Input | None = None,

@@ -9,12 +9,12 @@ corrections; without them every estimate would be biased low by one pixel.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 from scipy import ndimage
 
-from .volgrid import _atomic_text
+from .volgrid import write_table
 
 # chain-code moves (dy, dx), counterclockwise starting east; even index =
 # axis-aligned step, odd = diagonal
@@ -254,13 +254,7 @@ CSV_HEADER = "id,area,perimeter,mean_width,sphericity,convexity,elongation"
 
 
 def rows_to_csv(rows, path) -> None:
-    with _atomic_text(path) as fh:
-        fh.write(CSV_HEADER + "\n")
-        for r in rows:
-            fh.write(
-                f"{r.particle_id},{r.area!r},{r.perimeter!r},{r.mean_width!r},"
-                f"{r.sphericity!r},{r.convexity!r},{r.elongation!r}\n"
-            )
+    write_table(path, CSV_HEADER, map(astuple, rows))
 
 
 _DESCRIPTOR_FIELDS = ("area", "perimeter", "mean_width", "sphericity", "convexity", "elongation")
@@ -287,9 +281,6 @@ def export_distributions(rows, bins: int, out_dir) -> dict:
             centers = 0.5 * (edges[:-1] + edges[1:])
             freq = counts / counts.sum()
         path = os.path.join(out_dir, f"{field}_hist.csv")
-        with _atomic_text(path) as fh:
-            fh.write("bin_center,rel_freq\n")
-            for cvt, f in zip(centers, freq):
-                fh.write(f"{float(cvt)!r},{float(f)!r}\n")
+        write_table(path, "bin_center,rel_freq", zip(centers.tolist(), freq.tolist()))
         written[field] = path
     return written

@@ -29,18 +29,11 @@ import numpy as np
 from ._kernels.cc import _canonicalize
 from ._kernels.convsep import sobel_magnitude_field
 from ._kernels.recon import _shifted_slices, _split_scan_offsets, neighbor_offsets
-from .volgrid import LabelVolume, ScalarVolume, _atomic_text
+from .binarize import ball_footprint
+from .volgrid import LabelVolume, ScalarVolume, finite_float, read_table, write_table
 
 FEATURE_DIM = 18
-
-
-def _ball_offsets(radius: float) -> np.ndarray:
-    r = int(np.ceil(radius))
-    ax = np.arange(-r, r + 1)
-    gz, gy, gx = np.meshgrid(ax, ax, ax, indexing="ij")
-    offs = np.column_stack([gz.ravel(), gy.ravel(), gx.ravel()])
-    keep = (offs**2).sum(axis=1) <= radius * radius
-    return offs[keep].astype(np.int64)
+FEATURES_HEADER = ",".join(["v1,v2"] + [f"f{i}" for i in range(1, FEATURE_DIM + 1)] + ["label"])
 
 
 @dataclass(frozen=True)
@@ -198,7 +191,7 @@ def _mean_abs_curvature(interfaces, lab_flat: np.ndarray, shape: tuple, fit_radi
     with a singular Gram matrix is solved centre by centre, through
     least squares where the matrix is singular.
     """
-    offsets = _ball_offsets(fit_radius)
+    offsets = np.argwhere(ball_footprint(fit_radius)) - math.ceil(fit_radius)
     pts, centre_edge, centre_row, k, hits = _fit_neighborhoods(
         interfaces, lab_flat, shape, offsets, max_centers)
     start = np.cumsum(k) - k
@@ -267,7 +260,7 @@ def extract_edge_features(
     counts = graph.region_sizes
     sums = np.bincount(lab_flat, weights=gray_flat, minlength=graph.n_regions + 1)
     region_mean = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
-    ball = _ball_offsets(2.0)
+    ball = np.argwhere(ball_footprint(2.0)) - 2  # offsets from the mask's centre
     curvature = _mean_abs_curvature(list(graph.interfaces.values()), lab_flat, shape)
     features = {}
     for (edge, iface), curv in zip(graph.interfaces.items(), curvature):
@@ -323,33 +316,25 @@ def merge_regions(labels: LabelVolume, graph: RegionGraph, weights: dict, lam: f
     return LabelVolume(_canonicalize(merged), labels.spacing)
 
 
+def _edge_label(text) -> float:
+    value = float(text)
+    if value not in (0.0, 1.0):
+        raise ValueError(f"label must be 0 or 1, got {text!r}")
+    return value
+
+
 def features_to_csv(path, graph: RegionGraph, features: dict, edge_labels: dict) -> None:
     """Training dump: one row per edge, header v1,v2,f1..f18,label."""
-    cols = ",".join(f"f{i}" for i in range(1, FEATURE_DIM + 1))
-    with _atomic_text(path) as fh:
-        fh.write(f"v1,v2,{cols},label\n")
-        for edge in graph.edges:
-            if edge not in edge_labels:
-                continue
-            vals = ",".join(repr(float(v)) for v in features[edge])
-            fh.write(f"{edge[0]},{edge[1]},{vals},{int(edge_labels[edge])}\n")
+    rows = ((*edge, *map(float, features[edge]), int(edge_labels[edge]))
+            for edge in graph.edges if edge in edge_labels)
+    write_table(path, FEATURES_HEADER, rows)
 
 
 def read_features_csv(path):
-    """Inverse of features_to_csv: (edges, X, y)."""
-    edges = []
-    rows = []
-    labels = []
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        expected = ["v1", "v2"] + [f"f{i}" for i in range(1, FEATURE_DIM + 1)] + ["label"]
-        if header != expected:
-            raise ValueError(f"{path}: unexpected header {header!r}")
-        for line in fh:
-            parts = line.strip().split(",")
-            if len(parts) != len(expected):
-                raise ValueError(f"{path}: malformed row {line!r}")
-            edges.append((int(parts[0]), int(parts[1])))
-            rows.append([float(v) for v in parts[2:-1]])
-            labels.append(float(parts[-1]))
-    return edges, np.array(rows, np.float64).reshape(len(rows), FEATURE_DIM), np.array(labels)
+    """Inverse of features_to_csv (``read_table``): (edges, X, y). Vertex ids
+    must be integers, features finite and labels 0 or 1."""
+    converters = (int, int) + (finite_float,) * FEATURE_DIM + (_edge_label,)
+    rows = [values for _, values in read_table(path, FEATURES_HEADER, converters)]
+    edges = [(v1, v2) for v1, v2, *_ in rows]
+    x = np.array([values[2:-1] for values in rows], np.float64).reshape(len(rows), FEATURE_DIM)
+    return edges, x, np.array([values[-1] for values in rows])

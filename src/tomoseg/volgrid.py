@@ -272,6 +272,38 @@ def finite_float(text) -> float:
     return value
 
 
+def read_table(path, header: str, converters):
+    """The rows of a UTF-8 CSV table as ``(where, values)``, ``where`` being
+    ``"<path> line <n>"``. The first non-blank line must be ``header``;
+    blank lines are skipped but counted. Each row must have the header's
+    field count, and field i becomes ``converters[i](field)``. A fault, or a
+    ValueError from a converter, raises ValueError naming the file (and the
+    line)."""
+    n_fields = header.count(",") + 1
+    with open(path, encoding="utf-8") as fh:
+        lines = ((n, line) for n, line in enumerate(map(str.strip, fh), start=1) if line)
+        if next(lines, (0, None))[1] != header:
+            raise ValueError(f"{path}: table must start with header {header}")
+        for n, line in lines:
+            where, fields = f"{path} line {n}", line.split(",")
+            if len(fields) != n_fields:
+                raise ValueError(f"{where}: expected {header}, got {len(fields)} fields")
+            try:
+                values = [convert(field) for convert, field in zip(converters, fields)]
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+            yield where, values
+
+
+def write_table(path, header: str, rows) -> None:
+    """Write ``header`` and then each row's cells, through ``str`` and
+    comma-joined, one line per row (atomically, ``_atomic_text``)."""
+    with _atomic_text(path) as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(map(str, row)) + "\n")
+
+
 def key_value(path, values: dict, key: str, convert=str, count=None, sep=None):
     """``values[key]``, read from ``path``, converted by ``convert``; with
     ``count``, a tuple of exactly that many items split at ``sep``

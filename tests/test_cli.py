@@ -551,6 +551,46 @@ def test_samples_csv_bad_line_names_file_and_line(tmp_path, capsys, bad_line, re
     assert not (tmp_path / "m.txt").exists()
 
 
+def _edge_rows(n=40):
+    # both classes, in alternation, with features drawn from a fixed stream
+    rng = np.random.default_rng(5)
+    return [",".join([str(i), str(i + 1)] + [repr(float(v)) for v in rng.normal(size=18)]
+                     + [str(i % 2)]) for i in range(1, n + 1)]
+
+
+EDGE_HEADER = ",".join(["v1", "v2"] + [f"f{i}" for i in range(1, 19)] + ["label"])
+
+
+def test_edge_features_csv_trailing_blank_line_is_skipped(tmp_path):
+    plain, padded = tmp_path / "plain.csv", tmp_path / "padded.csv"
+    plain.write_text("\n".join([EDGE_HEADER] + _edge_rows()) + "\n")
+    padded.write_text(plain.read_text() + "\n")
+    for features in (plain, padded):
+        argv = ["train-merge", "--features", str(features), "--out", f"{features}.model",
+                "--epochs", "5"]
+        assert cli.main(argv) == 0
+    assert (tmp_path / "padded.csv.model").read_text() == (tmp_path / "plain.csv.model").read_text()
+
+
+@pytest.mark.parametrize("column, value, reason", [(5, "nan", "'nan' is not a finite"),
+                                                   (19, "inf", "'inf' is not a finite"),
+                                                   (0, "1.5", "'1.5'"),
+                                                   (20, "0.5", "label must be 0 or 1"),
+                                                   (20, "2", "label must be 0 or 1")])
+def test_edge_features_csv_bad_line_names_file_and_line(tmp_path, capsys, column, value, reason):
+    rows = _edge_rows()
+    bad = rows[1].split(",")
+    bad[column] = value
+    rows[1] = ",".join(bad)
+    features = tmp_path / "edges.csv"
+    features.write_text("\n".join([EDGE_HEADER] + rows) + "\n")
+    model = tmp_path / "model.txt"
+    err = _stage_fault(capsys, ["train-merge", "--features", str(features), "--out", str(model),
+                                "--epochs", "5"])
+    assert f"{features} line 3" in err and reason in err
+    assert not model.exists()
+
+
 # mineral table faults: the table's text, and what the error names after
 # the file
 TABLE_FAULTS = [

@@ -282,10 +282,12 @@ def few_voxel_interface_labels():
 
 def fit_counts(lab):
     """Neighbour count of every sampled centre, and the interface sizes."""
-    from tomoseg.mergegraph import _ball_offsets, _fit_neighborhoods
+    from tomoseg.binarize import ball_footprint
+    from tomoseg.mergegraph import _fit_neighborhoods
 
     ifaces = list(build_region_graph(lab).interfaces.values())
-    k = _fit_neighborhoods(ifaces, lab.data.ravel(), lab.data.shape, _ball_offsets(3.0), 120)[3]
+    offsets = np.argwhere(ball_footprint(3.0)) - 3
+    k = _fit_neighborhoods(ifaces, lab.data.ravel(), lab.data.shape, offsets, 120)[3]
     return k, [len(i) for i in ifaces]
 
 

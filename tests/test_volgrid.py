@@ -7,8 +7,11 @@ from tomoseg.volgrid import (
     LabelVolume,
     ScalarVolume,
     extract_slice,
+    finite_float,
     load_volume,
+    read_table,
     read_volume,
+    write_table,
     write_volume,
 )
 
@@ -187,6 +190,37 @@ def test_full_disk_keeps_old_outputs(tmp_path, monkeypatch, writer):
     monkeypatch.undo()
     write(out_dir, 1)
     assert {name: (out_dir / name).read_bytes() for name in whole} != old
+
+
+def test_table_round_trip_counts_blank_lines(tmp_path):
+    path = tmp_path / "t.csv"
+    write_table(path, "name,n,x", [("a", 1, 0.1), ("b", 2, 1e-300)])
+    assert path.read_text() == "name,n,x\na,1,0.1\nb,2,1e-300\n"
+    path.write_text("\n  \nname,n,x\na,1,0.1\n\n\nb,2,1e-300\n\n")
+    rows = list(read_table(path, "name,n,x", (str, int, finite_float)))
+    assert rows == [(f"{path} line 4", ["a", 1, 0.1]), (f"{path} line 7", ["b", 2, 1e-300])]
+    path.write_text("name,n,x\n")
+    assert list(read_table(path, "name,n,x", (str, int, finite_float))) == []
+
+
+@pytest.mark.parametrize("text, named", [
+    ("", ""),
+    ("\n\n", ""),
+    ("name,n\na,1\n", ""),
+    ("a,1,0.1\nname,n,x\n", ""),
+    ("name,n,x\na,1,0.1\n\nb,2\n", " line 4: expected name,n,x, got 2 fields"),
+    ("name,n,x\na,1,0.1,7\n", " line 2: expected name,n,x, got 4 fields"),
+    ("name,n,x\n\na,1.5,0.1\n", " line 3: invalid literal for int()"),
+    ("name,n,x\na,1,nan\n", " line 2: 'nan' is not a finite number"),
+])
+def test_bad_table_names_file_and_line(tmp_path, text, named):
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError) as exc:
+        list(read_table(path, "name,n,x", (str, int, finite_float)))
+    assert str(exc.value).startswith(f"{path}{named}")
+    if not named:
+        assert "header name,n,x" in str(exc.value)
 
 
 def test_payload_is_little_endian_x_fastest(tmp_path):
