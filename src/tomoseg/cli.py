@@ -2,7 +2,7 @@
 ``tomoseg pipeline --config F`` chains them with a reproducible manifest.
 Both read a stage's parameters from its function's keyword signature.
 
-Exit codes: 0 success, 2 missing input, 3 stage failure, 4 config error.
+Exit codes: 0 success, 2 missing input, 3 stage failure, 4 bad config or value.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from . import register as rg
 from . import watershed as ws
 from .volgrid import (
     BinaryVolume, LabelPlane, _atomic_files, _encode_volume, extract_slice, finite_float,
-    load_volume, read_table, write_table, write_volume,
+    load_volume, read_table, read_value, write_table, write_volume,
 )
 
 EXIT_OK = 0
@@ -126,21 +126,24 @@ def stage_watershed(*, mask: Input, out: str, h_depth: float = ws.WatershedParam
     return [out, out + ".meta"]
 
 
-def _check_dims(first, *others):
+def _check_same_grid(first, *others):
     """Raise ValueError naming both files unless every (path, volume) pair
-    has the dims of the first."""
+    has the dims and the voxel spacing of the first."""
     path0, vol0 = first
     for path, vol in others:
         if vol.dims != vol0.dims:
             raise ValueError(f"dims (x, y, z) differ: {path0} is {vol0.dims}, {path} is {vol.dims}")
+        if vol.spacing != vol0.spacing:
+            raise ValueError(f"voxel spacing (um) differs: {path0} is {vol0.spacing}, "
+                             f"{path} is {vol.spacing}")
 
 
 def _edge_features(labels, gray, *others):
     """The region graph and edge features of ``labels`` on ``gray``; the
-    ``(path, volume)`` pairs in ``others`` must share their dims too."""
+    ``(path, volume)`` pairs in ``others`` must share their grid too."""
     label_vol = load_volume(labels)
     gray_vol = load_volume(gray)
-    _check_dims((labels, label_vol), (gray, gray_vol), *others)
+    _check_same_grid((labels, label_vol), (gray, gray_vol), *others)
     graph = mg.build_region_graph(label_vol)
     grad = mg.sobel_gradient_magnitude(gray_vol)
     return label_vol, graph, mg.extract_edge_features(graph, gray_vol, grad, label_vol)
@@ -166,8 +169,8 @@ def stage_edge_features(*, labels: Input, gray: Input, truth: Input, out: str):
     return [out]
 
 
-def stage_train_merge(*, features: Input, out: str, hidden: int = 75, grid: str | None = None,
-                      seed: int = nn.TrainConfig.rng_seed,
+def stage_train_merge(*, features: Input, out: str, hidden: int = 75,
+                      grid: tuple[int, ...] | None = None, seed: int = nn.TrainConfig.rng_seed,
                       lr: float = nn.TrainConfig.learning_rate,
                       epochs: int = nn.TrainConfig.epochs,
                       batch_size: int = nn.TrainConfig.batch_size,
@@ -180,7 +183,7 @@ def stage_train_merge(*, features: Input, out: str, hidden: int = 75, grid: str 
         validation_fraction=validation_fraction, rng_seed=seed,
     )
     if grid is not None:
-        best_m, model = nn.grid_search(x, y, [int(v) for v in grid.split(",")], cfg)
+        best_m, model = nn.grid_search(x, y, grid, cfg)
         print(f"grid search selected {best_m} hidden units")
     else:
         model = nn.train(x, y, hidden, cfg)
@@ -188,14 +191,13 @@ def stage_train_merge(*, features: Input, out: str, hidden: int = 75, grid: str 
     return [out]
 
 
-def stage_descriptors(*, labels: Input, out: str, slice_: str | None = None,
+def stage_descriptors(*, labels: Input, out: str, slice_: tuple[str, int] | None = None,
                       spacing: float | None = None, hist: str | None = None, bins: int = 20):
     """per-particle section descriptors (slice: axis,index of a 3D volume)"""
     vol = load_volume(labels)
     spacing = float(vol.spacing) if spacing is None else spacing
     if slice_ is not None:
-        axis, idx = slice_.split(",")
-        plane = extract_slice(vol, axis.strip(), int(idx))
+        plane = extract_slice(vol, *slice_)
     elif isinstance(vol, LabelPlane):
         plane = vol.data
     else:
@@ -213,10 +215,11 @@ def stage_descriptors(*, labels: Input, out: str, slice_: str | None = None,
     return outputs
 
 
-def stage_register(*, vol: Input, plane: Input, out: str, pyramid: str = "4,2,1",
+def stage_register(*, vol: Input, plane: Input, out: str,
+                   pyramid: tuple[int, ...] = rg.RegisterOptions.pyramid,
                    max_iter: int = rg.RegisterOptions.max_iter):
     """locate a 2D section in the volume"""
-    opts = rg.RegisterOptions(pyramid=tuple(int(v) for v in pyramid.split(",")), max_iter=max_iter)
+    opts = rg.RegisterOptions(pyramid=pyramid, max_iter=max_iter)
     result = rg.register_section(load_volume(vol), load_volume(plane), opts)
     rg.write_result(result, out)
     return [out]
@@ -262,7 +265,7 @@ def stage_attenuation_fit(*, out: str, samples: Input | None = None, vol: Input 
 def stage_attenuation_predict(*, vol: Input, mask: Input, model: Input, out: str):
     """map rho*mu_m over a mask, flagging voxels outside the calibration"""
     gray_vol, mask_vol = load_volume(vol), load_volume(mask)
-    _check_dims((vol, gray_vol), (mask, mask_vol))
+    _check_same_grid((vol, gray_vol), (mask, mask_vol))
     pred, flags = atn.predict_map(gray_vol, atn.load_model(model), mask_vol)
     # the payload, the flags and their sidecar are renamed into place together
     flags_payload, flags_meta = _encode_volume(BinaryVolume(flags, gray_vol.spacing))
@@ -315,10 +318,14 @@ def _params(fn) -> tuple[tuple[str, inspect.Parameter], ...]:
     return tuple(params)
 
 
-def _bind(fn, values: dict) -> dict:
-    """Keyword arguments for ``fn`` from argparse values or INI strings keyed
-    by key; an absent key takes its default. ConfigError names an unknown or
-    missing key or a value that does not parse."""
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _bind(fn, values: dict, name=lambda key: f"key {key!r}") -> dict:
+    """Keyword arguments for ``fn`` from flag or INI texts keyed by key, read
+    by ``read_value`` (a set switch is True); an absent key takes its default.
+    ConfigError names an unknown or missing key, or a bad value's ``name``."""
     params = dict(_params(fn))
     unknown = sorted(set(values) - set(params))
     if unknown:
@@ -333,12 +340,9 @@ def _bind(fn, values: dict) -> dict:
             continue
         value = values[key]
         try:
-            if tp is bool and isinstance(value, str):
-                kwargs[prm.name] = configparser.ConfigParser.BOOLEAN_STATES[value.lower()]
-            else:
-                kwargs[prm.name] = tp(value)
-        except (KeyError, ValueError):
-            raise ConfigError(f"key {key!r}: cannot read {value!r} as {tp.__name__}") from None
+            kwargs[prm.name] = read_value(tp, value) if isinstance(value, str) else value
+        except ValueError as exc:
+            raise ConfigError(f"{name(key)}: cannot read {value!r}: {exc}") from None
     return kwargs
 
 
@@ -418,12 +422,10 @@ def build_parser() -> argparse.ArgumentParser:
                              description=doc, argument_default=argparse.SUPPRESS)
         s.set_defaults(stage=fn)
         for key, prm in _params(fn):
-            flag = "--" + key.replace("_", "-")
             if prm.annotation is bool:
-                s.add_argument(flag, dest=key, action="store_true")
+                s.add_argument(_flag(key), dest=key, action="store_true")
             else:
-                required = prm.default is prm.empty
-                s.add_argument(flag, dest=key, type=prm.annotation, required=required)
+                s.add_argument(_flag(key), dest=key, required=prm.default is prm.empty)
 
     s = sub.add_parser("pipeline", help="run a staged pipeline with a manifest")
     s.add_argument("--config", required=True)
@@ -438,7 +440,8 @@ def main(argv=None) -> int:
         if ns.command == "pipeline":
             return run_pipeline(ns.config, ns.manifest)
         fn = ns.stage
-        kwargs = _bind(fn, {key: getattr(ns, key) for key, _ in _params(fn) if hasattr(ns, key)})
+        kwargs = _bind(fn, {key: getattr(ns, key) for key, _ in _params(fn) if hasattr(ns, key)},
+                       _flag)
         _input_paths(fn, kwargs)
         fn(**kwargs)
     except FileNotFoundError as exc:
@@ -446,7 +449,7 @@ def main(argv=None) -> int:
         return EXIT_MISSING_INPUT
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_STAGE_FAILURE
+        return EXIT_CONFIG_ERROR if isinstance(exc, ConfigError) else EXIT_STAGE_FAILURE
     return EXIT_OK
 
 

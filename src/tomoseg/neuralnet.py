@@ -62,6 +62,9 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive")
         if not 0.0 <= self.validation_fraction <= 0.5:
             raise ValueError("validation_fraction must lie in [0, 0.5]")
+        for name in ("epochs", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
 
 
 _P_LO = np.finfo(np.float64).tiny
@@ -154,6 +157,8 @@ def train_detailed(X: np.ndarray, y: np.ndarray, hidden_units: int, cfg: TrainCo
     n, d = X.shape
     if len(y) != n:
         raise ValueError("X and y lengths differ")
+    if hidden_units < 1:
+        raise ValueError(f"hidden_units must be at least 1, got {hidden_units}")
     classes = np.unique(y)
     if not np.isin(classes, (0.0, 1.0)).all() or len(classes) < 2:
         raise ValueError("training needs labels from both classes {0, 1}")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import typing
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -43,7 +43,7 @@ class PhantomSpec:
     exponent_range: tuple[float, float] = (2.0, 4.0)
     aspect_range: tuple[float, float] = (1.0, 4.0)
     elongated_fraction: float = 0.3  # particles forced to aspect >= 2.5
-    mineral_fractions: dict = field(default_factory=lambda: dict(DEFAULT_MINERAL_FRACTIONS))
+    mineral_fractions: dict[str, float] = field(default_factory=DEFAULT_MINERAL_FRACTIONS.copy)
     noise_std: float = 400.0
     ring_amplitude: float = 0.0
     ring_period: float = 17.0
@@ -420,31 +420,15 @@ def adjusted_rand_index(a: np.ndarray, b: np.ndarray) -> float:
     return float((sum_ij - expected) / (max_index - expected))
 
 
-def _fractions(text: str) -> dict:
-    fractions = {}
-    for item in text.split(","):
-        name, _, frac = item.partition(":")
-        fractions[name.strip()] = float(frac)
-    return fractions
-
-
 def parse_spec_file(path) -> PhantomSpec:
     """``key = value`` phantom description; the keys are the PhantomSpec
-    fields. A tuple field takes comma-separated values (``dims = 32,40,48``)
-    and mineral fractions read ``mineral_fractions = quartz:0.4,topaz:0.6``.
-    An unknown key, a tuple of the wrong length or a value that does not
-    parse raises ValueError naming the file and the key."""
-    hints = typing.get_type_hints(PhantomSpec)
-    types = {f.name: hints[f.name] for f in fields(PhantomSpec)}
+    fields, each read as its type hint (``volgrid.read_value``: ``dims = 32,40,48``,
+    ``mineral_fractions = quartz:0.4,topaz:0.6``). An unknown key, a tuple of
+    the wrong length or a value that does not parse raises ValueError naming
+    the file and the key."""
+    types = typing.get_type_hints(PhantomSpec)
     vals = read_key_values(path)
-    kwargs = {}
     for key in vals:
         if key not in types:
             raise ValueError(f"{path}: unknown phantom spec key {key!r}")
-        tp = types[key]
-        if typing.get_origin(tp) is tuple:
-            args = typing.get_args(tp)
-            kwargs[key] = key_value(path, vals, key, args[0], len(args), ",")
-        else:
-            kwargs[key] = key_value(path, vals, key, _fractions if tp is dict else tp)
-    return PhantomSpec(**kwargs)
+    return PhantomSpec(**{key: key_value(path, vals, key, types[key]) for key in vals})

@@ -13,11 +13,13 @@ the array and marks it read-only), so any number of threads may share one.
 
 from __future__ import annotations
 
+import configparser
 import contextlib
 import io
 import math
 import os
 import secrets
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -304,20 +306,38 @@ def write_table(path, header: str, rows) -> None:
             fh.write(",".join(map(str, row)) + "\n")
 
 
+def read_value(hint, text: str, sep=","):
+    """``text`` as a value of the type hint ``hint``: a ``tuple[T, ...]`` or a
+    ``tuple[T1, ..., Tn]`` of stripped items split at ``sep``, a ``dict[K, V]`` of
+    ``key:value`` items, a ``bool`` from a switch word; other hints are called on it."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is dict:
+        return dict(read_value(tuple[args], item, ":") for item in text.split(","))
+    if origin is tuple:
+        items = [item.strip() for item in text.split(sep)]
+        if args and args[-1] is Ellipsis:
+            args = args[:1] * len(items)
+        elif len(items) != len(args):
+            raise ValueError(f"expected {len(args)} values, got {len(items)}")
+        return tuple(map(read_value, args, items))
+    if hint is bool:
+        if text.lower() not in configparser.ConfigParser.BOOLEAN_STATES:
+            raise ValueError(f"{text!r} is not a switch word")
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    return hint(text)
+
+
 def key_value(path, values: dict, key: str, convert=str, count=None, sep=None):
-    """``values[key]``, read from ``path``, converted by ``convert``; with
-    ``count``, a tuple of exactly that many items split at ``sep``
-    (whitespace when None). A missing key or a value that does not convert
-    raises ValueError naming the file and the key."""
+    """``values[key]``, read from ``path`` as the type hint ``convert``
+    (``read_value``); with ``count``, a tuple of exactly that many items split
+    at ``sep`` (whitespace when None). A missing key or a value that does not
+    convert raises ValueError naming the file and the key."""
     if key not in values:
         raise ValueError(f"{path}: missing key {key!r}")
     try:
         if count is None:
-            return convert(values[key])
-        items = values[key].split(sep)
-        if len(items) != count:
-            raise ValueError(f"expected {count} values, got {len(items)}")
-        return tuple(convert(v) for v in items)
+            return read_value(convert, values[key])
+        return read_value(tuple[(convert,) * count], values[key], sep)
     except ValueError as exc:
         raise ValueError(f"{path}: key {key!r}: {exc}") from None
 

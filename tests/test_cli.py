@@ -7,7 +7,7 @@ import pytest
 from tomoseg import cli
 from tomoseg import neuralnet as nn
 from tomoseg.volgrid import (
-    BinaryVolume, LabelPlane, LabelVolume, ScalarVolume, load_volume, write_volume,
+    BinaryVolume, LabelPlane, LabelVolume, ScalarVolume, load_volume, read_value, write_volume,
 )
 
 from conftest import ball_mask, fill_disk_on
@@ -365,7 +365,18 @@ def test_register_pyramid_default_is_register_options_default():
     from tomoseg.register import RegisterOptions
 
     default = dict(cli._params(cli.stage_register))["pyramid"].default
-    assert tuple(int(v) for v in default.split(",")) == RegisterOptions().pyramid
+    assert default == RegisterOptions().pyramid
+
+
+@pytest.mark.parametrize("stage", sorted(cli.STAGES))
+def test_stage_defaults_read_back_from_their_text(stage):
+    # a parameter whose hint read_value cannot read fails here, not at run time
+    for key, prm in cli._params(cli.STAGES[stage]):
+        if prm.default in (prm.empty, None):
+            continue
+        default = prm.default
+        text = ",".join(map(str, default)) if isinstance(default, tuple) else str(default)
+        assert read_value(prm.annotation, text) == default, key
 
 
 def _register_inputs(tmp_path):
@@ -398,7 +409,11 @@ def test_attenuation_subcommands_parse():
     ns = parser.parse_args(["attenuation", "fit", "--samples", "s.csv", "--out", "m.txt",
                             "--weighted", "--pixel-to-voxel", "0.5"])
     assert ns.stage is cli.stage_attenuation_fit
-    assert (ns.samples, ns.weighted, ns.pixel_to_voxel) == ("s.csv", True, 0.5)
+    # flags reach _bind as text, a set switch as True
+    assert (ns.samples, ns.weighted, ns.pixel_to_voxel) == ("s.csv", True, "0.5")
+    kwargs = cli._bind(ns.stage, {key: getattr(ns, key) for key in ("samples", "out", "weighted",
+                                                                    "pixel_to_voxel")})
+    assert (kwargs["samples"], kwargs["weighted"], kwargs["pixel_to_voxel"]) == ("s.csv", True, 0.5)
     ns = parser.parse_args(["attenuation", "predict", "--vol", "v", "--mask", "m",
                             "--model", "f", "--out", "o"])
     assert ns.stage is cli.stage_attenuation_predict
@@ -591,6 +606,78 @@ def test_edge_features_csv_bad_line_names_file_and_line(tmp_path, capsys, column
     assert not model.exists()
 
 
+# malformed stage parameter values: the stage, its required keys (files
+# written by _value_fault_inputs), the key and its value
+VALUE_FAULTS = [
+    ("descriptors", "labels out", "slice", "z"),
+    ("descriptors", "labels out", "slice", "z,a"),
+    ("train-merge", "features out", "grid", "5,a"),
+    ("register", "vol plane out", "pyramid", "4,x"),
+    ("train-merge", "features out", "hidden", "x"),
+]
+
+
+def _value_fault_inputs(tmp_path):
+    labels = np.zeros((4, 6, 6), np.uint32)
+    labels[1:3, 1:3, 1:3], labels[1:3, 3:5, 3:5] = 1, 2
+    write_volume(LabelVolume(labels, 1.0), tmp_path / "labels")
+    write_volume(BinaryVolume(labels > 0, 1.0), tmp_path / "vol")
+    write_volume(BinaryVolume(labels[2:3] > 0, 1.0), tmp_path / "plane")
+    (tmp_path / "features").write_text("\n".join([EDGE_HEADER] + _edge_rows()) + "\n")
+
+
+def _run_front(tmp_path, front, stage, values):
+    """Run one stage with ``values`` from the command line or as a
+    one-section pipeline; returns the exit code."""
+    if front == "pipeline":
+        cfg = tmp_path / "stage.cfg"
+        cfg.write_text(f"[{stage}]\n" + "".join(f"{k} = {v}\n" for k, v in values.items()))
+        return cli.main(["pipeline", "--config", str(cfg)])
+    return cli.main(_command(stage) + [a for k, v in values.items() for a in (cli._flag(k), v)])
+
+
+@pytest.mark.parametrize("front", ["command-line", "pipeline"])
+@pytest.mark.parametrize("stage, required, key, value", VALUE_FAULTS)
+def test_malformed_value_is_config_error_on_both_fronts(tmp_path, capsys, front, stage, required,
+                                                        key, value):
+    _value_fault_inputs(tmp_path)
+    values = {k: str(tmp_path / k) for k in required.split()}
+    values[key] = value
+    before = sorted(tmp_path.iterdir())
+    rc = _run_front(tmp_path, front, stage, values)
+    err = capsys.readouterr().err.strip().splitlines()
+    assert rc == cli.EXIT_CONFIG_ERROR
+    named = cli._flag(key) if front == "command-line" else f"stage '{stage}': key '{key}'"
+    assert len(err) == 1 and named in err[0] and repr(value) in err[0]
+    # no output, no manifest (the config file aside)
+    assert [p for p in sorted(tmp_path.iterdir()) if p.name != "stage.cfg"] == before
+
+
+@pytest.mark.parametrize("front", ["command-line", "pipeline"])
+def test_malformed_spec_value_is_stage_failure_naming_file_and_key(tmp_path, capsys, front):
+    spec = tmp_path / "spec.txt"
+    spec.write_text("count = 3\nmineral_fractions = quartz\n")
+    out_dir = tmp_path / "phantom"
+    rc = _run_front(tmp_path, front, "phantom", {"spec": str(spec), "out_dir": str(out_dir)})
+    err = capsys.readouterr().err.strip().splitlines()
+    assert rc == cli.EXIT_STAGE_FAILURE
+    assert len(err) == 1 and f"{spec}: key 'mineral_fractions'" in err[0]
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("flag, value, named", [("--hidden", "0", "hidden_units"),
+                                                ("--grid", "0,3", "hidden_units"),
+                                                ("--epochs", "0", "epochs"),
+                                                ("--batch-size", "0", "batch_size")])
+def test_training_that_makes_no_network_is_refused(tmp_path, capsys, flag, value, named):
+    _value_fault_inputs(tmp_path)
+    model = tmp_path / "model.txt"
+    err = _stage_fault(capsys, ["train-merge", "--features", str(tmp_path / "features"),
+                                "--out", str(model), flag, value])
+    assert f"{named} must be at least 1, got 0" in err
+    assert not model.exists()
+
+
 # mineral table faults: the table's text, and what the error names after
 # the file
 TABLE_FAULTS = [
@@ -647,12 +734,13 @@ def test_bad_merge_model_names_file_and_key(tmp_path, capsys, tiny_volume, key, 
 
 
 def _mismatch_inputs(tmp_path, tiny_volume):
-    # 24^3 volumes, and a gray volume four planes short
+    # 24^3 volumes at 4.5 um, a gray volume four planes short, and one at 5 um
     gray = load_volume(tiny_volume)
     paths = {"gray": tiny_volume, "short": tmp_path / "short.raw", "labels": tmp_path / "lab.raw",
              "mask": tmp_path / "mask.raw", "model": tmp_path / "mlp.txt",
-             "line": tmp_path / "line.txt"}
+             "line": tmp_path / "line.txt", "coarse": tmp_path / "coarse.raw"}
     write_volume(ScalarVolume(gray.data[4:], 4.5), paths["short"])
+    write_volume(ScalarVolume(gray.data, 5.0), paths["coarse"])
     write_volume(LabelVolume((gray.data > 10000).astype(np.uint32), 4.5), paths["labels"])
     write_volume(BinaryVolume(gray.data > 10000, 4.5), paths["mask"])
     d = 18
@@ -662,12 +750,14 @@ def _mismatch_inputs(tmp_path, tiny_volume):
     return paths
 
 
-# stage argv (keys of _mismatch_inputs), and the two files whose dims differ
+# stage argv (keys of _mismatch_inputs), and the two files whose dims or
+# voxel spacing differ
 DIMS_MISMATCH = [
     ("merge --labels labels --gray short --model model --out OUT", ("labels", "short")),
     ("edge-features --labels labels --gray short --truth labels --out OUT", ("labels", "short")),
     ("edge-features --labels labels --gray gray --truth short --out OUT", ("labels", "short")),
     ("attenuation predict --vol short --mask mask --model line --out OUT", ("short", "mask")),
+    ("merge --labels labels --gray coarse --model model --out OUT", ("labels", "coarse")),
 ]
 
 
@@ -679,7 +769,9 @@ def test_stage_inputs_of_different_dims_name_both_files(tmp_path, capsys, tiny_v
     paths["OUT"] = out
     err = _stage_fault(capsys, [str(paths.get(a, a)) for a in argv.split()])
     assert all(str(paths[key]) in err for key in named)
-    assert "(24, 24, 24)" in err and "(24, 24, 20)" in err
+    first, second = (load_volume(paths[key]) for key in named)
+    differ = "dims" if first.dims != second.dims else "spacing"
+    assert str(getattr(first, differ)) in err and str(getattr(second, differ)) in err
     assert not out.exists()
 
 

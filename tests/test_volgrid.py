@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from tomoseg.volgrid import (
     finite_float,
     load_volume,
     read_table,
+    read_value,
     read_volume,
     write_table,
     write_volume,
@@ -221,6 +224,38 @@ def test_bad_table_names_file_and_line(tmp_path, text, named):
     assert str(exc.value).startswith(f"{path}{named}")
     if not named:
         assert "header name,n,x" in str(exc.value)
+
+
+@pytest.mark.parametrize("hint, text, value", [
+    (tuple[int, ...], "4, 2,1", (4, 2, 1)),
+    (tuple[int, ...], "7", (7,)),
+    (tuple[str, int], "z, 24", ("z", 24)),
+    (tuple[float, float], "30,50", (30.0, 50.0)),
+    (dict[str, float], "quartz:0.6, topaz : 0.4", {"quartz": 0.6, "topaz": 0.4}),
+    (bool, "Yes", True),
+    (bool, "off", False),
+    (float, "1e-3", 1e-3),
+    (str, " a b ", " a b "),
+])
+def test_read_value_reads_each_hint(hint, text, value):
+    assert read_value(hint, text) == value
+    assert type(read_value(hint, text)) is type(value)
+
+
+@pytest.mark.parametrize("hint, text, reason", [
+    (tuple[str, int], "z", "expected 2 values, got 1"),
+    (tuple[str, int], "z,1,2", "expected 2 values, got 3"),
+    (tuple[str, int], "z,a", "invalid literal for int()"),
+    (tuple[int, ...], "", "invalid literal for int()"),
+    (tuple[int, ...], "4,,1", "invalid literal for int()"),
+    (dict[str, float], "quartz", "expected 2 values, got 1"),
+    (dict[str, float], "quartz:", "could not convert string to float"),
+    (bool, "maybe", "'maybe' is not a switch word"),
+    (int, "1.5", "invalid literal for int()"),
+])
+def test_read_value_refuses_malformed_text(hint, text, reason):
+    with pytest.raises(ValueError, match=re.escape(reason)):
+        read_value(hint, text)
 
 
 def test_payload_is_little_endian_x_fastest(tmp_path):
