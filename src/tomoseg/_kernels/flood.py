@@ -22,31 +22,21 @@ from collections import deque
 
 import numpy as np
 
+from .recon import GuardedWalk
+
 
 def priority_flood(height: np.ndarray, markers: np.ndarray, mask: np.ndarray, offs: np.ndarray):
-    height = np.ascontiguousarray(height, np.float64)
-    markers = np.ascontiguousarray(markers, np.int32)
-    mask = np.ascontiguousarray(mask, bool)
     # Every entry a binary heap would hold for a voxel carries that voxel's
     # height, so its first entry pops first and the later ones are no-ops:
     # a voxel is queued once, taking the label of the voxel that queued it.
-    # One FIFO per height keeps equal heights in insertion order, and a heap
-    # of the heights whose FIFO is non-empty always yields the lowest one,
-    # also when a voxel lower than the current level is queued. The volume
-    # is padded by one voxel that is never free, so flat neighbor offsets
-    # need no bounds check.
-    inner = (slice(1, -1),) * 3
-    shape = tuple(n + 2 for n in height.shape)
-    lab_arr = np.zeros(shape, np.int32)
-    lab_arr[inner] = markers
-    free_arr = np.zeros(shape, np.uint8)
-    free_arr[inner] = mask & (markers == 0)
-    h_arr = np.zeros(shape, np.float64)
-    h_arr[inner] = height
-    strides = tuple(int(k) for k in offs @ np.array([shape[1] * shape[2], shape[2], 1]))
-    lab = memoryview(lab_arr.reshape(-1))
-    free = memoryview(free_arr.reshape(-1))
-    h = memoryview(h_arr.reshape(-1))
+    # The guard is never free, so the steps need no bounds check.
+    markers = np.asarray(markers, np.int32)
+    walk = GuardedWalk(markers.shape, offs)
+    lab_arr = walk.copy(markers)
+    strides = walk.steps.tolist()
+    lab = memoryview(lab_arr)
+    free = memoryview(walk.copy((np.asarray(mask, bool) & (markers == 0)).view(np.uint8)))
+    h = memoryview(walk.copy(np.asarray(height, np.float64)))
     fifos = {}
     active = []
 
@@ -74,4 +64,4 @@ def priority_flood(height: np.ndarray, markers: np.ndarray, mask: np.ndarray, of
             del fifos[level]
             heapq.heappop(active)
         spread(i)
-    return np.ascontiguousarray(lab_arr[inner])
+    return np.ascontiguousarray(lab_arr.reshape(walk.shape)[walk.inner])

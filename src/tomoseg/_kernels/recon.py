@@ -14,6 +14,8 @@ from __future__ import annotations
 import numpy as np
 from scipy import ndimage
 
+from .rotate import guard_volume
+
 _WALL = 1e18
 
 
@@ -41,10 +43,41 @@ def neighbor_structure(connectivity: int) -> np.ndarray:
     return structure
 
 
-def _split_scan_offsets(offs: np.ndarray):
-    # Offsets strictly before (resp. after) the center in raster order.
-    key = offs[:, 0] * 9 + offs[:, 1] * 3 + offs[:, 2]
-    return offs[key < 0], offs[key > 0]
+def forward_offsets(connectivity: int) -> np.ndarray:
+    """The neighbor offsets after the center: each neighbor pair once."""
+    offs = neighbor_offsets(connectivity)
+    return offs[offs @ np.array([9, 3, 1]) > 0]
+
+
+class GuardedWalk:
+    """The one rule for stepping to a neighbor. In a guarded copy of a volume
+    (zero voxels on every side, as deep as ``offsets`` reach) each offset is
+    one flat index step, ``steps``, so no walk checks bounds. A neighbor the
+    copy shows inside is ``volume_steps`` away in the volume itself."""
+
+    def __init__(self, shape, offsets: np.ndarray):
+        self.reach = r = int(np.abs(offsets).max(initial=0))
+        self.shape = tuple(n + 2 * r for n in shape)
+        self.inner = tuple(slice(r, r + n) for n in shape)
+        self.strides = np.array([self.shape[1] * self.shape[2], self.shape[2], 1], np.int64)
+        self.steps = offsets @ self.strides
+        self.volume_steps = offsets @ np.array([shape[1] * shape[2], shape[2], 1], np.int64)
+
+    def copy(self, vol: np.ndarray) -> np.ndarray:
+        """The guarded copy of ``vol``, flattened."""
+        return guard_volume(vol, self.reach).ravel()
+
+    def index(self, coords: np.ndarray) -> np.ndarray:
+        """Flat indices into the guarded copy of voxels at (z, y, x) rows."""
+        return (coords + self.reach) @ self.strides
+
+    def pairs(self, member: np.ndarray):
+        """Per offset, flat volume indices a, b of ``member`` voxels, b at it from a."""
+        inside = self.copy(member)
+        fg, gfg = np.flatnonzero(member), np.flatnonzero(inside)
+        for step, volume_step in zip(self.steps, self.volume_steps):
+            a = fg[inside[gfg + step]]
+            yield a, a + volume_step
 
 
 def reconstruct_erosion(marker: np.ndarray, lower: np.ndarray, mask: np.ndarray, connectivity: int):
@@ -63,14 +96,6 @@ def reconstruct_erosion(marker: np.ndarray, lower: np.ndarray, mask: np.ndarray,
         rec = nxt
 
 
-def _shifted_slices(shape, d):
-    """Slices selecting every voxel whose neighbor at offset ``d`` lies in
-    the volume, and those neighbors."""
-    ctr = tuple(slice(max(0, -k), n - max(0, k)) for n, k in zip(shape, d))
-    nbr = tuple(slice(s.start + k, s.stop + k) for s, k in zip(ctr, d))
-    return ctr, nbr
-
-
 def regional_minima(val: np.ndarray, mask: np.ndarray, connectivity: int) -> np.ndarray:
     """Boolean set of mask voxels belonging to equal-valued plateaus with no
     strictly lower neighbor inside the mask.
@@ -81,26 +106,24 @@ def regional_minima(val: np.ndarray, mask: np.ndarray, connectivity: int) -> np.
     plateau, which is then minimal, unless one of its voxels has an
     equal-valued mask neighbor outside C. Each unordered neighbor pair is
     visited once, through the offsets after the center."""
-    val = np.asarray(val, np.float64)
     mask = np.asarray(mask, bool)
-    after = [_shifted_slices(val.shape, d)
-             for d in _split_scan_offsets(neighbor_offsets(connectivity))[1]]
-    lower = np.zeros(val.shape, bool)
-    for ctr, nbr in after:
-        both = mask[ctr] & mask[nbr]
-        a, b = val[ctr], val[nbr]
-        lower[ctr] |= both & (b < a)
-        lower[nbr] |= both & (a < b)
-    cand = mask & ~lower
-    leaks = np.zeros(val.shape, bool)
-    for ctr, nbr in after:
-        # equal mask pairs with one voxel in C; the values are compared
-        # only where the rest holds
-        eq = (cand[ctr] != cand[nbr]) & mask[ctr] & mask[nbr]
-        np.equal(val[ctr], val[nbr], out=eq, where=eq)
-        leaks[ctr] |= eq & cand[ctr]
-        leaks[nbr] |= eq & cand[nbr]
+    flat = np.asarray(val, np.float64).ravel()
+    walk = GuardedWalk(mask.shape, forward_offsets(connectivity))
+    lower = np.zeros(flat.size, bool)
+    for a, b in walk.pairs(mask):
+        va, vb = flat[a], flat[b]
+        lower[a[vb < va]] = True
+        lower[b[va < vb]] = True
+    cand = mask.ravel() & ~lower
+    leaks = np.zeros(flat.size, bool)
+    for a, b in walk.pairs(mask):
+        # equal pairs with one voxel in C mark that voxel
+        ca, cb = cand[a], cand[b]
+        eq = (ca != cb) & (flat[a] == flat[b])
+        leaks[a[eq & ca]] = True
+        leaks[b[eq & cb]] = True
+    cand = cand.reshape(mask.shape)
     plateau, n = ndimage.label(cand, neighbor_structure(connectivity))
-    leaking = np.zeros(n + 1, bool)
-    leaking[plateau[leaks]] = True
-    return cand & ~leaking[plateau]
+    minimal = np.ones(n + 1, bool)
+    minimal[plateau.ravel()[leaks]] = False
+    return cand & minimal[plateau]

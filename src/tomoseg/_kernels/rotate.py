@@ -23,9 +23,9 @@ import numpy as np
 CHUNK_VOXELS = 1 << 15
 
 
-def guard_volume(vol: np.ndarray) -> np.ndarray:
-    """``vol`` with one zero voxel added on every side, in its dtype."""
-    return np.pad(np.asarray(vol), 1)
+def guard_volume(vol: np.ndarray, width: int = 1) -> np.ndarray:
+    """``vol`` with ``width`` zero voxels added on every side, in its dtype."""
+    return np.pad(np.asarray(vol), width)
 
 
 def rotate_nearest(vol: np.ndarray, rinv: np.ndarray, center, z0: int = 0, z1=None,

@@ -10,6 +10,7 @@ from scipy import ndimage
 
 from ._kernels.cc import connected_components_mask
 from ._kernels.edt import edt as _edt
+from ._kernels.rotate import guard_volume
 from ._kernels.sauvola import sauvola_mask, sauvola_threshold_field
 from .volgrid import BinaryVolume, ScalarVolume
 
@@ -68,12 +69,10 @@ def ball_footprint(radius: float) -> np.ndarray:
 
 
 def _ball_erode(mask: np.ndarray, radius: float) -> np.ndarray:
-    # Outside the volume counts as background: pad before measuring distance.
+    # Outside the volume counts as background: guard before measuring distance.
     pad = int(np.ceil(radius))
-    padded = np.pad(mask, pad, mode="constant", constant_values=False)
-    dist = _edt(padded)
-    core = dist[pad:-pad, pad:-pad, pad:-pad] if pad else dist
-    return core > radius
+    dist = _edt(guard_volume(mask, pad))
+    return dist[tuple(slice(pad, pad + n) for n in mask.shape)] > radius
 
 
 def _ball_dilate(mask: np.ndarray, radius: float) -> np.ndarray:

@@ -28,7 +28,7 @@ import numpy as np
 
 from ._kernels.cc import _canonicalize
 from ._kernels.convsep import sobel_magnitude_field
-from ._kernels.recon import _shifted_slices, _split_scan_offsets, neighbor_offsets
+from ._kernels.recon import GuardedWalk, forward_offsets
 from .binarize import ball_footprint
 from .volgrid import LabelVolume, ScalarVolume, finite_float, read_table, write_table
 
@@ -50,29 +50,21 @@ def build_region_graph(labels: LabelVolume) -> RegionGraph:
     Interface voxels are the voxels of either region that touch the other."""
     lab = labels.data
     n = labels.n_labels
-    flat = np.arange(lab.size, dtype=np.int64).reshape(lab.shape)
-    keys = []
-    voxels = []
-    # scanning the 13 offsets after the center covers all 26 neighbor pairs once
-    for d in _split_scan_offsets(neighbor_offsets(26))[1]:
-        ctr, nbr = _shifted_slices(lab.shape, d)
-        a = lab[ctr]
-        b = lab[nbr]
-        m = (a > 0) & (b > 0) & (a != b)
-        if not m.any():
-            continue
-        av = a[m].astype(np.int64)
-        bv = b[m].astype(np.int64)
-        lo = np.minimum(av, bv)
-        hi = np.maximum(av, bv)
-        key = lo * (n + 1) + hi
+    flat = lab.ravel()
+    keys, voxels = [], []
+    # the 13 offsets after the center cover all 26 neighbor pairs once
+    for a, b in GuardedWalk(lab.shape, forward_offsets(26)).pairs(lab > 0):
+        la, lb = flat[a], flat[b]
+        m = la != lb
+        la, lb = la[m].astype(np.int64), lb[m].astype(np.int64)
+        key = np.minimum(la, lb) * (n + 1) + np.maximum(la, lb)
         keys.append(np.concatenate([key, key]))
-        voxels.append(np.concatenate([flat[ctr][m], flat[nbr][m]]))
-    sizes = np.bincount(lab.ravel(), minlength=n + 1).astype(np.int64)
-    if not keys:
-        return RegionGraph(n, (), {}, sizes, lab.shape)
+        voxels.append(np.concatenate([a[m], b[m]]))
+    sizes = np.bincount(flat, minlength=n + 1).astype(np.int64)
     key = np.concatenate(keys)
     vox = np.concatenate(voxels)
+    if not len(key):
+        return RegionGraph(n, (), {}, sizes, lab.shape)
     order = np.lexsort((vox, key))
     key, vox = key[order], vox[order]
     keep = np.ones(len(key), bool)
@@ -128,8 +120,7 @@ def _fit_neighborhoods(interfaces, lab_flat: np.ndarray, shape: tuple, offsets: 
     in lexicographic order, which is flat-index order, so each centre's
     neighbours come in the row order of its interface.
     """
-    flat_offsets = offsets @ np.array([shape[1] * shape[2], shape[2], 1], np.int64)
-    size = shape[0] * shape[1] * shape[2]
+    walk = GuardedWalk(shape, offsets)
     coords_all, centre_edge, centre_row, ks, hits = [], [], [], [], []
     base = 0
     for e, iface in enumerate(interfaces):
@@ -137,18 +128,15 @@ def _fit_neighborhoods(interfaces, lab_flat: np.ndarray, shape: tuple, offsets: 
         coords = np.column_stack(np.unravel_index(iface, shape)).astype(np.int64)
         coords_all.append(coords)
         if m >= 7:
-            # key (side, flat index) sorts each side's voxels in flat order
+            # key (side, guarded index) sorts each side in flat order
             other = (lab_flat[iface] != lab_flat[iface[0]]).astype(np.int64)
             order = np.argsort(other, kind="stable")
-            key = other[order] * size + iface[order]
+            key = other * math.prod(walk.shape) + walk.index(coords)
             centres = np.arange(0, m, max(1, int(np.ceil(m / max_centers))))
-            inside = np.ones((len(centres), len(offsets)), bool)
-            for axis in range(3):
-                c = coords[centres, axis, None] + offsets[:, axis]
-                inside &= (c >= 0) & (c < shape[axis])
-            ckey = (other[centres] * size + iface[centres])[:, None] + flat_offsets
+            ckey = key[centres, None] + walk.steps
+            key = key[order]
             pos = np.minimum(np.searchsorted(key, ckey), m - 1)
-            hit = inside & (key[pos] == ckey)
+            hit = key[pos] == ckey
             centre_edge.append(np.full(len(centres), e, np.int64))
             centre_row.append(centres + base)
             ks.append(hit.sum(axis=1))
@@ -260,18 +248,16 @@ def extract_edge_features(
     counts = graph.region_sizes
     sums = np.bincount(lab_flat, weights=gray_flat, minlength=graph.n_regions + 1)
     region_mean = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
-    ball = np.argwhere(ball_footprint(2.0)) - 2  # offsets from the mask's centre
+    walk = GuardedWalk(shape, np.argwhere(ball_footprint(2.0)) - 2)
+    guarded = walk.copy(lab)
     curvature = _mean_abs_curvature(list(graph.interfaces.values()), lab_flat, shape)
     features = {}
     for (edge, iface), curv in zip(graph.interfaces.items(), curvature):
         v1, v2 = edge
         coords = np.column_stack(np.unravel_index(iface, shape)).astype(np.int64)
-        nb = coords[:, None, :] + ball[None, :, :]
-        nb = nb.reshape(-1, 3)
-        ok = ((nb >= 0) & (nb < np.array(shape))).all(axis=1)
-        nb_flat = np.unique(np.ravel_multi_index(tuple(nb[ok].T), shape))
-        sel = (lab_flat[nb_flat] == v1) | (lab_flat[nb_flat] == v2)
-        nb_flat = nb_flat[sel]
+        # the guard's label 0 keeps every step outside the volume out
+        nb = guarded[walk.index(coords)[:, None] + walk.steps]
+        nb_flat = np.unique((iface[:, None] + walk.volume_steps)[(nb == v1) | (nb == v2)])
         g1, g2, g3, g4 = _moments(gray_flat[nb_flat])
         a1, a2, a3, a4 = _moments(grad_flat[nb_flat])
         ev = _pca_eigenvalues(coords)

@@ -258,9 +258,9 @@ def save_model(model: MlpModel, path) -> None:
 
 
 def load_model(path) -> MlpModel:
-    """A ``save_model`` file. A missing key, a row of the wrong length or a
-    value that is not a finite number raises ValueError naming the file and
-    the key."""
+    """A ``save_model`` file. A missing key, a row of the wrong length, a
+    value that is not a finite number or a model with no hidden unit raises
+    ValueError naming the file and the key."""
     with open(path, encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     if not lines or lines[0] != _FORMAT_TAG:
@@ -275,6 +275,8 @@ def load_model(path) -> MlpModel:
             fields[key] = rest
     d = key_value(path, fields, "d", int)
     m = key_value(path, fields, "M", int)
+    if m < 1:
+        raise ValueError(f"{path}: key 'M': a model needs at least 1 hidden unit, got {m}")
     if len(alpha_rows) != m:
         raise ValueError(f"{path}: key 'alpha': expected {m} rows, got {len(alpha_rows)}")
     alpha = [key_value(path, {"alpha": row}, "alpha", finite_float, d) for row in alpha_rows]

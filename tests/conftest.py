@@ -37,6 +37,33 @@ def ball_mask(shape, center, radius):
     return (zz - cz) ** 2 + (yy - cy) ** 2 + (xx - cx) ** 2 <= radius * radius
 
 
+# volumes with a dimension of 1 or 2, on which every voxel lies on a face
+THIN_SHAPES = [(1, 9, 11), (3, 1, 8), (2, 2, 2), (5, 6, 1), (1, 1, 7)]
+
+
+def face_touching(shape, rng, top=3):
+    """Random labels 0..top (renumbered 1..L) on ``shape`` with a labelled
+    voxel at two opposite corners, so the labelling touches all six faces."""
+    lab = rng.integers(0, top + 1, shape)
+    lab[0, 0, 0] = lab[-1, -1, -1] = 1
+    values, inverse = np.unique(lab, return_inverse=True)
+    return (inverse.reshape(shape) + (values[0] != 0)).astype(np.int32)
+
+
+def split_scan_offsets(offs):
+    """Offsets strictly before and after the center in raster order."""
+    key = offs[:, 0] * 9 + offs[:, 1] * 3 + offs[:, 2]
+    return offs[key < 0], offs[key > 0]
+
+
+def shifted_slices(shape, d):
+    """Slices selecting every voxel whose neighbor at offset ``d`` lies in
+    the volume, and those neighbors."""
+    ctr = tuple(slice(max(0, -k), n - max(0, k)) for n, k in zip(shape, d))
+    nbr = tuple(slice(s.start + k, s.stop + k) for s, k in zip(ctr, d))
+    return ctr, nbr
+
+
 def brute_force_translation(vol, plane) -> TranslationResult:
     """Reference enumeration of the translation solve over every shift.
     Shifts are visited in (x, y, z) order and a later one wins only with a

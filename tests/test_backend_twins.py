@@ -14,7 +14,7 @@ import pytest
 from tomoseg import backend
 from tomoseg._kernels import cc, convsep, flood, nlm, recon
 
-from conftest import correlate_axis_oracle, nlm_oracle
+from conftest import THIN_SHAPES, correlate_axis_oracle, face_touching, nlm_oracle, split_scan_offsets
 
 _WALL = recon._WALL
 
@@ -286,7 +286,7 @@ def test_recon_twins(rng):
     vals = -rng.integers(0, 8, (8, 8, 8)).astype(np.float64)
     mask = rng.random((8, 8, 8)) > 0.3
     offs = recon.neighbor_offsets(26)
-    fwd, bwd = recon._split_scan_offsets(offs)
+    fwd, bwd = split_scan_offsets(offs)
     a = _recon_sweeps(
         np.where(mask, vals + 1.5, _WALL).astype(np.float64),
         np.where(mask, vals, _WALL).astype(np.float64),
@@ -304,10 +304,21 @@ def _minima_both(vals, mask, connectivity):
     return b
 
 
-@pytest.mark.parametrize("connectivity", [6, 26])
-def test_minima_twins(rng, connectivity):
-    vals = rng.integers(0, 5, (9, 9, 9)).astype(np.float64)
-    mask = rng.random((9, 9, 9)) > 0.25
+# each connectivity on a random 9^3 or 10^3 volume, and on the thin shapes
+# with a mask that touches all six faces
+THIN_CASES = [pytest.param(c, None, id=str(c)) for c in (6, 26)] + [
+    pytest.param(c, shape, id=f"{c}-{'x'.join(map(str, shape))}")
+    for shape in THIN_SHAPES for c in (6, 26)]
+
+
+@pytest.mark.parametrize("connectivity, shape", THIN_CASES)
+def test_minima_twins(rng, connectivity, shape):
+    if shape is None:
+        vals = rng.integers(0, 5, (9, 9, 9)).astype(np.float64)
+        mask = rng.random((9, 9, 9)) > 0.25
+    else:
+        vals = rng.integers(0, 3, shape).astype(np.float64)
+        mask = face_touching(shape, rng) > 0
     _minima_both(vals, mask, connectivity)
 
 
@@ -335,11 +346,15 @@ def _flood_both(height, markers, mask, connectivity):
     return b
 
 
-@pytest.mark.parametrize("connectivity", [6, 26])
-def test_flood_twins(rng, connectivity):
-    mask = rng.random((10, 10, 10)) > 0.3
-    height = rng.integers(0, 6, (10, 10, 10)).astype(np.float64)
-    markers = np.zeros((10, 10, 10), np.int32)
+@pytest.mark.parametrize("connectivity, shape", THIN_CASES)
+def test_flood_twins(rng, connectivity, shape):
+    if shape is None:
+        shape = (10, 10, 10)
+        mask = rng.random(shape) > 0.3
+    else:
+        mask = face_touching(shape, rng) > 0
+    height = rng.integers(0, 6, shape).astype(np.float64)
+    markers = np.zeros(shape, np.int32)
     seeds = np.argwhere(mask)[:4]
     for i, (z, y, x) in enumerate(seeds, start=1):
         markers[z, y, x] = i

@@ -733,6 +733,18 @@ def test_bad_merge_model_names_file_and_key(tmp_path, capsys, tiny_volume, key, 
     assert str(model) in err and named in err
 
 
+def test_merge_refuses_model_without_hidden_units(tmp_path, capsys, tiny_volume):
+    # its output would be sigmoid(beta0) for every edge: all regions or none
+    model = tmp_path / "mlp.txt"
+    d = 18
+    nn.save_model(nn.MlpModel(np.zeros(0), np.zeros((0, d)), 0.3, np.zeros(0), np.zeros(d),
+                              np.ones(d)), model)
+    err = _stage_fault(capsys, ["merge", "--labels", str(tiny_volume), "--gray", str(tiny_volume),
+                                "--model", str(model), "--out", str(tmp_path / "merged.raw")])
+    assert str(model) in err and "'M'" in err
+    assert not (tmp_path / "merged.raw").exists()
+
+
 def _mismatch_inputs(tmp_path, tiny_volume):
     # 24^3 volumes at 4.5 um, a gray volume four planes short, and one at 5 um
     gray = load_volume(tiny_volume)

@@ -2,8 +2,12 @@ import numpy as np
 import pytest
 
 from tomoseg._kernels.cc import _canonicalize
+from tomoseg._kernels.recon import neighbor_offsets
+from tomoseg.binarize import ball_footprint
 from tomoseg.mergegraph import (
     FEATURE_DIM,
+    _fit_neighborhoods,
+    _moments,
     build_region_graph,
     extract_edge_features,
     features_to_csv,
@@ -12,7 +16,10 @@ from tomoseg.mergegraph import (
     sobel_gradient_magnitude,
 )
 
-from conftest import correlate_axis_oracle, labels, mirror, scalar
+from conftest import (
+    THIN_SHAPES, correlate_axis_oracle, face_touching, labels, mirror, scalar, shifted_slices,
+    split_scan_offsets,
+)
 
 
 def adjacency_oracle(lab):
@@ -35,6 +42,70 @@ def adjacency_oracle(lab):
                             if b > 0 and b != a:
                                 edges.add((min(a, b), max(a, b)))
     return edges
+
+
+def region_graph_oracle(lab):
+    """Interface voxels per edge by full-volume shifted slices, one pass per
+    offset after the center, the edges in sorted order."""
+    n = int(lab.max())
+    flat = np.arange(lab.size, dtype=np.int64).reshape(lab.shape)
+    keys, voxels = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+    for d in split_scan_offsets(neighbor_offsets(26))[1]:
+        ctr, nbr = shifted_slices(lab.shape, d)
+        a, b = lab[ctr].astype(np.int64), lab[nbr].astype(np.int64)
+        m = (a > 0) & (b > 0) & (a != b)
+        key = np.minimum(a[m], b[m]) * (n + 1) + np.maximum(a[m], b[m])
+        keys.append(np.concatenate([key, key]))
+        voxels.append(np.concatenate([flat[ctr][m], flat[nbr][m]]))
+    key, vox = np.concatenate(keys), np.concatenate(voxels)
+    return {(int(k) // (n + 1), int(k) % (n + 1)): np.unique(vox[key == k]) for k in np.unique(key)}
+
+
+def fit_neighborhoods_oracle(interfaces, lab_flat, shape, offsets, max_centers):
+    """``_fit_neighborhoods`` with flat offsets in the volume itself and a
+    per-axis in-bounds mask for every centre."""
+    flat_offsets = offsets @ np.array([shape[1] * shape[2], shape[2], 1], np.int64)
+    size = shape[0] * shape[1] * shape[2]
+    coords_all, centre_edge, centre_row, ks, hits = [], [], [], [], []
+    base = 0
+    for e, iface in enumerate(interfaces):
+        m = len(iface)
+        coords = np.column_stack(np.unravel_index(iface, shape)).astype(np.int64)
+        coords_all.append(coords)
+        if m >= 7:
+            other = (lab_flat[iface] != lab_flat[iface[0]]).astype(np.int64)
+            order = np.argsort(other, kind="stable")
+            key = other[order] * size + iface[order]
+            centres = np.arange(0, m, max(1, int(np.ceil(m / max_centers))))
+            inside = np.ones((len(centres), len(offsets)), bool)
+            for axis in range(3):
+                c = coords[centres, axis, None] + offsets[:, axis]
+                inside &= (c >= 0) & (c < shape[axis])
+            ckey = (other[centres] * size + iface[centres])[:, None] + flat_offsets
+            pos = np.minimum(np.searchsorted(key, ckey), m - 1)
+            hit = inside & (key[pos] == ckey)
+            centre_edge.append(np.full(len(centres), e, np.int64))
+            centre_row.append(centres + base)
+            ks.append(hit.sum(axis=1))
+            hits.append(order[pos[hit]] + base)
+        base += m
+    pts = np.concatenate(coords_all).astype(np.float64) if coords_all else np.zeros((0, 3))
+    if not centre_edge:
+        empty = np.zeros(0, np.int64)
+        return pts, empty, empty, empty, empty
+    return (pts, np.concatenate(centre_edge), np.concatenate(centre_row), np.concatenate(ks),
+            np.concatenate(hits))
+
+
+def feature_ball_oracle(iface, lab_flat, shape, v1, v2):
+    """Sorted flat indices of the voxels of regions v1 and v2 within the
+    radius-2 ball of an interface voxel: ball coordinates added to each
+    interface voxel, the out-of-bounds ones dropped."""
+    coords = np.column_stack(np.unravel_index(iface, shape)).astype(np.int64)
+    nb = (coords[:, None, :] + (np.argwhere(ball_footprint(2.0)) - 2)[None]).reshape(-1, 3)
+    ok = ((nb >= 0) & (nb < np.array(shape))).all(axis=1)
+    nb_flat = np.unique(np.ravel_multi_index(tuple(nb[ok].T), shape))
+    return nb_flat[(lab_flat[nb_flat] == v1) | (lab_flat[nb_flat] == v2)]
 
 
 def sobel_oracle(f):
@@ -132,7 +203,7 @@ def test_triangle_graph():
     assert set(g.edges) == {(1, 2), (2, 3), (1, 3)}
 
 
-def test_graph_matches_adjacency_oracle(rng):
+def small_phantom_labels(h_depth=0.1):
     from tomoseg import phantom, watershed
     from tomoseg.volgrid import BinaryVolume
 
@@ -142,11 +213,59 @@ def test_graph_matches_adjacency_oracle(rng):
     )
     out = phantom.generate(spec)
     mask = BinaryVolume(out.labels.data > 0, 1.0)
-    lab = watershed.watershed_segment(mask, watershed.WatershedParams(h_depth=0.3))
+    return watershed.watershed_segment(mask, watershed.WatershedParams(h_depth=h_depth))
+
+
+# the 48^3 phantom's watershed, and random labels on the thin shapes that
+# touch all six faces
+GRAPH_CASES = [pytest.param(None, id="phantom")] + [
+    pytest.param(shape, id="x".join(map(str, shape))) for shape in THIN_SHAPES]
+
+
+def graph_case_labels(shape, rng):
+    return small_phantom_labels(0.3) if shape is None else labels(face_touching(shape, rng))
+
+
+@pytest.mark.parametrize("shape", GRAPH_CASES)
+def test_graph_matches_adjacency_oracle(rng, shape):
+    lab = graph_case_labels(shape, rng)
     g = build_region_graph(lab)
     assert set(g.edges) == adjacency_oracle(lab.data)
     for edge, iface in g.interfaces.items():
         assert len(iface) > 0
+
+
+@pytest.mark.parametrize("shape", GRAPH_CASES)
+def test_graph_matches_shifted_slice_oracle(rng, shape):
+    lab = graph_case_labels(shape, rng)
+    g = build_region_graph(lab)
+    want = region_graph_oracle(lab.data)
+    assert g.edges == tuple(want)
+    for edge, iface in g.interfaces.items():
+        assert iface.dtype == np.int64
+        np.testing.assert_array_equal(iface, want[edge])
+
+
+@pytest.mark.parametrize("shape", GRAPH_CASES)
+def test_neighborhoods_match_bounds_masked_oracle(rng, shape):
+    lab = graph_case_labels(shape, rng)
+    shape = lab.data.shape
+    g = build_region_graph(lab)
+    ifaces = list(g.interfaces.values())
+    lab_flat = lab.data.ravel()
+    offsets = np.argwhere(ball_footprint(3.0)) - 3
+    got = _fit_neighborhoods(ifaces, lab_flat, shape, offsets, 120)
+    want = fit_neighborhoods_oracle(ifaces, lab_flat, shape, offsets, 120)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    # the gray and gradient moments read exactly the oracle's ball voxels
+    gray = rng.integers(0, 65536, shape)
+    grad = rng.random(shape)
+    feats = extract_edge_features(g, scalar(gray), grad, lab)
+    for edge, iface in g.interfaces.items():
+        nb = feature_ball_oracle(iface, lab_flat, shape, *edge)
+        moments = [*_moments(gray.ravel()[nb].astype(np.float64)), *_moments(grad.ravel()[nb])]
+        assert feats[edge][:8].tobytes() == np.array(moments).tobytes()
 
 
 def test_interface_voxels_touch_both_regions():
@@ -242,19 +361,6 @@ def test_features_spherical_cap_curvature():
     assert abs(f[11] - 1.0 / r) / (1.0 / r) < 0.2
 
 
-def small_phantom_labels():
-    from tomoseg import phantom, watershed
-    from tomoseg.volgrid import BinaryVolume
-
-    spec = phantom.PhantomSpec(
-        dims=(48, 48, 48), count=12, size_range_um=(30, 50), aspect_range=(1.0, 2.5),
-        noise_std=0.0, rng_seed=13, n_sections=0, contact_fraction=0.5,
-    )
-    out = phantom.generate(spec)
-    mask = BinaryVolume(out.labels.data > 0, 1.0)
-    return watershed.watershed_segment(mask, watershed.WatershedParams(h_depth=0.1))
-
-
 def voronoi_labels(n=16, cells=24, seed=2):
     """Nearest-seed cells of random seeds: about a hundred curved, digitized
     interfaces, some with only a few fitted centres."""
@@ -282,9 +388,6 @@ def few_voxel_interface_labels():
 
 def fit_counts(lab):
     """Neighbour count of every sampled centre, and the interface sizes."""
-    from tomoseg.binarize import ball_footprint
-    from tomoseg.mergegraph import _fit_neighborhoods
-
     ifaces = list(build_region_graph(lab).interfaces.values())
     offsets = np.argwhere(ball_footprint(3.0)) - 3
     k = _fit_neighborhoods(ifaces, lab.data.ravel(), lab.data.shape, offsets, 120)[3]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tomoseg._kernels.cc import connected_components_mask
-from tomoseg._kernels.recon import _shifted_slices, neighbor_offsets
+from tomoseg._kernels.recon import neighbor_offsets
 from tomoseg.binarize import distance_transform
 from tomoseg.watershed import (
     WatershedParams,
@@ -13,7 +13,7 @@ from tomoseg.watershed import (
     watershed_segment,
 )
 
-from conftest import ball_mask, binary, labels
+from conftest import ball_mask, binary, labels, shifted_slices
 
 
 def bfs_components_oracle(mask, connectivity):
@@ -153,7 +153,7 @@ def test_two_ball_split_near_bisector():
     # foreground voxels next to a voxel of the other label
     line = np.zeros(lab.data.shape, bool)
     for d in neighbor_offsets(26):
-        ctr, nbr = _shifted_slices(lab.data.shape, d)
+        ctr, nbr = shifted_slices(lab.data.shape, d)
         a, b = lab.data[ctr], lab.data[nbr]
         line[ctr] |= (a > 0) & (b > 0) & (a != b)
     pts = np.argwhere(line)
