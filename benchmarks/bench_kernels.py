@@ -27,7 +27,12 @@ print in microseconds. The solve runs at the band and
 plane shapes of the three pyramid levels of a 96^3 registration, twice: cold,
 over the full zero-padded length, and hinted, with the plane planted in
 the band and the solver's hint at its shift, so the transform shrinks to
-the few shifts that keep the whole plane inside the slice. The region
+the few shifts that keep the whole plane inside the slice; both
+correlate a chunk of slices at a time. The phantom, MLA section, small
+components and attenuation map rows run the `register` workload's 96^3
+phantom (stream 0) and its opened Sauvola mask, whatever ``--size``; the
+map's row counts the float64 map and flags it returns (9 bytes per
+voxel). The region
 graph row builds the region adjacency graph of a 64^3 phantom's
 foreground, at every size, split into cells around 96 random seed voxels;
 the edge features row extracts the 18 per-edge features (curvature fits
@@ -190,6 +195,34 @@ def main():
         lambda: mergegraph.build_region_graph(cells), fg.size)
     add(f"edge features (64^3 phantom, {len(graph.edges)} edges)",
         lambda: mergegraph.extract_edge_features(graph, phan.gray, grad, cells), fg.size)
+
+    from tomoseg import attenuation
+
+    # the register workload's 96^3 phantom (stream 0) and the steps of its
+    # chain that work on whole volumes, at 96^3 whatever --size
+    reg_spec = phantom.PhantomSpec(
+        dims=(96, 96, 96), count=500, size_range_um=(20.0, 35.0), aspect_range=(1.0, 2.0),
+        elongated_fraction=0.0, noise_std=400.0, rng_seed=88, n_sections=2,
+        contact_fraction=0.2, section_max_angle_deg=3.0, section_max_shift=8.0,
+        section_extent=0.95,
+        mineral_fractions={"quartz": 0.3, "kaolinite": 0.15, "muscovite": 0.15,
+                           "zinnwaldite": 0.25, "topaz": 0.15},
+    )
+    reg = phantom.generate(reg_spec)
+    reg_voxels = reg.labels.data.size
+    add("phantom generate (register 96^3 spec, 2 sections)",
+        lambda: phantom.generate(reg_spec), reg_voxels)
+    sec = reg.sections[0]
+    add(f"MLA section ({sec.plane.data.shape[1]}x{sec.plane.data.shape[0]} pixels, 96^3 phantom)",
+        lambda: phantom.render_mla_section(reg, sec.transform, sec.mla_spacing_um), reg_voxels)
+    reg_mask = binarize.morphological_opening(
+        binarize.sauvola_binarize(reg.gray, binarize.SauvolaParams()), 1.0)
+    add("remove small components (96^3 phantom mask, min 30)",
+        lambda: binarize.remove_small_components(reg_mask, 30), reg_voxels)
+    model = attenuation.fit_attenuation(attenuation.reference_samples(
+        attenuation.load_mineral_table()))
+    add("attenuation map (96^3 phantom mask)",
+        lambda: attenuation.predict_map(reg.gray, model, reg_mask), reg_voxels)
 
     from tomoseg.register import TranslationSolver
 

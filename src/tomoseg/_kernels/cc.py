@@ -30,7 +30,12 @@ def _canonicalize(labels: np.ndarray) -> np.ndarray:
     return remap[labels]
 
 
-def connected_components_mask(mask: np.ndarray, connectivity: int) -> np.ndarray:
+def raw_components(mask: np.ndarray, connectivity: int) -> tuple[np.ndarray, int]:
+    """scipy's int32 component labels of ``mask``, in scipy's order, and
+    their count."""
     mask = np.asarray(mask, bool)
-    raw, _ = ndimage.label(mask, structure=neighbor_structure(connectivity))
-    return _canonicalize(raw.astype(np.int32))
+    return ndimage.label(mask, structure=neighbor_structure(connectivity), output=np.int32)
+
+
+def connected_components_mask(mask: np.ndarray, connectivity: int) -> np.ndarray:
+    return _canonicalize(raw_components(mask, connectivity)[0])

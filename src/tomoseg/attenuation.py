@@ -244,9 +244,10 @@ def fit_attenuation(samples, weights=None) -> AttenuationModel:
     """Least squares of rho*mu_m on mean grayscale.
 
     ``samples``: iterable of (name, mean_gray, rho, mu_m). ``weights``:
-    optional per-sample weights (e.g. phase voxel counts); unweighted by
-    default. The valid interval is the grayscale span of the calibration
-    samples; the line must not be extrapolated.
+    optional per-sample weights (e.g. phase voxel counts), one per sample,
+    each positive and finite, else ValueError; unweighted by default. The
+    valid interval is the grayscale span of the calibration samples; the
+    line must not be extrapolated.
     """
     samples = list(samples)
     if len(samples) < 2:
@@ -255,6 +256,15 @@ def fit_attenuation(samples, weights=None) -> AttenuationModel:
     gray = np.array([s[1] for s in samples], np.float64)
     rho_mu = np.array([s[2] * s[3] for s in samples], np.float64)
     w = None if weights is None else np.asarray(weights, np.float64)
+    if w is not None:
+        if w.shape != (len(samples),):
+            raise ValueError(f"need one weight per sample: {len(samples)} samples, "
+                             f"weights of shape {w.shape}")
+        for name, weight in zip(names, w.tolist()):
+            # the comparisons are False for nan
+            if not 0 < weight < math.inf:
+                raise ValueError(f"weight of sample {name!r} must be positive and finite, "
+                                 f"got {weight!r}")
     slope, intercept, r2, pred = _ols(gray, rho_mu, w)
     residuals = tuple((n, float(p - t)) for n, p, t in zip(names, pred, rho_mu))
     return AttenuationModel(slope, intercept, float(gray.min()), float(gray.max()), r2, residuals)
@@ -263,10 +273,13 @@ def fit_attenuation(samples, weights=None) -> AttenuationModel:
 def predict_map(vol: ScalarVolume, model: AttenuationModel, mask: BinaryVolume):
     """Per-voxel predicted rho*mu_m on the mask plus an out-of-range flag
     mask (voxels whose grayscale leaves the calibration interval; their
-    values are still emitted)."""
-    gray = vol.data.astype(np.float64)
-    pred = np.where(mask.data, model.predict(gray), 0.0)
-    out_of_range = mask.data & ((gray < model.gray_min) | (gray > model.gray_max))
+    values are still emitted), both computed on the mask's voxels only and
+    0 elsewhere."""
+    gray = vol.data[mask.data].astype(np.float64)
+    pred = np.zeros(mask.data.shape)
+    pred[mask.data] = model.predict(gray)
+    out_of_range = np.zeros(mask.data.shape, bool)
+    out_of_range[mask.data] = (gray < model.gray_min) | (gray > model.gray_max)
     return pred, out_of_range
 
 

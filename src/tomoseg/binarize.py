@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from ._kernels.cc import connected_components_mask
+from ._kernels.cc import raw_components
 from ._kernels.edt import edt as _edt
 from ._kernels.rotate import guard_volume
 from ._kernels.sauvola import sauvola_mask, sauvola_threshold_field
@@ -112,8 +112,10 @@ def remove_small_components(mask: BinaryVolume, min_size: int) -> BinaryVolume:
     """
     if min_size <= 1:
         return mask
-    labels = connected_components_mask(mask.data, 26)
-    counts = np.bincount(labels.ravel())
+    # the sizes do not depend on how the components are numbered, so
+    # scipy's labels serve, counted over the foreground only
+    labels, n = raw_components(mask.data, 26)
+    counts = np.bincount(labels[mask.data], minlength=n + 1)
     keep = counts >= min_size
     keep[0] = False
     return BinaryVolume(keep[labels], mask.spacing)

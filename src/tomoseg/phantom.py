@@ -18,12 +18,17 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._kernels.render import stamp_superellipsoid
+from ._kernels.rotate import guard_volume
 from .attenuation import REFERENCE_MEAN_GRAY, MineralTable, load_mineral_table
 from .mergegraph import RegionGraph
-from .register import RigidTransform, sample_plane
+from .register import SAMPLER_CHUNK, RigidTransform, sample_plane
 from .volgrid import (
     BinaryVolume, LabelPlane, LabelVolume, ScalarVolume, key_value, read_key_values,
 )
+
+# voxels per z-slab of the gray volume's build (at least one plane): the
+# slab's float64 values and its noise draw take 256 KiB each
+SLAB_VOXELS = 1 << 15
 
 DEFAULT_MINERAL_FRACTIONS = {
     "quartz": 0.40,
@@ -246,14 +251,7 @@ def generate(spec: PhantomSpec, table: MineralTable | None = None) -> PhantomOut
     for p in particles:
         mean_of_label[p.label] = mean_of_code[p.mineral_code]
 
-    gray = mean_of_label[labels]
-    if spec.ring_amplitude > 0:
-        yy, xx = np.meshgrid(np.arange(ny), np.arange(nx), indexing="ij")
-        rr = np.hypot(xx - (nx - 1) / 2.0, yy - (ny - 1) / 2.0)
-        gray = gray + spec.ring_amplitude * np.cos(2.0 * math.pi * rr / spec.ring_period)
-    if spec.noise_std > 0:
-        gray = gray + rng.normal(0.0, spec.noise_std, gray.shape)
-    gray_vol = ScalarVolume(np.clip(np.floor(gray + 0.5), 0, 65535).astype(np.uint16), spec.spacing)
+    gray_vol = ScalarVolume(_render_gray(spec, labels, mean_of_label, rng), spec.spacing)
     label_vol = LabelVolume(labels, spec.spacing)
 
     out = PhantomOutput(
@@ -266,43 +264,94 @@ def generate(spec: PhantomSpec, table: MineralTable | None = None) -> PhantomOut
         spec=spec,
     )
     sections = []
+    guarded = _guarded_codes(out) if spec.n_sections else None  # shared by the sections
     for _ in range(spec.n_sections):
         ang = np.radians(rng.uniform(-spec.section_max_angle_deg, spec.section_max_angle_deg, 3))
         tx, ty = rng.uniform(-spec.section_max_shift, spec.section_max_shift, 2)
         tz = rng.uniform(0.35, 0.65) * (nz - 1)
         transform = RigidTransform(tuple(ang), (float(tx), float(ty), float(tz)))
-        plane = render_mla_section(out, transform, spec.mla_spacing_um)
+        plane = render_mla_section(out, transform, spec.mla_spacing_um, guarded=guarded)
         sections.append(Section(transform, plane, spec.mla_spacing_um))
     return replace(out, sections=tuple(sections))
 
 
-def _sample_section(out: PhantomOutput, transform: RigidTransform, ratio: float, plane_dims):
-    """Ground-truth labels at the nearest voxel of each pixel of a section
-    whose pixel i lies at i * ratio voxels (``sample_plane``); (ph, pw)."""
+def _render_gray(spec: PhantomSpec, labels: np.ndarray, mean_of_label: np.ndarray, rng):
+    """The uint16 gray volume, z-slab by z-slab: each voxel's label mean,
+    plus the ring term, plus Gaussian noise, rounded half up and clipped to
+    16 bits. Each slab draws its noise in one call; the Generator's normal
+    stream is sequential, so the slabs draw in raster order what one
+    whole-volume call would, and every voxel sees the same float64 ops in
+    the same order."""
+    nz, ny, nx = labels.shape
+    ring = None
+    if spec.ring_amplitude > 0:
+        yy, xx = np.meshgrid(np.arange(ny), np.arange(nx), indexing="ij")
+        rr = np.hypot(xx - (nx - 1) / 2.0, yy - (ny - 1) / 2.0)
+        ring = spec.ring_amplitude * np.cos(2.0 * math.pi * rr / spec.ring_period)
+    gray = np.empty(labels.shape, np.uint16)
+    step = max(1, SLAB_VOXELS // max(1, ny * nx))
+    for z0 in range(0, nz, step):
+        slab = mean_of_label[labels[z0 : z0 + step]]
+        if ring is not None:
+            slab += ring
+        if spec.noise_std > 0:
+            slab += rng.normal(0.0, spec.noise_std, slab.shape)
+        slab += 0.5
+        np.floor(slab, out=slab)
+        np.clip(slab, 0, 65535, out=slab)
+        gray[z0 : z0 + step] = slab
+    return gray
+
+
+def _guarded_codes(out: PhantomOutput) -> np.ndarray:
+    """Each voxel's mineral code (uint8, 0 on background) with the one-voxel
+    zero guard that the section sampler reads (``guard_volume``)."""
+    return guard_volume(out.mineral_of_label[out.labels.data])
+
+
+def _sample_section(out: PhantomOutput, transform: RigidTransform, ratio: float, plane_dims,
+                    guarded=None) -> np.ndarray:
+    """Mineral codes at the nearest voxel of each pixel of a section whose
+    pixel i lies at i * ratio voxels (``sample_plane``); (ph, pw). Label 0,
+    which pixels outside the volume read too, is code 0. The plane is cut a
+    block of rows at a time from one guarded code volume, ``guarded``
+    (``_guarded_codes(out)``, built here when not given)."""
     nx, ny, _ = out.spec.dims
     if plane_dims is None:
         pw = int(out.spec.section_extent * nx / ratio)
         ph = int(out.spec.section_extent * ny / ratio)
     else:
         pw, ph = plane_dims
-    jj, ii = np.meshgrid(np.arange(ph), np.arange(pw), indexing="ij")
-    uv = np.column_stack([ii.ravel() * ratio, jj.ravel() * ratio])
-    labels, inside = sample_plane(out.labels.data, transform, uv)
-    if not inside.any():
+    if guarded is None:
+        guarded = _guarded_codes(out)
+    codes = guarded[1:-1, 1:-1, 1:-1]  # a view; the sampler reads ``guarded``
+    plane = np.empty((ph, pw), np.uint8)
+    rows = max(1, SAMPLER_CHUNK // max(1, pw))
+    u = np.arange(pw) * ratio
+    hit = False
+    for j0 in range(0, ph, rows):
+        j1 = min(ph, j0 + rows)
+        uv = np.empty(((j1 - j0) * pw, 2))
+        uv[:, 0] = np.tile(u, j1 - j0)
+        uv[:, 1] = np.repeat(np.arange(j0, j1) * ratio, pw)
+        values, inside = sample_plane(codes, transform, uv, guarded)
+        plane[j0:j1] = values.reshape(j1 - j0, pw)
+        hit = hit or bool(inside.any())
+    if not hit:
         raise ValueError("section plane does not intersect the volume")
-    return labels.reshape(ph, pw)
+    return plane
 
 
 def render_mla_section(
-    out: PhantomOutput, transform: RigidTransform, mla_spacing_um: float, plane_dims=None
+    out: PhantomOutput, transform: RigidTransform, mla_spacing_um: float, plane_dims=None,
+    guarded=None,
 ) -> LabelPlane:
     """Mineral-code image sampled from the ground truth along the transformed
-    plane, at the (finer) section resolution. The output is already
-    classified, so no noise is added."""
+    plane, at the (finer) section resolution (``_sample_section``, which
+    takes ``guarded``). The output is already classified, so no noise is
+    added."""
     ratio = mla_spacing_um / out.spec.spacing  # voxels per section pixel
-    labels = _sample_section(out, transform, ratio, plane_dims)
-    # label 0, which pixels outside the volume read too, is mineral code 0
-    return LabelPlane(out.mineral_of_label[labels], mla_spacing_um)
+    return LabelPlane(_sample_section(out, transform, ratio, plane_dims, guarded), mla_spacing_um)
 
 
 def section_to_voxel_mask(plane: LabelPlane, pixel_to_voxel: float, spacing: float) -> BinaryVolume:
@@ -346,12 +395,11 @@ class EdgeTrainingSet:
 def region_majorities(watershed_labels: LabelVolume, truth: LabelVolume, min_purity: float = 0.6):
     """Majority ground-truth particle id per watershed region, with purity;
     regions below ``min_purity`` are marked ambiguous (id -1)."""
-    ws = watershed_labels.data.ravel().astype(np.int64)
-    gt = truth.data.ravel().astype(np.int64)
     n_regions = watershed_labels.n_labels
     n_truth = truth.n_labels
-    sel = ws > 0
-    key = ws[sel] * (n_truth + 1) + gt[sel]
+    # keys of the foreground only, the one int64 array
+    sel = watershed_labels.data > 0
+    key = watershed_labels.data[sel].astype(np.int64) * (n_truth + 1) + truth.data[sel]
     counts = np.bincount(key, minlength=(n_regions + 1) * (n_truth + 1))
     counts = counts.reshape(n_regions + 1, n_truth + 1)
     majority = counts.argmax(axis=1)

@@ -100,6 +100,11 @@ def _as_plane_array(plane) -> np.ndarray:
 # float64 (a tie plateau, or a correlation with no clear peak).
 MAX_CANDIDATES = 64
 
+# Bytes of zero-padded frame per chunk of slices that the translation solve
+# transforms at once (at least one slice). pocketfft's own scratch grows
+# with the chunk: 2 MiB raised the register process peak and ran no faster.
+FRAME_BYTES = 1 << 19
+
 # First-order FFT error terms in units of the unit roundoff u: ETA per
 # transform stage (Higham, Accuracy and Stability of Numerical Algorithms,
 # 2nd ed., Thm 24.2), and the spectrum rounding, the complex product and the
@@ -251,15 +256,28 @@ class TranslationSolver:
         pad = self._length(ny, ph, lo[0], hi[0]), self._length(nx, pw, lo[1], hi[1])
         return pad, lo, hi
 
-    def _correlate_window(self, vol, pad, lo, hi, dtype) -> np.ndarray:
-        """The correlation over B: entry [z, i, j] is the overlap at shift
-        (lo[1] + j, lo[0] + i, z). A negative corner is offset by -lo, so
-        B's entries are one block of the cyclic frame, not wrapped; the
-        slice still fits, as the length is at least n - lo."""
+    def _window_blocks(self, vol, pad, lo, hi, dtype):
+        """The correlation over B, a chunk of slices at a time: yields
+        ``(a, block)``, where block[z, i, j] is the overlap at shift
+        (lo[1] + j, lo[0] + i, a + z); the next chunk replaces the block. A
+        negative corner is offset by -lo, so B's entries are one block of
+        the cyclic frame, not wrapped; the slice still fits, as the length
+        is at least n - lo. A chunk holds FRAME_BYTES of frame, and each
+        slice is transformed on its own, whatever its chunk."""
         (y0, x0), (y1, x1) = lo, hi
         oy, ox = max(0, -y0), max(0, -x0)
-        corr = self._correlate(vol, pad, dtype, (oy, ox))
-        return corr[:, y0 + oy : y1 + oy + 1, x0 + ox : x1 + ox + 1]
+        step = max(1, FRAME_BYTES // (pad[0] * pad[1] * np.dtype(dtype).itemsize))
+        for a in range(0, vol.shape[0], step):
+            corr = self._correlate(vol[a : a + step], pad, dtype, (oy, ox))
+            yield a, corr[:, y0 + oy : y1 + oy + 1, x0 + ox : x1 + ox + 1]
+
+    def _correlate_window(self, vol, pad, lo, hi, dtype) -> np.ndarray:
+        """The correlation over B as one array (``_window_blocks``)."""
+        (y0, x0), (y1, x1) = lo, hi
+        out = np.empty((vol.shape[0], y1 - y0 + 1, x1 - x0 + 1), dtype)
+        for a, block in self._window_blocks(vol, pad, lo, hi, dtype):
+            out[a : a + len(block)] = block
+        return out
 
     def _solve_float64(self, vol: np.ndarray, pad, lo, hi) -> TranslationResult:
         corr = self._correlate_window(vol, pad, lo, hi, np.float64)
@@ -270,15 +288,36 @@ class TranslationSolver:
         k = np.lexsort((zi, yi, xi))[0]  # smallest (x, y, z)
         return TranslationResult((lo[1] + int(xi[k]), lo[0] + int(yi[k]), int(zi[k])), best)
 
+    def _nominees(self, vol: np.ndarray, pad, lo, hi, err: float):
+        """Flat indices into the float32 correlation over B of every entry
+        within 2 * ``err`` of its maximum; more than MAX_CANDIDATES of them
+        when there are, though then not all. Each chunk keeps its entries
+        within 2 * err of the running maximum; a higher maximum later drops
+        those below its own threshold, which the final one is. Only whether
+        more than MAX_CANDIDATES survive matters past that count, so at most
+        MAX_CANDIDATES + 1 of the highest are kept: an entry dropped for
+        that is below all of them, so if it reaches the final threshold,
+        they all do."""
+        best, values, hits = -math.inf, np.empty(0, np.float32), np.empty(0, np.intp)
+        for a, block in self._window_blocks(vol, pad, lo, hi, np.float32):
+            best = max(best, float(block.max()))
+            thr = np.nextafter(np.float32(best - 2.0 * err), np.float32(-np.inf))
+            new = np.flatnonzero(block >= thr)
+            old = values >= thr
+            values = np.concatenate((values[old], block.ravel()[new]))
+            hits = np.concatenate((hits[old], new + a * block[0].size))
+            if values.size > MAX_CANDIDATES + 1:
+                top = np.argpartition(values, -(MAX_CANDIDATES + 1))[-(MAX_CANDIDATES + 1):]
+                values, hits = values[top], hits[top]
+        return hits[values >= thr]
+
     def _solve(self, vol: np.ndarray, b: int) -> TranslationResult:
         pad, lo, hi = self._window(vol)
-        corr = self._correlate_window(vol, pad, lo, hi, np.float32)
         err = _fft_error_bound(self.count, b, pad[0] * pad[1], 2.0**-24)
-        thr = np.nextafter(np.float32(float(corr.max()) - 2.0 * err), np.float32(-np.inf))
-        hits = np.flatnonzero(corr >= thr)
+        hits = self._nominees(vol, pad, lo, hi, err)
         if hits.size > MAX_CANDIDATES:
             return self._solve_float64(vol, pad, lo, hi)
-        zi, yi, xi = np.unravel_index(hits, corr.shape)
+        zi, yi, xi = np.unravel_index(hits, (vol.shape[0], hi[0] - lo[0] + 1, hi[1] - lo[1] + 1))
         shifts = list(zip((xi + lo[1]).tolist(), (yi + lo[0]).tolist(), zi.tolist()))
         counts = [int(self._overlap(vol[sz], sx, sy)) for sx, sy, sz in shifts]
         best = max(counts)
@@ -301,9 +340,10 @@ class TranslationSolver:
 
 
 def block_or_downsample(mask: np.ndarray, factor: int) -> np.ndarray:
-    """OR-pool over factor^d blocks (padding with background)."""
+    """OR-pool over factor^d blocks (padding with background); factor 1
+    returns ``mask`` itself."""
     if factor == 1:
-        return mask.copy()
+        return mask
     shape = mask.shape
     padded_shape = tuple(-(-s // factor) * factor for s in shape)
     padded = np.zeros(padded_shape, bool)
@@ -369,22 +409,31 @@ def plane_points(plane) -> np.ndarray:
     return np.column_stack([xs, ys]).astype(np.float64)
 
 
+# points per chunk of the section sampler: its float64 and index buffers,
+# about 90 bytes per point, stay near 0.7 MiB whatever the point count
+SAMPLER_CHUNK = 1 << 13
+
+
 class _PlaneSampler:
     """The section-to-volume rule for many transforms of one set of plane
     points ``uv`` (N, 2) of (u, v) and one volume ``vol`` (nz, ny, nx) of
     any dtype, prepared: the volume with a one-voxel zero guard
-    (``guard_volume``), flattened, and buffers for every step.
+    (``guard_volume``), flattened, and buffers for one chunk of
+    SAMPLER_CHUNK points.
 
     The point (u, v) sits at q = (u + tx, v + ty, tz), maps to
     p = (q - c) @ R + c about the volume's center c, and reads its nearest
-    voxel floor(p + 0.5), or 0 outside the volume. The (N, 3) @ R product
-    runs on a C-contiguous q (BLAS may fuse its multiply-adds, so a
-    hand-written sum would differ in the last bit); the rest on a (3, N)
+    voxel floor(p + 0.5), or 0 outside the volume. The points are mapped a
+    chunk at a time, and each point sees the same ops in the same order
+    whatever its chunk: the (k, 3) @ R product runs on a C-contiguous q
+    (BLAS may fuse its multiply-adds, so a hand-written sum would differ in
+    the last bit; each row's product does not depend on the rows beside it,
+    which the tests pin across chunk boundaries); the rest on a (3, k)
     copy, whose clip to [-1, n] sends every point outside the volume onto a
     guard voxel. The flat index is summed in float64, exactly, as every
-    term is an integer far below 2**53, and one gather reads every
-    sample. ``guarded``, when given, is ``guard_volume(vol)``, built once by
-    a caller that samples the same volume at many point sets."""
+    term is an integer far below 2**53, and one gather reads the chunk's
+    samples. ``guarded``, when given, is ``guard_volume(vol)``, built once
+    by a caller that samples the same volume at many point sets."""
 
     def __init__(self, vol: np.ndarray, uv, guarded=None):
         nz, ny, nx = self.shape = vol.shape
@@ -396,41 +445,60 @@ class _PlaneSampler:
         # guarded strides of (x, y, z); the offset of guard index 1 on each axis
         self.strides = np.array([1.0, nx + 2.0, (ny + 2.0) * (nx + 2.0)])
         self.offset = float((ny + 3) * (nx + 2) + 1)
-        n = len(self.u)
-        self.q = np.empty((n, 3))
-        self.m = np.empty((n, 3))
-        self.p = np.empty((3, n))
-        self.flat = np.empty(n)
+        k = min(len(self.u), SAMPLER_CHUNK)
+        self.q = np.empty((k, 3))
+        self.m = np.empty((k, 3))
+        self._p = np.empty(3 * k)
+        self.flat = np.empty(k)
+        self.index = np.empty(k, np.intp)
+        self.values = np.empty(k, self.volume.dtype)
 
-    def _gather(self, transform: RigidTransform) -> np.ndarray:
-        """The value each point reads; leaves its clipped voxel in ``p``."""
+    def chunks(self, transform: RigidTransform):
+        """Map and gather the points a chunk at a time. Yields ``(a, b, p)``
+        per chunk of points [a, b): ``p`` (3, b - a) holds their clipped
+        voxels, ``m[:b - a]`` their mapped points less c, and
+        ``values[:b - a]`` the value each reads; the next chunk overwrites
+        all three."""
         cx, cy, cz = self.center
         tx, ty, tz = transform.translation
-        q, p = self.q, self.p
-        np.add(self.u, tx, out=q[:, 0])
-        q[:, 0] -= cx
-        np.add(self.v, ty, out=q[:, 1])
-        q[:, 1] -= cy
-        q[:, 2] = tz - cz
-        np.matmul(q, transform.rotation(), out=self.m)
-        np.add(self.m.T, self.center[:, None], out=p)
-        p += 0.5
-        np.floor(p, out=p)
-        np.clip(p, -1.0, self.top, out=p)
-        np.dot(self.strides, p, out=self.flat)
-        self.flat += self.offset
-        # a NaN casts to an index outside the array, which "clip" sends to
-        # the first or last voxel: both are guard voxels
-        return self.volume.take(self.flat.astype(np.intp), mode="clip")
+        rotation = transform.rotation()
+        n = len(self.u)
+        for a in range(0, n, SAMPLER_CHUNK):
+            b = min(n, a + SAMPLER_CHUNK)
+            k = b - a
+            q, m, flat, index = self.q[:k], self.m[:k], self.flat[:k], self.index[:k]
+            p = self._p[: 3 * k].reshape(3, k)
+            np.add(self.u[a:b], tx, out=q[:, 0])
+            q[:, 0] -= cx
+            np.add(self.v[a:b], ty, out=q[:, 1])
+            q[:, 1] -= cy
+            q[:, 2] = tz - cz
+            np.matmul(q, rotation, out=m)
+            np.add(m.T, self.center[:, None], out=p)
+            p += 0.5
+            np.floor(p, out=p)
+            np.clip(p, -1.0, self.top, out=p)
+            np.dot(self.strides, p, out=flat)
+            flat += self.offset
+            # a NaN casts to an index outside the array, which "clip" sends
+            # to the first or last voxel: both are guard voxels
+            np.copyto(index, flat, casting="unsafe")
+            self.volume.take(index, out=self.values[:k], mode="clip")
+            yield a, b, p
 
     def overlap(self, transform: RigidTransform) -> int:
-        return int(np.count_nonzero(self._gather(transform)))
+        return sum(int(np.count_nonzero(self.values[: b - a]))
+                   for a, b, _ in self.chunks(transform))
 
     def sample(self, transform: RigidTransform) -> tuple[np.ndarray, np.ndarray]:
         """The values, and the mask of points inside the volume: 0 <= p < n
         on every axis, which a NaN fails."""
-        values = self._gather(transform)
-        return values, ((self.p >= 0.0) & (self.p < self.top)).all(axis=0)
+        n = len(self.u)
+        values, inside = np.empty(n, self.volume.dtype), np.empty(n, bool)
+        for a, b, p in self.chunks(transform):
+            values[a:b] = self.values[: b - a]
+            np.all((p >= 0.0) & (p < self.top), axis=0, out=inside[a:b])
+        return values, inside
 
 
 def sample_plane(data: np.ndarray, transform: RigidTransform, uv,

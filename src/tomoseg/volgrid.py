@@ -97,7 +97,8 @@ class LabelVolume:
             raise ValueError("labels must be non-negative")
         top = int(arr.max()) if arr.size else 0
         if top > 0:
-            counts = np.bincount(arr.ravel(), minlength=top + 1)
+            # positive voxels only: bincount casts what it counts to int64
+            counts = np.bincount(arr[arr > 0], minlength=top + 1)
             if not counts[1:].all():
                 missing = int(np.flatnonzero(counts[1:] == 0)[0]) + 1
                 raise ValueError(f"label set is not contiguous: label {missing} is empty")

@@ -3,6 +3,7 @@ import errno
 import io
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -99,6 +100,43 @@ def map_plane_points(transform, uv, vol_shape) -> np.ndarray:
     tx, ty, tz = transform.translation
     q = np.column_stack([uv[:, 0] + tx, uv[:, 1] + ty, np.full(len(uv), tz)])
     return (q - center) @ transform.rotation() + center
+
+
+def whole_plane_sample(vol, uv, transform):
+    """The section sampler over every point at once: one (N, 3) @ R product
+    and one gather from a guarded copy, the formulation before the sampler
+    went by chunks and its oracle. Returns the values, the inside mask and
+    the mapped points less the center, (N, 3)."""
+    nz, ny, nx = vol.shape
+    uv = np.asarray(uv, np.float64).reshape(-1, 2)
+    center = np.array(volume_center(vol.shape))
+    cx, cy, cz = center
+    tx, ty, tz = transform.translation
+    q = np.empty((len(uv), 3))
+    np.add(uv[:, 0], tx, out=q[:, 0])
+    q[:, 0] -= cx
+    np.add(uv[:, 1], ty, out=q[:, 1])
+    q[:, 1] -= cy
+    q[:, 2] = tz - cz
+    m = q @ transform.rotation()
+    p = m.T + center[:, None]
+    p += 0.5
+    np.floor(p, out=p)
+    top = np.array([[nx], [ny], [nz]], np.float64)
+    np.clip(p, -1.0, top, out=p)
+    flat = np.array([1.0, nx + 2.0, (ny + 2.0) * (nx + 2.0)]) @ p + float((ny + 3) * (nx + 2) + 1)
+    values = np.pad(vol, 1).ravel().take(flat.astype(np.intp), mode="clip")
+    return values, ((p >= 0.0) & (p < top)).all(axis=0), m
+
+
+def traced_peak(fn):
+    """``fn()`` and the ``tracemalloc`` peak of the call in bytes."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def render_section_mask(out, transform, plane_dims=None) -> np.ndarray:

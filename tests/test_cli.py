@@ -566,6 +566,19 @@ def test_samples_csv_bad_line_names_file_and_line(tmp_path, capsys, bad_line, re
     assert not (tmp_path / "m.txt").exists()
 
 
+def test_weighted_fit_refuses_samples_without_pixels(tmp_path, capsys):
+    # every n_pixels 0: the weighted fit has no weight to give any sample
+    samples = tmp_path / "samples.csv"
+    samples.write_text("mineral,mean_gray,n_pixels\nquartz,19400,0\nmuscovite,21000,0\n"
+                       "topaz,21800,0\n")
+    model = tmp_path / "m.txt"
+    fit = ["attenuation", "fit", "--samples", str(samples), "--out", str(model)]
+    err = _stage_fault(capsys, fit + ["--weighted"])
+    assert "weight of sample 'quartz' must be positive and finite, got 0.0" in err
+    assert not model.exists()
+    assert cli.main(fit) == 0  # unweighted, the counts are not read
+
+
 def _edge_rows(n=40):
     # both classes, in alternation, with features drawn from a fixed stream
     rng = np.random.default_rng(5)

@@ -16,7 +16,10 @@ from tomoseg.phantom import (
 from tomoseg.register import RigidTransform
 from tomoseg.volgrid import LabelPlane
 
-from conftest import map_plane_points, render_section_mask
+from conftest import (
+    face_touching, labels, map_plane_points, render_section_mask, traced_peak,
+    whole_plane_sample,
+)
 
 
 def small_spec(**kw):
@@ -267,6 +270,36 @@ def test_edge_training_labels():
         assert y == (1.0 if maj[edge[0]] == maj[edge[1]] else 0.0)
 
 
+def test_region_majorities_match_whole_volume_keys(rng):
+    from tomoseg.phantom import region_majorities
+
+    for shape in ((1, 1, 1), (4, 5, 6), (9, 8, 7)):
+        for _ in range(10):
+            ws = face_touching(shape, rng, top=int(rng.integers(1, 9)))
+            ws[rng.random(shape) < 0.3] = 0
+            ws = _renumber(ws)
+            truth = _renumber(rng.integers(0, 5, shape))
+            got, got_purity = region_majorities(labels(ws), labels(truth))
+            # the keys of every voxel, as int64 volumes
+            w, g = ws.ravel().astype(np.int64), truth.ravel().astype(np.int64)
+            n_regions, n_truth = int(ws.max()), int(truth.max())
+            counts = np.bincount(w[w > 0] * (n_truth + 1) + g[w > 0],
+                                 minlength=(n_regions + 1) * (n_truth + 1))
+            counts = counts.reshape(n_regions + 1, n_truth + 1)
+            totals = counts.sum(axis=1)
+            purity = np.where(totals > 0, counts.max(axis=1) / np.maximum(totals, 1), 0.0)
+            majority = counts.argmax(axis=1).astype(np.int64)
+            majority[(purity < 0.6) | (totals == 0)] = -1
+            np.testing.assert_array_equal(got, majority)
+            np.testing.assert_array_equal(got_purity, purity)
+
+
+def _renumber(lab):
+    """Labels renumbered 1..L in order of value, 0 kept."""
+    values, inverse = np.unique(lab, return_inverse=True)
+    return (inverse.reshape(lab.shape) + (values[0] != 0)).astype(np.int32)
+
+
 def test_instrument_line_recoverable():
     # running the calibration math on phantom data recovers the rendering line
     from tomoseg.attenuation import fit_attenuation
@@ -404,3 +437,148 @@ def test_stamp_superellipsoid_matches_full_box(rng, expo):
             hit = stamp_superellipsoid(got, rot, center, semi, expo, 3, check_only=check_only)
             assert hit == stamp_full_box(want, rot, center, semi, expo, 3, check_only=check_only)
             np.testing.assert_array_equal(got, want)
+
+
+# ---------------------------------------------- slab-built gray, row-block sections
+# generate builds the gray volume z-slab by z-slab and cuts sections from
+# the mineral-code volume a block of rows at a time. The whole-volume
+# formulations they replaced are the oracles below.
+
+
+def _whole_gray(spec, labels, mean_of_label, rng):
+    """The gray volume in whole-volume float64 steps, with one noise draw."""
+    nz, ny, nx = labels.shape
+    gray = mean_of_label[labels]
+    if spec.ring_amplitude > 0:
+        yy, xx = np.meshgrid(np.arange(ny), np.arange(nx), indexing="ij")
+        rr = np.hypot(xx - (nx - 1) / 2.0, yy - (ny - 1) / 2.0)
+        gray = gray + spec.ring_amplitude * np.cos(2.0 * np.pi * rr / spec.ring_period)
+    if spec.noise_std > 0:
+        gray = gray + rng.normal(0.0, spec.noise_std, gray.shape)
+    return np.clip(np.floor(gray + 0.5), 0, 65535).astype(np.uint16)
+
+
+def _whole_section(out, transform, ratio, plane_dims=None):
+    """Every pixel's (u, v) at once, the int32 labels read through the whole
+    sampler, then their mineral codes; and whether any pixel was inside."""
+    nx, ny, _ = out.spec.dims
+    if plane_dims is None:
+        pw = int(out.spec.section_extent * nx / ratio)
+        ph = int(out.spec.section_extent * ny / ratio)
+    else:
+        pw, ph = plane_dims
+    jj, ii = np.meshgrid(np.arange(ph), np.arange(pw), indexing="ij")
+    uv = np.column_stack([ii.ravel() * ratio, jj.ravel() * ratio])
+    labels, inside, _ = whole_plane_sample(out.labels.data, uv, transform)
+    return out.mineral_of_label[labels].reshape(ph, pw), bool(inside.any())
+
+
+GRAY_SPECS = [
+    dict(),
+    dict(noise_std=0.0),
+    dict(ring_amplitude=900.0, ring_period=7.0),
+    dict(ring_amplitude=900.0, noise_std=0.0, background_gray=-500.0),
+    dict(noise_std=30000.0, background_gray=60000.0),  # clipped at both ends
+]
+
+
+@pytest.mark.parametrize("kw", GRAY_SPECS)
+@pytest.mark.parametrize("shape, slab", [
+    ((1, 9, 11), None), ((13, 17, 19), 3 * 17 * 19 + 1), ((5, 190, 190), None),
+    ((6, 4, 5), 1), ((6, 4, 5), 10 ** 6),
+])
+def test_slab_gray_matches_whole_volume(rng, monkeypatch, kw, shape, slab):
+    from tomoseg import phantom
+
+    if slab is not None:  # 3 planes a slab, one plane, or all of them
+        monkeypatch.setattr(phantom, "SLAB_VOXELS", slab)
+    spec = small_spec(**kw)
+    labels = rng.integers(0, 6, shape).astype(np.int32)
+    means = rng.uniform(0.0, 40000.0, 6)
+    means[0] = spec.background_gray
+    got_rng, want_rng = np.random.default_rng(3), np.random.default_rng(3)
+    got = phantom._render_gray(spec, labels, means, got_rng)
+    want = _whole_gray(spec, labels, means, want_rng)
+    assert got.dtype == np.uint16
+    np.testing.assert_array_equal(got, want)
+    # the stream continues where one whole draw leaves it
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("kw", GRAY_SPECS[:4])
+def test_generate_matches_whole_volume_gray(monkeypatch, kw):
+    from tomoseg import phantom
+
+    spec = small_spec(n_sections=2, rng_seed=4, **kw)
+    out = generate(spec)
+    monkeypatch.setattr(phantom, "_render_gray", _whole_gray)
+    want = generate(spec)
+    np.testing.assert_array_equal(out.gray.data, want.gray.data)
+    np.testing.assert_array_equal(out.labels.data, want.labels.data)
+    for got_sec, want_sec in zip(out.sections, want.sections, strict=True):
+        assert got_sec.transform == want_sec.transform
+        np.testing.assert_array_equal(got_sec.plane.data, want_sec.plane.data)
+
+
+@pytest.mark.parametrize("chunk", [None, 12, 41])
+def test_sections_match_whole_sampler(rng, monkeypatch, chunk):
+    from tomoseg import phantom, register
+
+    if chunk is not None:  # blocks of 2 rows and 1 row, and of 4 and 1
+        monkeypatch.setattr(phantom, "SAMPLER_CHUNK", chunk)
+        monkeypatch.setattr(register, "SAMPLER_CHUNK", chunk)
+    out = generate(small_spec(n_sections=2, rng_seed=6))
+    cases = [(sec.transform, out.pixel_to_voxel, None) for sec in out.sections]
+    cases += [(RigidTransform(tuple(rng.uniform(-0.5, 0.5, 3)), tuple(rng.uniform(-5, 60, 3))),
+               ratio, dims)
+              for ratio in (1.0, 0.37, 2.5) for dims in (None, (6, 5), (1, 9), (9, 1))]
+    for transform, ratio, dims in cases:
+        want, hit = _whole_section(out, transform, ratio, dims)
+        if not hit:
+            with pytest.raises(ValueError, match="intersect"):
+                phantom._sample_section(out, transform, ratio, dims)
+            continue
+        plane = render_mla_section(out, transform, ratio * out.spec.spacing, dims)
+        np.testing.assert_array_equal(plane.data, want)
+    for sec in out.sections:  # the planes generate cut
+        want, _ = _whole_section(out, sec.transform, out.pixel_to_voxel)
+        np.testing.assert_array_equal(sec.plane.data, want)
+
+
+def _register_spec():
+    """The 96^3 phantom of the benchmark's register workload (stream 0)."""
+    return PhantomSpec(
+        dims=(96, 96, 96), count=500, size_range_um=(20.0, 35.0), aspect_range=(1.0, 2.0),
+        elongated_fraction=0.0, noise_std=400.0, rng_seed=88, n_sections=2,
+        contact_fraction=0.2, section_max_angle_deg=3.0, section_max_shift=8.0,
+        section_extent=0.95,
+        mineral_fractions={"quartz": 0.3, "kaolinite": 0.15, "muscovite": 0.15,
+                           "zinnwaldite": 0.25, "topaz": 0.15},
+    )
+
+
+@pytest.fixture(scope="module")
+def register_phantom():
+    """The register phantom and the tracemalloc peak of its build."""
+    return traced_peak(lambda: generate(_register_spec()))
+
+
+def test_generate_memory(register_phantom):
+    # the labels (4 bytes per voxel) and the gray volume (2) are kept, and
+    # the sections cut a 1-byte code volume and its guarded copy: about 9
+    # bytes per voxel at 96^3. The whole-volume float64 gray steps and the
+    # whole-plane section sampling peaked near 46.
+    out, peak = register_phantom
+    assert peak / out.labels.data.size <= 14, peak / out.labels.data.size
+
+
+def test_render_mla_section_memory(register_phantom):
+    # a 410^2 section of the 96^3 phantom, cut a block of rows at a time:
+    # about 2.4 bytes per voxel, where every pixel's (u, v), the sampler's
+    # buffers for all of them and a guarded int32 label copy took about 31
+    out, _ = register_phantom
+    sec = out.sections[0]
+    plane, peak = traced_peak(lambda: render_mla_section(out, sec.transform, sec.mla_spacing_um))
+    np.testing.assert_array_equal(plane.data, sec.plane.data)
+    assert plane.data.size > 4 * 8192  # several row blocks
+    assert peak / out.labels.data.size <= 6, peak / out.labels.data.size

@@ -24,6 +24,7 @@ from tomoseg.volgrid import BinaryVolume
 
 from conftest import (
     ball_mask, binary, brute_force_translation, map_plane_points, render_section_mask,
+    traced_peak, whole_plane_sample,
 )
 
 
@@ -782,3 +783,189 @@ def test_failed_result_write_leaves_no_partial_file(tmp_path, existing):
     if existing:
         np.testing.assert_allclose(read_transform(path).translation, old.transform.translation)
 
+
+
+# ------------------------------------------------- chunked sampler and solve
+# The sampler maps and gathers its points a chunk at a time, and the
+# translation solve correlates a band a chunk of slices at a time; each
+# stays bitwise the whole-volume formulation it replaced, which the tests
+# keep as oracles (``whole_plane_sample`` and ``_single_call_solve``).
+
+
+def _sampler_transforms(rng):
+    yield RigidTransform((0.0, 0.0, 0.0), (1.0, 2.0, 3.0))
+    for _ in range(6):
+        yield RigidTransform(tuple(rng.uniform(-np.pi, np.pi, 3)), tuple(rng.uniform(-6, 18, 3)))
+    yield RigidTransform((0.1, -0.2, 0.05), (1e6, -40.0, 9.6))  # off the volume
+
+
+def _check_sampler(rng, vol, uv):
+    from tomoseg.register import _PlaneSampler
+
+    sampler = _PlaneSampler(vol, uv)
+    for t in _sampler_transforms(rng):
+        values, inside, mapped = whole_plane_sample(vol, uv, t)
+        got, got_inside = sampler.sample(t)
+        assert got.dtype == vol.dtype and got_inside.dtype == bool
+        np.testing.assert_array_equal(got, values)
+        np.testing.assert_array_equal(got_inside, inside)
+        assert sampler.overlap(t) == np.count_nonzero(values)
+        # the mapped points before rounding, bit for bit, across chunks
+        parts = [sampler.m[: b - a].copy() for a, b, _ in sampler.chunks(t)]
+        np.testing.assert_array_equal(np.concatenate(parts) if parts else np.empty((0, 3)),
+                                      mapped)
+
+
+@pytest.mark.parametrize("chunks, extra", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, 5)])
+def test_sampler_chunks_match_whole_sampler(rng, chunks, extra):
+    from tomoseg.register import SAMPLER_CHUNK
+
+    n = chunks * SAMPLER_CHUNK + extra
+    vol = rng.integers(0, 4, (9, 11, 13)).astype(np.uint16)
+    _check_sampler(rng, vol, rng.uniform(-4.0, 16.0, (n, 2)))
+    _check_sampler(rng, vol > 0, rng.uniform(-4.0, 16.0, (n, 2)))
+
+
+def test_sampler_small_chunks_match_whole_sampler(rng, monkeypatch):
+    from tomoseg import register
+
+    vol = rng.random((6, 7, 8)) > 0.5
+    for chunk in (1, 2, 7):
+        monkeypatch.setattr(register, "SAMPLER_CHUNK", chunk)
+        for n in (chunk - 1, chunk, chunk + 1, 3 * chunk + 2):
+            _check_sampler(rng, vol, rng.uniform(-3.0, 10.0, (n, 2)))
+
+
+def _single_call_solve(solver, vol):
+    """The translation solve with the band's correlation over B made in one
+    call and nominated from the whole window, the formulation before the
+    chunks and their oracle; like ``solve``, it leaves the hint."""
+    from tomoseg.register import MAX_CANDIDATES, TranslationResult, _fft_error_bound
+
+    b = int(np.count_nonzero(vol, axis=(1, 2)).max(initial=0))
+    if b == 0:
+        return solver._no_overlap()
+    pad, lo, hi = solver._window(vol)
+    (y0, x0), (y1, x1) = lo, hi
+    oy, ox = max(0, -y0), max(0, -x0)
+
+    def window(dtype):
+        corr = solver._correlate(vol, pad, dtype, (oy, ox))
+        return corr[:, y0 + oy : y1 + oy + 1, x0 + ox : x1 + ox + 1]
+
+    corr = window(np.float32)
+    err = _fft_error_bound(solver.count, b, pad[0] * pad[1], 2.0**-24)
+    thr = np.nextafter(np.float32(float(corr.max()) - 2.0 * err), np.float32(-np.inf))
+    hits = np.flatnonzero(corr >= thr)
+    if hits.size > MAX_CANDIDATES:
+        corr = window(np.float64)
+        best = int(np.rint(corr.max()))
+        if best <= 0:
+            return solver._no_overlap()
+        zi, yi, xi = np.nonzero(corr > best - 0.5)
+        k = np.lexsort((zi, yi, xi))[0]
+        res = TranslationResult((lo[1] + int(xi[k]), lo[0] + int(yi[k]), int(zi[k])), best)
+    else:
+        zi, yi, xi = np.unravel_index(hits, corr.shape)
+        shifts = list(zip((xi + lo[1]).tolist(), (yi + lo[0]).tolist(), zi.tolist()))
+        counts = [int(solver._overlap(vol[sz], sx, sy)) for sx, sy, sz in shifts]
+        best = max(counts)
+        if best == 0:
+            return solver._no_overlap()
+        res = TranslationResult(min(s for s, c in zip(shifts, counts) if c == best), best)
+    solver.hint = res.shift[:2]
+    return res
+
+
+def _chunked_solve_cases(rng):
+    # the finest registration level's shapes, a random band
+    band = rng.random((31, 96, 96)) > 0.85
+    plane = rng.random((92, 92)) > 0.85
+    band[17, 2:94, 3:95] |= plane
+    yield band, plane
+    for _ in range(12):
+        yield _random_instance(rng)
+    # a tie plateau: the float32 solve falls back to float64
+    vol = np.ones((7, 20, 20), bool)
+    vol[1, 5, 7] = False
+    yield vol, np.ones((4, 4), bool)
+
+
+@pytest.mark.parametrize("frame_bytes", [None, 1, 40_000])
+def test_chunked_translation_solve_matches_single_call(rng, monkeypatch, frame_bytes):
+    from tomoseg import register
+
+    if frame_bytes is not None:  # one slice per chunk, or a few
+        monkeypatch.setattr(register, "FRAME_BYTES", frame_bytes)
+    fallbacks = []
+    real_fallback = register.TranslationSolver._solve_float64
+    monkeypatch.setattr(
+        register.TranslationSolver, "_solve_float64",
+        lambda self, v, *window: fallbacks.append(v.shape) or real_fallback(self, v, *window),
+    )
+    for vol, plane in _chunked_solve_cases(rng):
+        solver = register.TranslationSolver(vol.shape, plane)
+        oracle = register.TranslationSolver(vol.shape, plane)
+        n_fallbacks = len(fallbacks)
+        # cold, hinted by the cold result, then hinted off the optimum
+        for hint in (None, "last", (1, -2)):
+            if hint != "last":
+                solver.hint = oracle.hint = hint
+            pad, lo, hi = solver._window(vol)
+            for dtype in (np.float32, np.float64):
+                (y0, x0), (y1, x1) = lo, hi
+                oy, ox = max(0, -y0), max(0, -x0)
+                whole = solver._correlate(vol, pad, dtype, (oy, ox))
+                np.testing.assert_array_equal(
+                    solver._correlate_window(vol, pad, lo, hi, dtype),
+                    whole[:, y0 + oy : y1 + oy + 1, x0 + ox : x1 + ox + 1])
+            res = solver.solve(vol)
+            expect = _single_call_solve(oracle, vol)
+            assert (res.shift, res.overlap) == (expect.shift, expect.overlap)
+            assert solver.hint == oracle.hint
+        # only the tie plateau falls back, on every solve
+        assert len(fallbacks) - n_fallbacks == (3 if vol.shape == (7, 20, 20) else 0)
+
+
+def test_nominees_keep_every_entry_near_the_final_maximum(rng, monkeypatch):
+    from tomoseg import register
+
+    solver = register.TranslationSolver((4, 6, 6), np.ones((2, 2), bool))
+    for _ in range(300):
+        nz, wy, wx = int(rng.integers(1, 9)), int(rng.integers(1, 12)), int(rng.integers(1, 12))
+        # integer overlaps plus float32 noise; many near-ties, a rising maximum
+        corr = (rng.integers(0, int(rng.integers(2, 12)), (nz, wy, wx))
+                + np.arange(nz)[:, None, None] * rng.integers(0, 2)).astype(np.float32)
+        corr += rng.uniform(-0.3, 0.3, corr.shape).astype(np.float32)
+        err = float(rng.choice([0.1, 0.5, 2.0, 6.0]))
+        step = int(rng.integers(1, nz + 1))
+
+        def blocks(vol, pad, lo, hi, dtype, corr=corr, step=step):
+            for a in range(0, len(corr), step):
+                yield a, corr[a : a + step].copy()
+
+        monkeypatch.setattr(solver, "_window_blocks", blocks)
+        got = solver._nominees(None, None, None, None, err)
+        thr = np.nextafter(np.float32(float(corr.max()) - 2.0 * err), np.float32(-np.inf))
+        expect = np.flatnonzero(corr >= thr)
+        if expect.size > register.MAX_CANDIDATES:
+            assert got.size > register.MAX_CANDIDATES
+        else:
+            np.testing.assert_array_equal(np.sort(got), expect)
+
+
+def test_cold_finest_level_solve_memory(rng):
+    # the cold solve of the finest 96^3 level: a 31-slice band and a 92^2
+    # plane over the full zero-padded length (192^2). Correlated in chunks
+    # and nominated chunk by chunk it peaks near 6 bytes per band voxel; the
+    # whole frame, its spectrum, the inverse and the window held at once
+    # peaked near 48.
+    band = rng.random((31, 96, 96)) > 0.85
+    plane = rng.random((92, 92)) > 0.85
+    band[17, 2:94, 3:95] |= plane
+    solver = TranslationSolver(band.shape, plane)
+    solver.solve(band)  # the spectrum, cached per length
+    solver.hint = None
+    res, peak = traced_peak(lambda: solver.solve(band))
+    assert (res.shift, res.overlap) == ((3, 2, 17), int(plane.sum()))
+    assert peak / band.size <= 14, peak / band.size
