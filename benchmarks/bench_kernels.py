@@ -35,8 +35,13 @@ map's row counts the float64 map and flags it returns (9 bytes per
 voxel). The region
 graph row builds the region adjacency graph of a 64^3 phantom's
 foreground, at every size, split into cells around 96 random seed voxels;
-the edge features row extracts the 18 per-edge features (curvature fits
-included) from that graph, built once.
+the edge features rows extract the 18 per-edge features (curvature fits
+included) from that graph, built once, with the Sobel field passed and
+without it (then the features compute the gradient at the voxels they
+read; the field itself is the "Sobel field" row, on the random volume).
+The point-wise Sobel row evaluates it at the phantom's foreground voxels,
+the merge row contracts every other edge of that graph, and the write
+rows write the phantom's gray volume, the cells and its foreground mask.
 
 Each row also gives the kernel's peak memory, in MiB and in bytes per voxel
 of the volume it works on: the ``tracemalloc`` peak of one more call, made
@@ -49,6 +54,8 @@ voxel of the ROADMAP come from this one command.
 from __future__ import annotations
 
 import argparse
+import os
+import tempfile
 import time
 import tracemalloc
 
@@ -130,6 +137,9 @@ def main():
     add("sauvola binarization (mask only)",
         lambda: binarize.sauvola_binarize(gray, binarize.SauvolaParams()))
     add("exact EDT", lambda: edt.edt(mask))
+    add("noise estimate", lambda: prefilter.estimate_noise_std(gray))
+    add("unsharp mask (c 0.75, sigma 2)", lambda: prefilter.unsharp_mask(gray, prefilter.UnsharpParams()))
+    add("Sobel field (z-slabs)", lambda: convsep.sobel_magnitude_field(img))
 
     inv = -edt.edt(mask)
     inv[~mask] = 0.0
@@ -179,7 +189,7 @@ def main():
 
     from scipy import ndimage
 
-    from tomoseg import mergegraph
+    from tomoseg import mergegraph, volgrid
     from tomoseg.volgrid import LabelVolume
 
     fg = phan.labels.data > 0
@@ -193,8 +203,20 @@ def main():
     graph = mergegraph.build_region_graph(cells)
     add(f"region graph (64^3 phantom, {len(graph.edges)} edges)",
         lambda: mergegraph.build_region_graph(cells), fg.size)
-    add(f"edge features (64^3 phantom, {len(graph.edges)} edges)",
+    add(f"edge features (64^3 phantom, {len(graph.edges)} edges, field passed)",
         lambda: mergegraph.extract_edge_features(graph, phan.gray, grad, cells), fg.size)
+    add(f"edge features (64^3 phantom, {len(graph.edges)} edges, no field)",
+        lambda: mergegraph.extract_edge_features(graph, phan.gray, None, cells), fg.size)
+    fg_index = np.flatnonzero(fg)
+    add(f"point-wise Sobel (64^3 phantom, {len(fg_index)} foreground voxels)",
+        lambda: convsep.sobel_magnitude_at(phan.gray.data, fg_index), fg.size)
+    weights = {e: float(i % 2) for i, e in enumerate(graph.edges)}
+    add(f"merge regions (64^3 phantom, {len(graph.edges)} edges)",
+        lambda: mergegraph.merge_regions(cells, graph, weights, 0.5), fg.size)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "vol.raw")
+        for name, vol in (("u16", phan.gray), ("u32 labels", cells), ("bit", BinaryVolume(fg, 1.0))):
+            add(f"write volume (64^3 {name})", lambda vol=vol: volgrid.write_volume(vol, out), fg.size)
 
     from tomoseg import attenuation
 

@@ -173,7 +173,8 @@ def _slab_workers(nz: int, patch_radius: int) -> int:
 
 
 def nlm_field(img: np.ndarray, h: float, patch_radius: int, patch_sigma: float, search: int):
-    """Non-local means of a real-valued volume, as a float64 field.
+    """Non-local means of a real-valued volume, as a float64 field (a view
+    of the padded sums' valid voxels, which the caller owns).
 
     The volume is copied straight into the kernel's float32 image, with no
     float64 staging copy: integers below 2**24, so every uint16 volume, are
@@ -208,5 +209,8 @@ def nlm_field(img: np.ndarray, h: float, patch_radius: int, patch_sigma: float, 
     with ThreadPoolExecutor(max_workers=n) as pool:
         for future in [pool.submit(_nlm_slab, *args, *job) for job in jobs]:
             future.result()
+    del jobs, args, pad
+    # the quotient goes into acc's valid voxels: the result is a view of acc
     valid = (slice(None), slice(ny), slice(nx))
-    return acc.reshape(nz, NY, NX)[valid] / norm.reshape(nz, NY, NX)[valid]
+    out = acc.reshape(nz, NY, NX)[valid]
+    return np.divide(out, norm.reshape(nz, NY, NX)[valid], out=out)

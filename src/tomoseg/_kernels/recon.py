@@ -83,17 +83,23 @@ class GuardedWalk:
 def reconstruct_erosion(marker: np.ndarray, lower: np.ndarray, mask: np.ndarray, connectivity: int):
     """Largest image <= marker that is >= lower and has no descending path
     finer than the neighborhood allows (morphological reconstruction by
-    erosion of ``marker`` above ``lower``), computed inside ``mask``."""
-    rec = np.where(mask, marker, _WALL).astype(np.float64)
-    low = np.where(mask, lower, _WALL).astype(np.float64)
+    erosion of ``marker`` above ``lower``), computed inside ``mask``.
+
+    Two float64 buffers swap roles each round: the erosion of one is written
+    into the other, raised to ``lower`` and walled outside the mask. The
+    wall overwrites whatever ``lower`` holds there, so ``lower`` is read in
+    place."""
+    rec = np.where(mask, marker, _WALL).astype(np.float64, copy=False)
+    nxt = np.empty_like(rec)
+    outside = ~np.asarray(mask, bool)
     footprint = neighbor_structure(connectivity)
     while True:
-        eroded = ndimage.grey_erosion(rec, footprint=footprint, mode="constant", cval=_WALL)
-        nxt = np.maximum(low, eroded)
-        nxt[~mask] = _WALL
+        ndimage.grey_erosion(rec, footprint=footprint, output=nxt, mode="constant", cval=_WALL)
+        np.maximum(lower, nxt, out=nxt)
+        nxt[outside] = _WALL
         if np.array_equal(nxt, rec):
             return nxt
-        rec = nxt
+        rec, nxt = nxt, rec
 
 
 def regional_minima(val: np.ndarray, mask: np.ndarray, connectivity: int) -> np.ndarray:

@@ -14,6 +14,7 @@ import hashlib
 import inspect
 import json
 import os
+import resource
 import sys
 import time
 import typing
@@ -145,8 +146,8 @@ def _edge_features(labels, gray, *others):
     gray_vol = load_volume(gray)
     _check_same_grid((labels, label_vol), (gray, gray_vol), *others)
     graph = mg.build_region_graph(label_vol)
-    grad = mg.sobel_gradient_magnitude(gray_vol)
-    return label_vol, graph, mg.extract_edge_features(graph, gray_vol, grad, label_vol)
+    # no gradient field: the features compute it where they read it
+    return label_vol, graph, mg.extract_edge_features(graph, gray_vol, None, label_vol)
 
 
 def stage_merge(*, labels: Input, gray: Input, model: Input, out: str, lambda_: float = 0.5):
@@ -381,9 +382,10 @@ def run_pipeline(config_path, manifest_path=None) -> int:
         try:
             paths = [p for path in _input_paths(fn, kwargs) for p in (path, path + ".meta")]
             inputs = {p: _sha256(p) for p in paths if os.path.exists(p)}
-            t0 = time.perf_counter()
+            t0, cpu0 = time.perf_counter(), time.process_time()
             outputs = fn(**kwargs)
-            seconds = time.perf_counter() - t0
+            seconds, cpu_s = time.perf_counter() - t0, time.process_time() - cpu0
+            max_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
         except FileNotFoundError as exc:
             print(f"stage {section!r}: missing input {exc}", file=sys.stderr)
             return EXIT_MISSING_INPUT
@@ -397,6 +399,8 @@ def run_pipeline(config_path, manifest_path=None) -> int:
                 "inputs": inputs,
                 "outputs": {p: _sha256(p) for p in outputs if os.path.exists(p)},
                 "seconds": round(seconds, 3),
+                "cpu_s": round(cpu_s, 3),
+                "max_rss_mb": round(max_rss_mb, 1),
             }
         )
     with _atomic_files(manifest_path) as (fh,):

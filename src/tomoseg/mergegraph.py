@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels.cc import _canonicalize
-from ._kernels.convsep import sobel_magnitude_field
+from ._kernels.convsep import sobel_magnitude_at, sobel_magnitude_field
 from ._kernels.recon import GuardedWalk, forward_offsets
 from .binarize import ball_footprint
 from .volgrid import LabelVolume, ScalarVolume, finite_float, read_table, write_table
@@ -60,7 +60,9 @@ def build_region_graph(labels: LabelVolume) -> RegionGraph:
         key = np.minimum(la, lb) * (n + 1) + np.maximum(la, lb)
         keys.append(np.concatenate([key, key]))
         voxels.append(np.concatenate([a[m], b[m]]))
-    sizes = np.bincount(flat, minlength=n + 1).astype(np.int64)
+    # counted on the foreground: bincount casts what it counts to int64
+    sizes = np.bincount(flat[flat > 0], minlength=n + 1)
+    sizes[0] = flat.size - sizes.sum()
     key = np.concatenate(keys)
     vox = np.concatenate(voxels)
     if not len(key):
@@ -83,7 +85,7 @@ def build_region_graph(labels: LabelVolume) -> RegionGraph:
 
 def sobel_gradient_magnitude(vol: ScalarVolume) -> np.ndarray:
     """Per-voxel Euclidean norm of the three 3D Sobel responses."""
-    return sobel_magnitude_field(vol.data.astype(np.float64))
+    return sobel_magnitude_field(vol.data)
 
 
 def _moments(vals: np.ndarray):
@@ -237,30 +239,51 @@ def _solve_or_lstsq(gram, rhs, design, wgt, w):
 
 
 def extract_edge_features(
-    graph: RegionGraph, gray: ScalarVolume, grad: np.ndarray, labels: LabelVolume
+    graph: RegionGraph, gray: ScalarVolume, grad: np.ndarray | None, labels: LabelVolume
 ) -> dict:
-    """Feature vector per edge; see the module docstring for the layout."""
+    """Feature vector per edge; see the module docstring for the layout.
+
+    ``grad`` is ``sobel_gradient_magnitude(gray)``, or None: then the Sobel
+    magnitude is computed only at the union of the interface neighborhoods
+    (``sobel_magnitude_at``), bitwise the field's values there. Gray values
+    are converted to float64 only where a moment reads them; the region
+    sums are exact integer sums over the foreground."""
     lab = labels.data
     shape = lab.shape
-    gray_flat = gray.data.astype(np.float64).ravel()
-    grad_flat = np.asarray(grad, np.float64).ravel()
+    gray_flat = gray.data.ravel()
     lab_flat = lab.ravel()
     counts = graph.region_sizes
-    sums = np.bincount(lab_flat, weights=gray_flat, minlength=graph.n_regions + 1)
+    fg = np.flatnonzero(lab_flat)
+    # edges join foreground regions only, so the background's mean is never read
+    sums = np.bincount(lab_flat[fg], weights=gray_flat[fg].astype(np.float64),
+                       minlength=graph.n_regions + 1)
+    del fg
     region_mean = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
     walk = GuardedWalk(shape, np.argwhere(ball_footprint(2.0)) - 2)
     guarded = walk.copy(lab)
-    curvature = _mean_abs_curvature(list(graph.interfaces.values()), lab_flat, shape)
-    features = {}
-    for (edge, iface), curv in zip(graph.interfaces.items(), curvature):
-        v1, v2 = edge
+    neighborhoods, eigenvalues = [], []
+    for (v1, v2), iface in graph.interfaces.items():
         coords = np.column_stack(np.unravel_index(iface, shape)).astype(np.int64)
         # the guard's label 0 keeps every step outside the volume out
         nb = guarded[walk.index(coords)[:, None] + walk.steps]
-        nb_flat = np.unique((iface[:, None] + walk.volume_steps)[(nb == v1) | (nb == v2)])
-        g1, g2, g3, g4 = _moments(gray_flat[nb_flat])
-        a1, a2, a3, a4 = _moments(grad_flat[nb_flat])
-        ev = _pca_eigenvalues(coords)
+        neighborhoods.append(np.unique((iface[:, None] + walk.volume_steps)[(nb == v1) | (nb == v2)]))
+        eigenvalues.append(_pca_eigenvalues(coords))
+    del guarded
+    if grad is None:
+        where = np.unique(np.concatenate(neighborhoods or [np.zeros(0, np.int64)]))
+        at_where = sobel_magnitude_at(gray.data, where)
+
+        def grad_at(nb):
+            return at_where[np.searchsorted(where, nb)]
+    else:
+        grad_at = np.asarray(grad, np.float64).ravel().__getitem__
+    curvature = _mean_abs_curvature(list(graph.interfaces.values()), lab_flat, shape)
+    features = {}
+    for (edge, iface), curv, nb_flat, ev in zip(graph.interfaces.items(), curvature,
+                                                neighborhoods, eigenvalues):
+        v1, v2 = edge
+        g1, g2, g3, g4 = _moments(gray_flat[nb_flat].astype(np.float64))
+        a1, a2, a3, a4 = _moments(grad_at(nb_flat))
         vol_lo, vol_hi = sorted((counts[v1], counts[v2]))
         mean_lo, mean_hi = sorted((region_mean[v1], region_mean[v2]))
         features[edge] = np.array(
@@ -288,16 +311,23 @@ def merge_regions(labels: LabelVolume, graph: RegionGraph, weights: dict, lam: f
     missing = [e for e in graph.edges if e not in weights]
     if missing:
         raise ValueError(f"weights missing for {len(missing)} edges, e.g. {missing[0]}")
-    # imported here: loading scipy.sparse adds about 11 MB of resident
-    # memory to every process that imports this module
-    from scipy.sparse import coo_matrix, csgraph
+    # union-find over the kept edges, the smaller root winning; scipy.sparse's
+    # graph components would add about 11 MB of resident memory to the
+    # process for a graph of a few hundred edges. _canonicalize renumbers
+    # the regions by first voxel, so the component numbering does not matter.
+    parent = list(range(graph.n_regions + 1))
 
-    kept = np.array([e for e in graph.edges if weights[e] >= lam], np.int64).reshape(-1, 2)
-    n = graph.n_regions + 1
-    adjacency = coo_matrix((np.ones(len(kept), np.int8), (kept[:, 0], kept[:, 1])), shape=(n, n))
-    _, component = csgraph.connected_components(adjacency, directed=False)
-    remap = component.astype(np.int32) + 1
-    remap[0] = 0  # background stays background
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for v1, v2 in graph.edges:
+        if weights[v1, v2] >= lam:
+            r1, r2 = find(v1), find(v2)
+            parent[max(r1, r2)] = min(r1, r2)
+    remap = np.array([find(v) for v in range(graph.n_regions + 1)], np.int32)
     merged = remap[labels.data]
     return LabelVolume(_canonicalize(merged), labels.spacing)
 

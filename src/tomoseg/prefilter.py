@@ -55,16 +55,25 @@ class UnsharpParams:
 
 
 def _to_u16(field: np.ndarray) -> np.ndarray:
-    return np.clip(np.floor(field + 0.5), 0, 65535).astype(np.uint16)
+    """``field`` rounded half up and clamped to uint16. It rounds in place:
+    callers pass a float64 temporary of their own, never an input array."""
+    field += 0.5
+    np.floor(field, out=field)
+    np.clip(field, 0, 65535, out=field)
+    return field.astype(np.uint16)
 
 
 def estimate_noise_std(vol: ScalarVolume) -> float:
     """Noise level estimate: std of the 6-neighbor Laplacian response divided
-    by sqrt(42) (the Laplacian of iid noise has 42x the variance)."""
-    f = vol.data.astype(np.float64)
-    lap = -6.0 * f
+    by sqrt(42) (the Laplacian of iid noise has 42x the variance).
+
+    The Laplacian is summed into one float64 volume from uint16 rolls: its
+    terms and sums are integers below 2^53, exact in any order."""
+    f = vol.data
+    lap = np.multiply(f, -6.0)
     for axis in range(3):
-        lap += np.roll(f, 1, axis=axis) + np.roll(f, -1, axis=axis)
+        for shift in (1, -1):
+            lap += np.roll(f, shift, axis=axis)
     # rolled borders wrap; drop the one-voxel shell
     core = lap[1:-1, 1:-1, 1:-1] if min(f.shape) > 2 else lap
     return float(core.std() / np.sqrt(42.0))
@@ -85,16 +94,19 @@ def nonlocal_means(vol: ScalarVolume, params: NlmParams) -> ScalarVolume:
 def gaussian_blur(vol: ScalarVolume, sigma: float) -> ScalarVolume:
     """Separable Gaussian smoothing, kernel truncated at +-ceil(3*sigma) and
     renormalized, mirror borders."""
-    out = gaussian_blur_field(vol.data.astype(np.float64), sigma)
+    out = gaussian_blur_field(vol.data, sigma)
     return ScalarVolume(_to_u16(out), vol.spacing)
 
 
 def unsharp_mask(vol: ScalarVolume, params: UnsharpParams) -> ScalarVolume:
     """Weighted difference (c*I - (1-c)*I_L) / (2c-1) with I_L the
     Gaussian-blurred volume; the coefficients sum to one, so constants pass
-    through, and c = 1 is the exact identity.
+    through, and c = 1 is the exact identity. The ops run in place on one
+    float64 volume, in the formula's order.
     """
-    low = gaussian_blur(vol, params.blur_sigma).data.astype(np.float64)
+    low = gaussian_blur(vol, params.blur_sigma).data
     c = params.c
-    out = (c * vol.data.astype(np.float64) - (1.0 - c) * low) / (2.0 * c - 1.0)
+    out = np.multiply(vol.data, c)
+    out -= np.multiply(low, 1.0 - c)
+    out /= 2.0 * c - 1.0
     return ScalarVolume(_to_u16(out), vol.spacing)

@@ -233,9 +233,12 @@ def _encode_volume(vol) -> tuple[np.ndarray, bytes]:
         dims = vol.dims
     flat = vol.data.ravel()
     if element == "bit":
-        payload = np.packbits(flat.astype(np.uint8), bitorder="little")
+        payload = np.packbits(flat, bitorder="little")
     else:
-        payload = flat.astype(ELEMENT_DTYPES[element])
+        if element == "u32":
+            flat = flat.view(np.uint32)  # labels are >= 0: the same bytes
+        # no copy where the bytes are already little-endian
+        payload = flat.astype(ELEMENT_DTYPES[element], copy=False)
     meta = (f"dims={dims[0]},{dims[1]},{dims[2]}\n"
             f"spacing_um={vol.spacing!r}\n"
             f"element={element}\n").encode()

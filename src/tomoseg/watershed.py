@@ -78,8 +78,14 @@ def marker_watershed(
 
 
 def watershed_segment(mask: BinaryVolume, params: WatershedParams) -> LabelVolume:
-    """Full chain: distance transform, marker extraction, flooding."""
-    dist = distance_transform(mask)
-    inv = np.where(mask.data, -dist, 0.0)
+    """Full chain: distance transform, marker extraction, flooding. A mask
+    with no background voxel is one region: its distance is +inf everywhere,
+    a single plateau."""
+    m = mask.data
+    if m.all():
+        return LabelVolume(np.ones(m.shape, np.int32), mask.spacing)
+    # the inverted distance, negated in place on the mask (0 on background)
+    inv = distance_transform(mask)
+    np.negative(inv, out=inv, where=m)
     markers = extended_minima_markers(inv, mask, params)
     return marker_watershed(inv, markers, mask, params.connectivity)

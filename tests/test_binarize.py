@@ -17,7 +17,7 @@ from tomoseg.binarize import (
     sauvola_threshold,
 )
 
-from conftest import ball_mask, binary, scalar, traced_peak
+from conftest import THIN_SHAPES, ball_mask, binary, scalar, traced_peak
 
 
 def sauvola_oracle(img, radius, k, R):
@@ -348,6 +348,41 @@ def test_edt_exact_on_random_small_masks(rng):
         m = rng.random(shape) > rng.uniform(0.2, 0.8)
         out = distance_transform(binary(m))
         np.testing.assert_allclose(out, edt_oracle(m), atol=1e-9)
+
+
+# 23 planes: no slab height above 1 divides it, so the last slab is short
+@pytest.mark.parametrize("height", [1, 2, 3, 4, 50])
+def test_edt_bitwise_equals_scipy_for_every_slab_height(rng, monkeypatch, height):
+    from tomoseg._kernels import edt
+
+    monkeypatch.setattr(edt, "SLAB_VOXELS", height * 12 * 14)
+    for density in (0.05, 0.5, 0.95, 0.999):
+        m = rng.random((23, 12, 14)) < density
+        m[rng.integers(23), rng.integers(12), rng.integers(14)] = False
+        got = distance_transform(binary(m))
+        assert got.tobytes() == ndimage.distance_transform_edt(m).tobytes()
+
+
+def test_edt_bitwise_equals_scipy_on_thin_and_far_masks(rng):
+    for shape in THIN_SHAPES + [(40, 33, 17)]:
+        for density in (0.1, 0.6, 0.95):
+            m = rng.random(shape) < density
+            if m.all():
+                continue
+            assert distance_transform(binary(m)).tobytes() == ndimage.distance_transform_edt(m).tobytes()
+    # one background corner: the largest offsets, several slabs
+    m = np.ones((70, 60, 50), bool)
+    m[0, 0, 0] = False
+    assert distance_transform(binary(m)).tobytes() == ndimage.distance_transform_edt(m).tobytes()
+
+
+def test_edt_memory_per_voxel(rng):
+    # scipy's int32 feature transform (12 bytes per voxel), the float64
+    # distances (8) and one slab; scipy's own distances took 49
+    m = rng.random((64, 64, 64)) < 0.9
+    out, peak = traced_peak(lambda: distance_transform(binary(m)))
+    assert out.tobytes() == ndimage.distance_transform_edt(m).tobytes()
+    assert peak / m.size <= 26, peak / m.size
 
 
 def test_remove_small_components():

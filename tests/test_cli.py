@@ -839,3 +839,30 @@ def test_manifest_written_whole_or_not_at_all(tmp_path, tiny_volume, monkeypatch
     assert (tmp_path / "m.raw").exists()  # the stage ran
     assert sorted(p.name for p in tmp_path.iterdir() if p.name.startswith((".", "m.json"))) == []
 
+
+
+def test_manifest_records_cpu_time_and_peak_memory(tmp_path, tiny_volume):
+    cfg = tmp_path / "two.cfg"
+    cfg.write_text(f"[binarize]\nin = {tiny_volume}\nout = {tmp_path / 'm.raw'}\n\n"
+                   f"[watershed]\nmask = {tmp_path / 'm.raw'}\nout = {tmp_path / 'l.raw'}\n")
+    manifest = tmp_path / "m.json"
+    assert cli.main(["pipeline", "--config", str(cfg), "--manifest", str(manifest)]) == 0
+    entries = json.loads(manifest.read_text())
+    assert [e["stage"] for e in entries] == ["binarize", "watershed"]
+    for entry in entries:
+        assert {"seconds", "cpu_s", "max_rss_mb"} <= set(entry)
+        assert entry["cpu_s"] >= 0.0
+        assert entry["max_rss_mb"] > 0.0
+    # the process peak never falls
+    assert entries[1]["max_rss_mb"] >= entries[0]["max_rss_mb"]
+
+
+@pytest.mark.parametrize("shape", [(6, 6, 6), (1, 3, 4)])
+def test_watershed_stage_on_an_all_foreground_mask(tmp_path, shape):
+    # no background: the distance is +inf everywhere, one plateau, one region
+    mask, out = tmp_path / "full.raw", tmp_path / "labels.raw"
+    write_volume(BinaryVolume(np.ones(shape, bool), 2.0), mask)
+    assert cli.main(["watershed", "--mask", str(mask), "--out", str(out)]) == 0
+    labels = load_volume(out)
+    assert labels.n_labels == 1
+    assert (labels.data == 1).all()

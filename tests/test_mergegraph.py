@@ -18,7 +18,7 @@ from tomoseg.mergegraph import (
 
 from conftest import (
     THIN_SHAPES, correlate_axis_oracle, face_touching, labels, mirror, scalar, shifted_slices,
-    split_scan_offsets,
+    split_scan_offsets, traced_peak,
 )
 
 
@@ -297,6 +297,79 @@ def test_sobel_matches_naive_convolution(rng):
     np.testing.assert_allclose(got, sobel_oracle(data.astype(float)), rtol=1e-10)
 
 
+def sobel_whole_volume(data):
+    """The Sobel magnitude over whole-volume float64 passes, the formulation
+    before z-slabs and point-wise reads, and the oracle of both."""
+    from tomoseg._kernels.convsep import SOBEL_DERIV, SOBEL_SMOOTH, correlate_separable
+
+    field = np.asarray(data, np.float64)
+    acc = np.zeros_like(field)
+    for axis in range(3):
+        weights = [SOBEL_SMOOTH, SOBEL_SMOOTH, SOBEL_SMOOTH]
+        weights[axis] = SOBEL_DERIV
+        g = correlate_separable(field, weights)
+        acc += g * g
+    return np.sqrt(acc)
+
+
+# one-, two- and three-plane volumes along each axis: every voxel borders
+SOBEL_SHAPES = [(1, 1, 1), (1, 6, 5), (2, 7, 5), (3, 6, 7), (5, 1, 9), (6, 8, 2), (13, 11, 12)]
+
+
+def _sobel_inputs(rng, shape):
+    """Random uint16, the largest responses (a 0/65535 checkerboard), and a
+    constant at full scale."""
+    checker = np.indices(shape).sum(axis=0) % 2 * 65535
+    return [rng.integers(0, 65536, shape).astype(np.uint16), checker.astype(np.uint16),
+            np.full(shape, 65535, np.uint16)]
+
+
+@pytest.mark.parametrize("shape", SOBEL_SHAPES)
+def test_sobel_pointwise_equals_whole_field(rng, monkeypatch, shape):
+    from tomoseg._kernels import convsep
+
+    monkeypatch.setattr(convsep, "SOBEL_POINTS", 7)  # chunks end anywhere
+    for data in _sobel_inputs(rng, shape):
+        want = sobel_whole_volume(data).ravel()
+        everywhere = np.arange(data.size)
+        assert convsep.sobel_magnitude_at(data, everywhere).tobytes() == want.tobytes()
+        some = rng.integers(0, data.size, 23)  # any order, repeats allowed
+        assert convsep.sobel_magnitude_at(data, some).tobytes() == want[some].tobytes()
+    assert convsep.sobel_magnitude_at(data, np.zeros(0, np.int64)).shape == (0,)
+
+
+def test_sobel_pointwise_equals_whole_field_in_default_chunks(rng):
+    from tomoseg._kernels.convsep import sobel_magnitude_at
+
+    data = rng.integers(0, 65536, (20, 40, 30)).astype(np.uint16)
+    want = sobel_whole_volume(data).ravel()
+    assert sobel_magnitude_at(data, np.arange(data.size)).tobytes() == want.tobytes()
+
+
+# 23 planes: no slab height above 1 divides it, so the last slab is short
+@pytest.mark.parametrize("planes", [1, 2, 3, 50])
+def test_sobel_slabs_equal_whole_field(rng, monkeypatch, planes):
+    from tomoseg._kernels import convsep
+
+    monkeypatch.setattr(convsep, "SOBEL_SLAB_VOXELS", planes * 12 * 14)
+    # bitwise for any input, integer or not
+    for data in (rng.integers(0, 65536, (23, 12, 14)).astype(np.uint16),
+                 rng.normal(size=(23, 12, 14)) * 1e3):
+        assert convsep.sobel_magnitude_field(data).tobytes() == sobel_whole_volume(data).tobytes()
+    for shape in SOBEL_SHAPES:
+        for data in _sobel_inputs(rng, shape):
+            assert sobel_gradient_magnitude(scalar(data)).tobytes() == sobel_whole_volume(data).tobytes()
+
+
+def test_sobel_field_memory_per_voxel(rng):
+    # the float64 field (8 bytes per voxel) and one slab's passes; the
+    # whole-volume passes took 42 at 96^3
+    data = rng.integers(0, 65536, (96, 96, 96)).astype(np.uint16)
+    out, peak = traced_peak(lambda: sobel_gradient_magnitude(scalar(data)))
+    assert out.tobytes() == sobel_whole_volume(data).tobytes()
+    assert peak / data.size <= 21, peak / data.size
+
+
 def test_correlate_separable_matches_axis_oracle(rng):
     from tomoseg._kernels.convsep import correlate_separable, gaussian_kernel
 
@@ -435,6 +508,59 @@ def test_curvature_bitwise_equal_to_per_centre_oracle(case, monkeypatch):
     assert got.tobytes() == want.tobytes()
 
 
+def _assert_features_equal(got, want):
+    assert got.keys() == want.keys()
+    for edge, f in want.items():
+        assert got[edge].tobytes() == f.tobytes(), edge
+
+
+@pytest.mark.parametrize("shape", THIN_SHAPES + [(9, 10, 11)])
+def test_features_without_field_equal_with_field(rng, shape):
+    # the point-wise gradient at the neighbourhoods is the field's, bitwise
+    lab = labels(face_touching(shape, rng))
+    for data in _sobel_inputs(rng, shape):
+        gray = scalar(data)
+        g = build_region_graph(lab)
+        want = extract_edge_features(g, gray, sobel_gradient_magnitude(gray), lab)
+        _assert_features_equal(extract_edge_features(g, gray, None, lab), want)
+
+
+def _phantom_labels():
+    from tomoseg import phantom, watershed
+    from tomoseg.volgrid import BinaryVolume
+
+    spec = phantom.PhantomSpec(
+        dims=(64, 64, 64), count=10, size_range_um=(36, 56), aspect_range=(1.0, 2.5),
+        noise_std=2000.0, contact_fraction=0.5, n_sections=0, rng_seed=7,
+    )
+    out = phantom.generate(spec)
+    mask = BinaryVolume(out.labels.data > 0, 1.0)
+    return out.gray, watershed.watershed_segment(mask, watershed.WatershedParams(h_depth=0.5))
+
+
+def test_features_without_field_on_a_phantom_and_their_memory():
+    # without a field: the guarded labels (about 4 bytes per voxel) and
+    # foreground-sized arrays. The full-volume gray copy and whole-volume
+    # region counts took 16 beside a 40-byte Sobel field, and region sizes
+    # counted over the whole volume 9 in the region graph.
+    gray, lab = _phantom_labels()
+    g, peak = traced_peak(lambda: build_region_graph(lab))
+    assert len(g.edges) >= 2
+    assert peak / lab.data.size <= 6.5, peak / lab.data.size
+    want = extract_edge_features(g, gray, sobel_gradient_magnitude(gray), lab)
+    got, peak = traced_peak(lambda: extract_edge_features(g, gray, None, lab))
+    _assert_features_equal(got, want)
+    assert peak / lab.data.size <= 8, peak / lab.data.size
+
+
+def test_region_sizes_count_every_voxel(rng):
+    for shape in THIN_SHAPES + [(9, 10, 11)]:
+        lab = labels(face_touching(shape, rng))
+        g = build_region_graph(lab)
+        assert g.region_sizes.dtype == np.int64
+        np.testing.assert_array_equal(g.region_sizes, np.bincount(lab.data.ravel()))
+
+
 def test_merge_no_weights_identity_partition():
     lab = two_region_volume()
     g = build_region_graph(lab)
@@ -458,33 +584,17 @@ def test_merge_requires_all_weights():
         merge_regions(lab, g, {}, 0.5)
 
 
-class _UnionFind:
-    """Union-find with the smaller root winning; merge_regions used it
-    before it labelled the kept edges with scipy's graph components."""
+def csgraph_merge(lab, graph, weights, lam):
+    """The merge through scipy.sparse's graph components, the formulation
+    before the union-find, and its oracle."""
+    from scipy.sparse import coo_matrix, csgraph
 
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, a: int) -> int:
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
-
-    def union(self, a: int, b: int):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            if ra > rb:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
-
-
-def union_find_merge(lab, graph, weights, lam):
-    uf = _UnionFind(graph.n_regions + 1)
-    for edge in graph.edges:
-        if weights[edge] >= lam:
-            uf.union(edge[0], edge[1])
-    remap = np.array([uf.find(v) for v in range(graph.n_regions + 1)], np.int32)
+    kept = np.array([e for e in graph.edges if weights[e] >= lam], np.int64).reshape(-1, 2)
+    n = graph.n_regions + 1
+    adjacency = coo_matrix((np.ones(len(kept), np.int8), (kept[:, 0], kept[:, 1])), shape=(n, n))
+    _, component = csgraph.connected_components(adjacency, directed=False)
+    remap = component.astype(np.int32) + 1
+    remap[0] = 0  # background stays background
     return _canonicalize(remap[lab.data])
 
 
@@ -492,14 +602,42 @@ def union_find_merge(lab, graph, weights, lam):
 # that the sorted edge list visits out of chain order; and random labels in
 # a block, with background voxels and denser adjacency
 @pytest.mark.parametrize("shape, n", [((1, 1, 60), 40), ((6, 6, 6), 30)])
-def test_merge_matches_union_find_oracle(rng, shape, n):
+def test_merge_matches_csgraph_oracle(rng, shape, n):
     for _ in range(5):
         lab = labels(_canonicalize(rng.integers(0, n + 1, shape)))
         g = build_region_graph(lab)
         weights = {e: float(rng.random()) for e in g.edges}
         for lam in (0.0, 0.3, 0.6, 0.9, 1.0):
             merged = merge_regions(lab, g, weights, lam)
-            np.testing.assert_array_equal(merged.data, union_find_merge(lab, g, weights, lam))
+            np.testing.assert_array_equal(merged.data, csgraph_merge(lab, g, weights, lam))
+
+
+def test_merge_does_not_load_scipy_sparse():
+    # loading scipy.sparse keeps about 11 MB resident in the process; no
+    # tomoseg module may import it, the merge included
+    import os
+    import subprocess
+    import sys
+
+    import tomoseg
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tomoseg.__file__)))
+    code = (
+        "import importlib, pkgutil, sys\n"
+        "import numpy as np\n"
+        "import tomoseg, tomoseg.cli\n"
+        "for m in pkgutil.walk_packages(tomoseg.__path__, 'tomoseg.'):\n"
+        "    importlib.import_module(m.name)\n"
+        "from tomoseg.mergegraph import build_region_graph, merge_regions\n"
+        "from tomoseg.volgrid import LabelVolume\n"
+        "lab = LabelVolume(np.repeat(np.arange(1, 4, dtype=np.int32), 4).reshape(1, 3, 4), 1.0)\n"
+        "g = build_region_graph(lab)\n"
+        "assert merge_regions(lab, g, {e: 1.0 for e in g.edges}, 0.5).n_labels == 1\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env=env)
+    assert out.stdout.strip() == "[]"
 
 
 def test_merge_monotone_in_lambda(rng):

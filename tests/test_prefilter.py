@@ -14,7 +14,7 @@ from tomoseg.prefilter import (
     nonlocal_means,
     unsharp_mask,
 )
-from conftest import nlm_oracle, scalar
+from conftest import nlm_oracle, scalar, traced_peak
 
 
 def test_nlm_constant_unchanged():
@@ -360,3 +360,74 @@ def test_noise_estimate_tracks_added_noise(rng):
     vol = scalar(np.clip(noisy, 0, 65535).astype(np.uint16))
     est = estimate_noise_std(vol)
     assert 350 < est < 650
+
+
+def _to_u16_copy(field):
+    return np.clip(np.floor(field + 0.5), 0, 65535).astype(np.uint16)
+
+
+def _noise_std_float_rolls(data):
+    """The noise estimate over float64 rolls, the formulation before uint16
+    rolls summed into one volume, and its oracle."""
+    f = data.astype(np.float64)
+    lap = -6.0 * f
+    for axis in range(3):
+        lap += np.roll(f, 1, axis=axis) + np.roll(f, -1, axis=axis)
+    core = lap[1:-1, 1:-1, 1:-1] if min(f.shape) > 2 else lap
+    return float(core.std() / np.sqrt(42.0))
+
+
+def _unsharp_whole_volumes(data, c, sigma):
+    """Unsharp masking over whole float64 temporaries, the formulation before
+    the in-place ops, and its oracle."""
+    from tomoseg._kernels.convsep import correlate_separable, gaussian_kernel
+
+    k = gaussian_kernel(sigma)
+    low = _to_u16_copy(correlate_separable(data.astype(np.float64), (k, k, k))).astype(np.float64)
+    return _to_u16_copy((c * data.astype(np.float64) - (1.0 - c) * low) / (2.0 * c - 1.0))
+
+
+NOISE_SHAPES = [(1, 1, 1), (2, 5, 7), (3, 3, 3), (1, 9, 8), (17, 18, 19)]
+
+
+@pytest.mark.parametrize("shape", NOISE_SHAPES)
+def test_noise_estimate_equals_float_roll_formulation(rng, shape):
+    checker = np.indices(shape).sum(axis=0) % 2 * 65535  # the largest Laplacian
+    for data in (rng.integers(0, 65536, shape), checker, np.full(shape, 65535)):
+        data = data.astype(np.uint16)
+        assert estimate_noise_std(scalar(data)) == _noise_std_float_rolls(data)
+
+
+@pytest.mark.parametrize("shape", NOISE_SHAPES)
+def test_unsharp_equals_whole_volume_formulation(rng, shape):
+    for c, sigma in ((0.75, 2.0), (0.51, 1.0), (0.9, 0.7), (1.0, 1.5)):
+        data = rng.integers(0, 65536, shape).astype(np.uint16)
+        got = unsharp_mask(scalar(data), UnsharpParams(c=c, blur_sigma=sigma)).data
+        np.testing.assert_array_equal(got, _unsharp_whole_volumes(data, c, sigma))
+
+
+def test_nlm_field_is_its_own_buffer(rng):
+    # the result is a view of the kernel's sums, never of the input
+    img = rng.integers(0, 4000, (6, 7, 8)).astype(np.float64)
+    out = nlm.nlm_field(img, 500.0, 1, 1.0, 2)
+    assert not np.shares_memory(out, img)
+    assert out.shape == img.shape
+
+
+def test_prefilter_memory_per_voxel(rng):
+    # one float64 volume plus uint16 or slab temporaries each; before, the
+    # noise estimate held four float64 volumes (32 bytes per voxel), unsharp
+    # masking four (32), the blur three (24) and non-local means' quotient a
+    # fifth beside its float64 sums (45 on this volume)
+    data = rng.integers(0, 65536, (64, 64, 64)).astype(np.uint16)
+    vol = scalar(data)
+    small = scalar(data[:40, :40, :40])
+    cases = (
+        (lambda: estimate_noise_std(vol), data.size, 18),
+        (lambda: unsharp_mask(vol, UnsharpParams()), data.size, 22),
+        (lambda: gaussian_blur(vol, 2.0), data.size, 20),
+        (lambda: nonlocal_means(small, NlmParams(h=800.0, search_radius=2)), small.data.size, 41),
+    )
+    for fn, voxels, limit in cases:
+        _, peak = traced_peak(fn)
+        assert peak / voxels <= limit, (limit, peak / voxels)

@@ -13,7 +13,7 @@ from tomoseg.watershed import (
     watershed_segment,
 )
 
-from conftest import ball_mask, binary, labels, shifted_slices
+from conftest import THIN_SHAPES, ball_mask, binary, labels, shifted_slices, traced_peak
 
 
 def bfs_components_oracle(mask, connectivity):
@@ -207,3 +207,83 @@ def test_oversegmentation_never_undersplits():
     mask = binary(out.labels.data > 0)
     lab = watershed_segment(mask, WatershedParams(h_depth=0.5))
     assert lab.n_labels >= 10
+
+
+@pytest.mark.parametrize("shape", [(6, 6, 6), (1, 1, 1), (1, 4, 5)])
+def test_all_foreground_mask_is_one_region(shape):
+    # the distance is +inf everywhere: one plateau, so one region
+    out = watershed_segment(binary(np.ones(shape, bool)), WatershedParams())
+    assert out.n_labels == 1
+    assert (out.data == 1).all()
+    assert watershed_segment(binary(np.zeros(shape, bool)), WatershedParams()).n_labels == 0
+
+
+def reconstruct_erosion_where(marker, lower, mask, connectivity):
+    """Reconstruction over whole float64 copies made by ``np.where`` and
+    ``astype``, a new volume per round: the formulation before two buffers
+    swapped, and its oracle."""
+    from scipy import ndimage
+
+    from tomoseg._kernels.recon import neighbor_structure
+
+    rec = np.where(mask, marker, 1e18).astype(np.float64)
+    low = np.where(mask, lower, 1e18).astype(np.float64)
+    footprint = neighbor_structure(connectivity)
+    while True:
+        eroded = ndimage.grey_erosion(rec, footprint=footprint, mode="constant", cval=1e18)
+        nxt = np.maximum(low, eroded)
+        nxt[~mask] = 1e18
+        if np.array_equal(nxt, rec):
+            return nxt
+        rec = nxt
+
+
+@pytest.mark.parametrize("connectivity", [6, 26])
+def test_reconstruction_bitwise_equals_where_formulation(rng, connectivity):
+    from tomoseg._kernels.recon import reconstruct_erosion
+
+    for shape in THIN_SHAPES + [(9, 10, 11), (16, 17, 15)]:
+        for dtype in (np.float64, np.float32):
+            mask = rng.random(shape) < 0.8
+            # few distinct heights: plateaus that take several rounds to fill
+            lower = (-rng.integers(0, 6, shape) / 2).astype(dtype)
+            marker = lower + dtype(rng.choice([0.5, 1.0, 2.5]))
+            # non-finite values outside the mask are ignored
+            lower[~mask] = rng.choice([np.nan, np.inf, -np.inf], int((~mask).sum()))
+            marker[~mask] = np.nan
+            got = reconstruct_erosion(marker, lower, mask, connectivity)
+            want = reconstruct_erosion_where(marker, lower, mask, connectivity)
+            assert got.dtype == np.float64
+            assert got.tobytes() == want.tobytes()
+    m = binary(ball_mask((36, 36, 60), (18, 18, 18), 14) | ball_mask((36, 36, 60), (18, 18, 42), 14))
+    inv = inv_edt(m)
+    got = reconstruct_erosion(inv + 2.0, inv, m.data, connectivity)
+    assert got.tobytes() == reconstruct_erosion_where(inv + 2.0, inv, m.data, connectivity).tobytes()
+
+
+def _fused_balls_64():
+    shape = (64, 64, 64)
+    return binary(ball_mask(shape, (32, 32, 18), 15) | ball_mask(shape, (32, 32, 44), 13))
+
+
+def test_reconstruction_memory_per_voxel():
+    # two swapped float64 buffers (16 bytes per voxel) and two bool masks;
+    # the np.where copies with a new volume per round took 33
+    from tomoseg._kernels.recon import reconstruct_erosion
+
+    m = _fused_balls_64()
+    inv = inv_edt(m)
+    marker = inv + 0.5
+    out, peak = traced_peak(lambda: reconstruct_erosion(marker, inv, m.data, 26))
+    assert out.tobytes() == reconstruct_erosion_where(marker, inv, m.data, 26).tobytes()
+    assert peak / inv.size <= 22, peak / inv.size
+
+
+def test_watershed_memory_per_voxel():
+    # set in the reconstruction: the inverted distance, the marker and the
+    # reconstruction's two buffers, about 35 bytes per voxel; with the
+    # distance's whole-volume temporaries and np.where copies it took 57
+    m = _fused_balls_64()
+    out, peak = traced_peak(lambda: watershed_segment(m, WatershedParams(h_depth=0.5)))
+    assert out.n_labels >= 2
+    assert peak / m.data.size <= 40, peak / m.data.size
