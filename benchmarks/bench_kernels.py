@@ -35,11 +35,10 @@ map's row counts the float64 map and flags it returns (9 bytes per
 voxel). The region
 graph row builds the region adjacency graph of a 64^3 phantom's
 foreground, at every size, split into cells around 96 random seed voxels;
-the edge features rows extract the 18 per-edge features (curvature fits
-included) from that graph, built once, with the Sobel field passed and
-without it (then the features compute the gradient at the voxels they
-read; the field itself is the "Sobel field" row, on the random volume).
-The point-wise Sobel row evaluates it at the phantom's foreground voxels,
+the edge features row extracts the 18 per-edge features (curvature fits
+included) from that graph, built once; they compute the Sobel gradient
+only at the voxels they read. The point-wise Sobel row evaluates it at the
+phantom's foreground voxels,
 the merge row contracts every other edge of that graph, and the write
 rows write the phantom's gray volume, the cells and its foreground mask.
 
@@ -139,7 +138,6 @@ def main():
     add("exact EDT", lambda: edt.edt(mask))
     add("noise estimate", lambda: prefilter.estimate_noise_std(gray))
     add("unsharp mask (c 0.75, sigma 2)", lambda: prefilter.unsharp_mask(gray, prefilter.UnsharpParams()))
-    add("Sobel field (z-slabs)", lambda: convsep.sobel_magnitude_field(img))
 
     inv = -edt.edt(mask)
     inv[~mask] = 0.0
@@ -198,15 +196,12 @@ def main():
     seeds.ravel()[picks] = np.arange(1, len(picks) + 1)
     nearest = ndimage.distance_transform_edt(seeds == 0, return_distances=False, return_indices=True)
     cells = LabelVolume(np.where(fg, seeds[tuple(nearest)], 0), 1.0)
-    grad = mergegraph.sobel_gradient_magnitude(phan.gray)
 
     graph = mergegraph.build_region_graph(cells)
     add(f"region graph (64^3 phantom, {len(graph.edges)} edges)",
         lambda: mergegraph.build_region_graph(cells), fg.size)
-    add(f"edge features (64^3 phantom, {len(graph.edges)} edges, field passed)",
-        lambda: mergegraph.extract_edge_features(graph, phan.gray, grad, cells), fg.size)
-    add(f"edge features (64^3 phantom, {len(graph.edges)} edges, no field)",
-        lambda: mergegraph.extract_edge_features(graph, phan.gray, None, cells), fg.size)
+    add(f"edge features (64^3 phantom, {len(graph.edges)} edges)",
+        lambda: mergegraph.extract_edge_features(graph, phan.gray, cells), fg.size)
     fg_index = np.flatnonzero(fg)
     add(f"point-wise Sobel (64^3 phantom, {len(fg_index)} foreground voxels)",
         lambda: convsep.sobel_magnitude_at(phan.gray.data, fg_index), fg.size)

@@ -2,9 +2,9 @@
 
 Border policy everywhere is edge-inclusive mirroring (a b c d | d c b a),
 which is scipy.ndimage mode="reflect", also when a kernel is longer than the
-axis. Feeds the Gaussian blur and the Sobel gradient, whose magnitude is
-also evaluated at given voxels only, with the same border. Tests compare
-it with a per-voxel mirror-fold oracle, and both Sobel forms with one
+axis. Feeds the Gaussian blur; the Sobel gradient magnitude is evaluated at
+given voxels only, with the same border. Tests compare the correlation with
+a per-voxel mirror-fold oracle, and the Sobel magnitude with one
 whole-volume pass.
 """
 
@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 from scipy import ndimage
+
+from .recon import GuardedWalk
 
 
 def correlate_separable(vol: np.ndarray, weights_per_axis) -> np.ndarray:
@@ -33,18 +35,9 @@ def gaussian_kernel(sigma: float) -> np.ndarray:
     return k / k.sum()
 
 
-def gaussian_blur_field(field: np.ndarray, sigma: float) -> np.ndarray:
-    """Separable Gaussian smoothing of a float field, mirror borders."""
-    k = gaussian_kernel(sigma)
-    return correlate_separable(field, (k, k, k))
-
-
 SOBEL_DERIV = np.array([-1.0, 0.0, 1.0])
 SOBEL_SMOOTH = np.array([1.0, 2.0, 1.0])
 
-# voxels per z-slab of the Sobel field (at least one plane), halo planes
-# aside: 2 MiB per float64 slab buffer
-SOBEL_SLAB_VOXELS = 1 << 18
 # voxels per chunk of the point-wise Sobel
 SOBEL_POINTS = 1 << 10
 
@@ -55,35 +48,6 @@ def _sobel_weights(axis: int):
     return weights
 
 
-def sobel_magnitude_field(field: np.ndarray) -> np.ndarray:
-    """Euclidean norm of the three 3D Sobel responses (derivative [-1,0,1],
-    smoothing [1,2,1] across the other axes).
-
-    Computed by z-slabs of ``SOBEL_SLAB_VOXELS``: the z pass of a slab reads
-    one halo plane on each side and reflects only at the volume's own
-    border, and the y and x passes run on the slab's own planes. Each plane
-    sees the same correlate1d arithmetic as in one whole-volume pass, so the
-    field is bitwise that pass's, for any input."""
-    field = np.asarray(field)
-    nz, ny, nx = field.shape
-    out = np.empty(field.shape)
-    step = max(1, SOBEL_SLAB_VOXELS // max(1, ny * nx))
-    for z0 in range(0, nz, step):
-        z1 = min(nz, z0 + step)
-        lo, hi = max(0, z0 - 1), min(nz, z1 + 1)
-        slab = field[lo:hi].astype(np.float64)
-        acc = out[z0:z1]
-        for axis in range(3):
-            wz, wy, wx = _sobel_weights(axis)
-            g = ndimage.correlate1d(slab, wz, axis=0, mode="reflect")[z0 - lo : z1 - lo]
-            g = correlate_separable(g, (None, wy, wx))
-            np.multiply(g, g, out=acc if axis == 0 else g)
-            if axis:
-                acc += g
-        np.sqrt(acc, out=acc)
-    return out
-
-
 # (27, 3): the integer weights of the z, y and x responses on the 3x3x3
 # neighbours in raster order
 _SOBEL_TAPS = np.stack([np.einsum("i,j,k->ijk", *_sobel_weights(axis)).ravel()
@@ -91,23 +55,23 @@ _SOBEL_TAPS = np.stack([np.einsum("i,j,k->ijk", *_sobel_weights(axis)).ravel()
 
 
 def sobel_magnitude_at(vol: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """``sobel_magnitude_field(vol)`` at the flat voxel indices ``index``
-    only, for an integer volume (uint16).
+    """The Euclidean norm of the three 3D Sobel responses (derivative
+    [-1,0,1], smoothing [1,2,1] across the other axes) of an integer volume
+    (uint16), at the flat voxel indices ``index`` only.
 
     The neighbours are read from a copy of the volume padded by one voxel
     that repeats the edge voxel, which is scipy's reflect border for a
     radius-1 kernel. With integer voxels and weights, each response and the
     sum of their squares are integers below 2^53 (at most 32 * 65535 per
     response for uint16), so this product of the 27 neighbours with the
-    weights and the field's separable passes both compute them exactly;
-    only the sqrt rounds, and the values are bitwise the field's."""
+    weights and whole-volume separable passes both compute them exactly;
+    only the sqrt rounds, and the values are bitwise those passes'."""
     vol = np.asarray(vol)
-    padded = np.pad(vol, 1, mode="edge").ravel()
-    strides = np.array([(vol.shape[1] + 2) * (vol.shape[2] + 2), vol.shape[2] + 2, 1])
-    steps = (np.argwhere(np.ones((3, 3, 3), bool)) - 1) @ strides
+    walk = GuardedWalk(vol.shape, np.argwhere(np.ones((3, 3, 3), bool)) - 1)
+    padded = np.pad(vol, walk.reach, mode="edge").ravel()
     out = np.empty(len(index))
     for a in range(0, len(index), SOBEL_POINTS):
         coords = np.column_stack(np.unravel_index(index[a : a + SOBEL_POINTS], vol.shape))
-        g = padded[((coords + 1) @ strides)[:, None] + steps].astype(np.float64) @ _SOBEL_TAPS
+        g = padded[walk.index(coords)[:, None] + walk.steps].astype(np.float64) @ _SOBEL_TAPS
         np.sqrt((g * g).sum(axis=1), out=out[a : a + len(coords)])
     return out

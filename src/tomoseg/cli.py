@@ -31,8 +31,9 @@ from . import prefilter as pf
 from . import register as rg
 from . import watershed as ws
 from .volgrid import (
-    BinaryVolume, LabelPlane, _atomic_files, _encode_volume, extract_slice, finite_float,
-    load_volume, read_table, read_value, write_table, write_volume,
+    BinaryVolume, LabelPlane, LabelVolume, ScalarVolume, _atomic_files, _element_of,
+    _encode_volume, extract_slice, finite_float, load_volume, read_table, read_value, write_table,
+    write_volume,
 )
 
 EXIT_OK = 0
@@ -56,6 +57,20 @@ def _sha256(path) -> str:
 
 
 # ---------------------------------------------------------------- stages
+
+# what a stage reads each container as
+_NEEDS = {ScalarVolume: "u16 gray", BinaryVolume: "bit mask", LabelVolume: "u32 labels",
+          LabelPlane: "u8 section"}
+
+
+def _load(path, *kinds):
+    """The volume at ``path``; ValueError naming the element it holds unless
+    it is one of the containers ``kinds``."""
+    vol = load_volume(path)
+    if not isinstance(vol, kinds):
+        need = " or ".join(_NEEDS[kind] for kind in kinds)
+        raise ValueError(f"{path} holds {_element_of(vol)} voxels, needs {need}")
+    return vol
 
 
 def stage_phantom(*, out_dir: str, spec: Input | None = None):
@@ -89,7 +104,7 @@ def stage_denoise(*, in_: Input, out: str, h: float | None = None,
                   sigma: float = pf.NlmParams.sigma, patch: int = pf.NlmParams.patch_radius,
                   search: int = pf.NlmParams.search_radius):
     """non-local means (without h: strength from the noise estimate)"""
-    vol = load_volume(in_)
+    vol = _load(in_, ScalarVolume)
     if h is None:
         h = pf.default_nlm_params(vol).h
     params = pf.NlmParams(h=h, sigma=sigma, patch_radius=patch, search_radius=search)
@@ -100,7 +115,7 @@ def stage_denoise(*, in_: Input, out: str, h: float | None = None,
 def stage_unsharp(*, in_: Input, out: str, c: float = pf.UnsharpParams.c,
                   blur_sigma: float = pf.UnsharpParams.blur_sigma):
     """unsharp mask edge enhancement"""
-    vol = load_volume(in_)
+    vol = _load(in_, ScalarVolume)
     write_volume(pf.unsharp_mask(vol, pf.UnsharpParams(c=c, blur_sigma=blur_sigma)), out)
     return [out, out + ".meta"]
 
@@ -108,7 +123,7 @@ def stage_unsharp(*, in_: Input, out: str, c: float = pf.UnsharpParams.c,
 def stage_binarize(*, in_: Input, out: str, window: int = bz.SauvolaParams.window_radius,
                    k: float = bz.SauvolaParams.k, open_radius: float = 1.0, min_size: int = 0):
     """local adaptive threshold + opening"""
-    vol = load_volume(in_)
+    vol = _load(in_, ScalarVolume)
     mask = bz.sauvola_binarize(vol, bz.SauvolaParams(window_radius=window, k=k))
     if open_radius >= 1:
         mask = bz.morphological_opening(mask, open_radius)
@@ -122,7 +137,7 @@ def stage_watershed(*, mask: Input, out: str, h_depth: float = ws.WatershedParam
                     conn: int = ws.WatershedParams.connectivity):
     """marker-based watershed (conn: 6 or 26)"""
     params = ws.WatershedParams(h_depth=h_depth, connectivity=conn)
-    labels = ws.watershed_segment(load_volume(mask), params)
+    labels = ws.watershed_segment(_load(mask, BinaryVolume), params)
     write_volume(labels, out)
     return [out, out + ".meta"]
 
@@ -142,12 +157,11 @@ def _check_same_grid(first, *others):
 def _edge_features(labels, gray, *others):
     """The region graph and edge features of ``labels`` on ``gray``; the
     ``(path, volume)`` pairs in ``others`` must share their grid too."""
-    label_vol = load_volume(labels)
-    gray_vol = load_volume(gray)
+    label_vol = _load(labels, LabelVolume)
+    gray_vol = _load(gray, ScalarVolume)
     _check_same_grid((labels, label_vol), (gray, gray_vol), *others)
     graph = mg.build_region_graph(label_vol)
-    # no gradient field: the features compute it where they read it
-    return label_vol, graph, mg.extract_edge_features(graph, gray_vol, None, label_vol)
+    return label_vol, graph, mg.extract_edge_features(graph, gray_vol, label_vol)
 
 
 def stage_merge(*, labels: Input, gray: Input, model: Input, out: str, lambda_: float = 0.5):
@@ -162,7 +176,7 @@ def stage_merge(*, labels: Input, gray: Input, model: Input, out: str, lambda_: 
 
 def stage_edge_features(*, labels: Input, gray: Input, truth: Input, out: str):
     """labeled edge features from ground truth (training data for train-merge)"""
-    truth_vol = load_volume(truth)
+    truth_vol = _load(truth, LabelVolume)
     label_vol, graph, feats = _edge_features(labels, gray, (truth, truth_vol))
     train = ph.edge_training_set(truth_vol, label_vol, graph, feats)
     edge_labels = {e: int(v) for e, v in zip(train.edges, train.labels)}
@@ -195,7 +209,7 @@ def stage_train_merge(*, features: Input, out: str, hidden: int = 75,
 def stage_descriptors(*, labels: Input, out: str, slice_: tuple[str, int] | None = None,
                       spacing: float | None = None, hist: str | None = None, bins: int = 20):
     """per-particle section descriptors (slice: axis,index of a 3D volume)"""
-    vol = load_volume(labels)
+    vol = _load(labels, LabelVolume, LabelPlane)
     spacing = float(vol.spacing) if spacing is None else spacing
     if slice_ is not None:
         plane = extract_slice(vol, *slice_)
@@ -221,7 +235,7 @@ def stage_register(*, vol: Input, plane: Input, out: str,
                    max_iter: int = rg.RegisterOptions.max_iter):
     """locate a 2D section in the volume"""
     opts = rg.RegisterOptions(pyramid=pyramid, max_iter=max_iter)
-    result = rg.register_section(load_volume(vol), load_volume(plane), opts)
+    result = rg.register_section(_load(vol, BinaryVolume), _load(plane, BinaryVolume), opts)
     rg.write_result(result, out)
     return [out]
 
@@ -251,8 +265,8 @@ def stage_attenuation_fit(*, out: str, samples: Input | None = None, vol: Input 
     elif vol is None or plane is None or transform is None:
         raise ValueError("attenuation fit needs samples, or vol, plane and transform")
     else:
-        gray_vol = load_volume(vol)
-        section = load_volume(plane)
+        gray_vol = _load(vol, ScalarVolume)
+        section = _load(plane, LabelPlane)
         ptv = section.spacing / gray_vol.spacing if pixel_to_voxel is None else pixel_to_voxel
         means, _ = atn.phase_means(gray_vol, rg.read_transform(transform), section,
                                    mineral_table, ptv, erode_px)
@@ -265,7 +279,7 @@ def stage_attenuation_fit(*, out: str, samples: Input | None = None, vol: Input 
 
 def stage_attenuation_predict(*, vol: Input, mask: Input, model: Input, out: str):
     """map rho*mu_m over a mask, flagging voxels outside the calibration"""
-    gray_vol, mask_vol = load_volume(vol), load_volume(mask)
+    gray_vol, mask_vol = _load(vol, ScalarVolume), _load(mask, BinaryVolume)
     _check_same_grid((vol, gray_vol), (mask, mask_vol))
     pred, flags = atn.predict_map(gray_vol, atn.load_model(model), mask_vol)
     # the payload, the flags and their sidecar are renamed into place together
@@ -283,8 +297,8 @@ def stage_attenuation_validate(*, vol: Input, plane: Input, transform: Input, mo
                                out: str, table: Input | None = None, erode_px: int = 0,
                                pixel_to_voxel: float | None = None):
     """check a fitted line against a second section"""
-    gray_vol = load_volume(vol)
-    section = load_volume(plane)
+    gray_vol = _load(vol, ScalarVolume)
+    section = _load(plane, LabelPlane)
     ptv = section.spacing / gray_vol.spacing if pixel_to_voxel is None else pixel_to_voxel
     report = atn.validate_section(
         gray_vol, atn.load_model(model), rg.read_transform(transform), section,

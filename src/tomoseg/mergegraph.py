@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels.cc import _canonicalize
-from ._kernels.convsep import sobel_magnitude_at, sobel_magnitude_field
+from ._kernels.convsep import sobel_magnitude_at
 from ._kernels.recon import GuardedWalk, forward_offsets
 from .binarize import ball_footprint
 from .volgrid import LabelVolume, ScalarVolume, finite_float, read_table, write_table
@@ -81,11 +81,6 @@ def build_region_graph(labels: LabelVolume) -> RegionGraph:
         edges.append(edge)
         interfaces[edge] = vox[s:e]
     return RegionGraph(n, tuple(edges), interfaces, sizes, lab.shape)
-
-
-def sobel_gradient_magnitude(vol: ScalarVolume) -> np.ndarray:
-    """Per-voxel Euclidean norm of the three 3D Sobel responses."""
-    return sobel_magnitude_field(vol.data)
 
 
 def _moments(vals: np.ndarray):
@@ -238,16 +233,13 @@ def _solve_or_lstsq(gram, rhs, design, wgt, w):
         return coef
 
 
-def extract_edge_features(
-    graph: RegionGraph, gray: ScalarVolume, grad: np.ndarray | None, labels: LabelVolume
-) -> dict:
+def extract_edge_features(graph: RegionGraph, gray: ScalarVolume, labels: LabelVolume) -> dict:
     """Feature vector per edge; see the module docstring for the layout.
 
-    ``grad`` is ``sobel_gradient_magnitude(gray)``, or None: then the Sobel
-    magnitude is computed only at the union of the interface neighborhoods
-    (``sobel_magnitude_at``), bitwise the field's values there. Gray values
-    are converted to float64 only where a moment reads them; the region
-    sums are exact integer sums over the foreground."""
+    The Sobel magnitude is computed only at the union of the interface
+    neighborhoods (``sobel_magnitude_at``). Gray values are converted to
+    float64 only where a moment reads them; the region sums are exact
+    integer sums over the foreground."""
     lab = labels.data
     shape = lab.shape
     gray_flat = gray.data.ravel()
@@ -269,21 +261,15 @@ def extract_edge_features(
         neighborhoods.append(np.unique((iface[:, None] + walk.volume_steps)[(nb == v1) | (nb == v2)]))
         eigenvalues.append(_pca_eigenvalues(coords))
     del guarded
-    if grad is None:
-        where = np.unique(np.concatenate(neighborhoods or [np.zeros(0, np.int64)]))
-        at_where = sobel_magnitude_at(gray.data, where)
-
-        def grad_at(nb):
-            return at_where[np.searchsorted(where, nb)]
-    else:
-        grad_at = np.asarray(grad, np.float64).ravel().__getitem__
+    where = np.unique(np.concatenate(neighborhoods or [np.zeros(0, np.int64)]))
+    grad = sobel_magnitude_at(gray.data, where)
     curvature = _mean_abs_curvature(list(graph.interfaces.values()), lab_flat, shape)
     features = {}
     for (edge, iface), curv, nb_flat, ev in zip(graph.interfaces.items(), curvature,
                                                 neighborhoods, eigenvalues):
         v1, v2 = edge
         g1, g2, g3, g4 = _moments(gray_flat[nb_flat].astype(np.float64))
-        a1, a2, a3, a4 = _moments(grad_at(nb_flat))
+        a1, a2, a3, a4 = _moments(grad[np.searchsorted(where, nb_flat)])
         vol_lo, vol_hi = sorted((counts[v1], counts[v2]))
         mean_lo, mean_hi = sorted((region_mean[v1], region_mean[v2]))
         features[edge] = np.array(

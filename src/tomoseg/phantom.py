@@ -412,17 +412,15 @@ def region_majorities(watershed_labels: LabelVolume, truth: LabelVolume, min_pur
 
 
 def edge_training_set(
-    out,
+    truth: LabelVolume,
     watershed_labels: LabelVolume,
     graph: RegionGraph,
     features: dict,
     min_purity: float = 0.6,
 ) -> EdgeTrainingSet:
-    """Label each graph edge from ground truth: 1 when both regions' majority
-    particle ids coincide, 0 otherwise; edges touching an ambiguous region
-    are excluded and counted. ``out`` may be a PhantomOutput or the truth
-    LabelVolume itself."""
-    truth = out.labels if isinstance(out, PhantomOutput) else out
+    """Label each graph edge from the ``truth`` labeling: 1 when both
+    regions' majority particle ids coincide, 0 otherwise; edges touching an
+    ambiguous region are excluded and counted."""
     majority, _ = region_majorities(watershed_labels, truth, min_purity)
     edges = []
     rows = []

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels.convsep import gaussian_blur_field
+from ._kernels.convsep import correlate_separable, gaussian_kernel
 from ._kernels.nlm import nlm_field
 from .volgrid import ScalarVolume
 
@@ -94,8 +94,8 @@ def nonlocal_means(vol: ScalarVolume, params: NlmParams) -> ScalarVolume:
 def gaussian_blur(vol: ScalarVolume, sigma: float) -> ScalarVolume:
     """Separable Gaussian smoothing, kernel truncated at +-ceil(3*sigma) and
     renormalized, mirror borders."""
-    out = gaussian_blur_field(vol.data, sigma)
-    return ScalarVolume(_to_u16(out), vol.spacing)
+    k = gaussian_kernel(sigma)
+    return ScalarVolume(_to_u16(correlate_separable(vol.data, (k, k, k))), vol.spacing)
 
 
 def unsharp_mask(vol: ScalarVolume, params: UnsharpParams) -> ScalarVolume:

@@ -162,8 +162,7 @@ def _segmentation_pipeline(seed, contact):
     mask = binarize.remove_small_components(mask, 60)
     lab = watershed.watershed_segment(mask, watershed.WatershedParams(h_depth=0.2))
     graph = mergegraph.build_region_graph(lab)
-    grad = mergegraph.sobel_gradient_magnitude(out.gray)
-    feats = mergegraph.extract_edge_features(graph, out.gray, grad, lab)
+    feats = mergegraph.extract_edge_features(graph, out.gray, lab)
     return out, lab, graph, feats
 
 
@@ -171,7 +170,7 @@ def test_criterion_4_watershed_merge_repair():
     t0 = time.perf_counter()
     # training phantom (disjoint seed)
     out_a, lab_a, graph_a, feats_a = _segmentation_pipeline(seed=101, contact=0.5)
-    train = phantom.edge_training_set(out_a, lab_a, graph_a, feats_a)
+    train = phantom.edge_training_set(out_a.labels, lab_a, graph_a, feats_a)
     assert len(np.unique(train.labels)) == 2
     model = neuralnet.train(train.features, train.labels, 75, neuralnet.TrainConfig(rng_seed=7))
 

@@ -759,14 +759,17 @@ def test_merge_refuses_model_without_hidden_units(tmp_path, capsys, tiny_volume)
 
 
 def _mismatch_inputs(tmp_path, tiny_volume):
-    # 24^3 volumes at 4.5 um, a gray volume four planes short, and one at 5 um
+    # 24^3 volumes at 4.5 um, a gray volume and labels four planes short, and
+    # a gray volume at 5 um
     gray = load_volume(tiny_volume)
     paths = {"gray": tiny_volume, "short": tmp_path / "short.raw", "labels": tmp_path / "lab.raw",
+             "short_labels": tmp_path / "short_lab.raw",
              "mask": tmp_path / "mask.raw", "model": tmp_path / "mlp.txt",
              "line": tmp_path / "line.txt", "coarse": tmp_path / "coarse.raw"}
     write_volume(ScalarVolume(gray.data[4:], 4.5), paths["short"])
     write_volume(ScalarVolume(gray.data, 5.0), paths["coarse"])
     write_volume(LabelVolume((gray.data > 10000).astype(np.uint32), 4.5), paths["labels"])
+    write_volume(LabelVolume((gray.data[4:] > 10000).astype(np.uint32), 4.5), paths["short_labels"])
     write_volume(BinaryVolume(gray.data > 10000, 4.5), paths["mask"])
     d = 18
     nn.save_model(nn.MlpModel(np.zeros(2), np.zeros((2, d)), 0.0, np.zeros(2), np.zeros(d),
@@ -780,7 +783,8 @@ def _mismatch_inputs(tmp_path, tiny_volume):
 DIMS_MISMATCH = [
     ("merge --labels labels --gray short --model model --out OUT", ("labels", "short")),
     ("edge-features --labels labels --gray short --truth labels --out OUT", ("labels", "short")),
-    ("edge-features --labels labels --gray gray --truth short --out OUT", ("labels", "short")),
+    ("edge-features --labels labels --gray gray --truth short_labels --out OUT",
+     ("labels", "short_labels")),
     ("attenuation predict --vol short --mask mask --model line --out OUT", ("short", "mask")),
     ("merge --labels labels --gray coarse --model model --out OUT", ("labels", "coarse")),
 ]
@@ -798,6 +802,43 @@ def test_stage_inputs_of_different_dims_name_both_files(tmp_path, capsys, tiny_v
     differ = "dims" if first.dims != second.dims else "spacing"
     assert str(getattr(first, differ)) in err and str(getattr(second, differ)) in err
     assert not out.exists()
+
+
+# stage argv (keys of _mismatch_inputs) with one input of the wrong element
+# type, that input's key, the element it holds, and what the stage needs
+WRONG_ELEMENT = [
+    ("denoise --in mask --out OUT", "mask", "bit", "u16 gray"),
+    ("unsharp --in labels --out OUT", "labels", "u32", "u16 gray"),
+    ("binarize --in mask --out OUT", "mask", "bit", "u16 gray"),
+    ("watershed --mask gray --out OUT", "gray", "u16", "bit mask"),
+    ("merge --labels gray --gray gray --model model --out OUT", "gray", "u16", "u32 labels"),
+    ("edge-features --labels labels --gray gray --truth mask --out OUT", "mask", "bit",
+     "u32 labels"),
+    ("descriptors --labels gray --slice z,12 --out OUT", "gray", "u16",
+     "u32 labels or u8 section"),
+    ("register --vol mask --plane section --out OUT", "section", "u8", "bit mask"),
+    ("attenuation fit --vol gray --plane mask --transform line --out OUT", "mask", "bit",
+     "u8 section"),
+    ("attenuation predict --vol gray --mask labels --model line --out OUT", "labels", "u32",
+     "bit mask"),
+    ("attenuation validate --vol labels --plane section --transform line --model line --out OUT",
+     "labels", "u32", "u16 gray"),
+]
+
+
+@pytest.mark.parametrize("argv, key, held, need", WRONG_ELEMENT)
+def test_stage_input_of_the_wrong_element_exits_3(tmp_path, capsys, tiny_volume, argv, key, held,
+                                                  need):
+    # a u32 mask used to reach predict_map, which indexed with the label values
+    paths = _mismatch_inputs(tmp_path, tiny_volume)
+    paths["section"] = tmp_path / "section.raw"
+    write_volume(LabelPlane(np.ones((24, 24), np.uint8), 4.5), paths["section"])
+    out = tmp_path / "out"
+    paths["OUT"] = out
+    before = sorted(tmp_path.iterdir())
+    err = _stage_fault(capsys, [str(paths.get(a, a)) for a in argv.split()])
+    assert f"{paths[key]} holds {held} voxels, needs {need}" in err
+    assert sorted(tmp_path.iterdir()) == before  # nothing written
 
 
 def test_manifest_hashes_sidecars_and_records_defaults(tmp_path, tiny_volume):

@@ -13,8 +13,8 @@ from tomoseg.mergegraph import (
     features_to_csv,
     merge_regions,
     read_features_csv,
-    sobel_gradient_magnitude,
 )
+from tomoseg._kernels.convsep import sobel_magnitude_at
 
 from conftest import (
     THIN_SHAPES, correlate_axis_oracle, face_touching, labels, mirror, scalar, shifted_slices,
@@ -258,14 +258,23 @@ def test_neighborhoods_match_bounds_masked_oracle(rng, shape):
     want = fit_neighborhoods_oracle(ifaces, lab_flat, shape, offsets, 120)
     for a, b in zip(got, want):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-    # the gray and gradient moments read exactly the oracle's ball voxels
-    gray = rng.integers(0, 65536, shape)
-    grad = rng.random(shape)
-    feats = extract_edge_features(g, scalar(gray), grad, lab)
+    # the gray and gradient moments read exactly the oracle's ball voxels,
+    # and the gradient there is the whole-volume Sobel's, bitwise
+    for data in _sobel_inputs(rng, shape):
+        gray = scalar(data)
+        assert_moments_match_oracle(g, gray, lab, extract_edge_features(g, gray, lab))
+
+
+def assert_moments_match_oracle(g, gray, lab, feats):
+    """f1-f8 are the moments of the gray values and of the whole-volume
+    Sobel magnitude on each edge's oracle ball voxels, bitwise."""
+    lab_flat = lab.data.ravel()
+    gray_flat = gray.data.ravel()
+    grad = sobel_whole_volume(gray.data).ravel()
     for edge, iface in g.interfaces.items():
-        nb = feature_ball_oracle(iface, lab_flat, shape, *edge)
-        moments = [*_moments(gray.ravel()[nb].astype(np.float64)), *_moments(grad.ravel()[nb])]
-        assert feats[edge][:8].tobytes() == np.array(moments).tobytes()
+        nb = feature_ball_oracle(iface, lab_flat, lab.data.shape, *edge)
+        moments = [*_moments(gray_flat[nb].astype(np.float64)), *_moments(grad[nb])]
+        assert feats[edge][:8].tobytes() == np.array(moments).tobytes(), edge
 
 
 def test_interface_voxels_touch_both_regions():
@@ -278,8 +287,13 @@ def test_interface_voxels_touch_both_regions():
     assert len(iface) == 200
 
 
+def sobel_everywhere(data):
+    """``sobel_magnitude_at`` at every voxel, in the volume's shape."""
+    return sobel_magnitude_at(data, np.arange(data.size)).reshape(data.shape)
+
+
 def test_sobel_constant_zero():
-    g = sobel_gradient_magnitude(scalar(np.full((5, 5, 5), 123)))
+    g = sobel_everywhere(np.full((5, 5, 5), 123, np.uint16))
     np.testing.assert_allclose(g, 0.0, atol=1e-9)
 
 
@@ -287,19 +301,19 @@ def test_sobel_ramp_interior_magnitude():
     nz = ny = nx = 7
     slope = 3.0
     data = (np.arange(nx) * slope)[None, None, :] * np.ones((nz, ny, 1))
-    g = sobel_gradient_magnitude(scalar(data.astype(np.uint16)))
+    g = sobel_everywhere(data.astype(np.uint16))
     np.testing.assert_allclose(g[2:-2, 2:-2, 2:-2], 32.0 * slope, rtol=1e-12)
 
 
 def test_sobel_matches_naive_convolution(rng):
     data = rng.integers(0, 2000, (5, 5, 5)).astype(np.uint16)
-    got = sobel_gradient_magnitude(scalar(data))
+    got = sobel_everywhere(data)
     np.testing.assert_allclose(got, sobel_oracle(data.astype(float)), rtol=1e-10)
 
 
 def sobel_whole_volume(data):
     """The Sobel magnitude over whole-volume float64 passes, the formulation
-    before z-slabs and point-wise reads, and the oracle of both."""
+    before point-wise reads, and their oracle."""
     from tomoseg._kernels.convsep import SOBEL_DERIV, SOBEL_SMOOTH, correlate_separable
 
     field = np.asarray(data, np.float64)
@@ -346,30 +360,6 @@ def test_sobel_pointwise_equals_whole_field_in_default_chunks(rng):
     assert sobel_magnitude_at(data, np.arange(data.size)).tobytes() == want.tobytes()
 
 
-# 23 planes: no slab height above 1 divides it, so the last slab is short
-@pytest.mark.parametrize("planes", [1, 2, 3, 50])
-def test_sobel_slabs_equal_whole_field(rng, monkeypatch, planes):
-    from tomoseg._kernels import convsep
-
-    monkeypatch.setattr(convsep, "SOBEL_SLAB_VOXELS", planes * 12 * 14)
-    # bitwise for any input, integer or not
-    for data in (rng.integers(0, 65536, (23, 12, 14)).astype(np.uint16),
-                 rng.normal(size=(23, 12, 14)) * 1e3):
-        assert convsep.sobel_magnitude_field(data).tobytes() == sobel_whole_volume(data).tobytes()
-    for shape in SOBEL_SHAPES:
-        for data in _sobel_inputs(rng, shape):
-            assert sobel_gradient_magnitude(scalar(data)).tobytes() == sobel_whole_volume(data).tobytes()
-
-
-def test_sobel_field_memory_per_voxel(rng):
-    # the float64 field (8 bytes per voxel) and one slab's passes; the
-    # whole-volume passes took 42 at 96^3
-    data = rng.integers(0, 65536, (96, 96, 96)).astype(np.uint16)
-    out, peak = traced_peak(lambda: sobel_gradient_magnitude(scalar(data)))
-    assert out.tobytes() == sobel_whole_volume(data).tobytes()
-    assert peak / data.size <= 21, peak / data.size
-
-
 def test_correlate_separable_matches_axis_oracle(rng):
     from tomoseg._kernels.convsep import correlate_separable, gaussian_kernel
 
@@ -393,9 +383,8 @@ def test_correlate_separable_matches_axis_oracle(rng):
 def test_features_constant_volume():
     lab = two_region_volume()
     gray = scalar(np.full((10, 10, 10), 5000))
-    grad = sobel_gradient_magnitude(gray)
     g = build_region_graph(lab)
-    f = extract_edge_features(g, gray, grad, lab)[(1, 2)]
+    f = extract_edge_features(g, gray, lab)[(1, 2)]
     assert f.shape == (FEATURE_DIM,)
     np.testing.assert_allclose(f[0], 5000.0)
     np.testing.assert_allclose(f[1:8], 0.0, atol=1e-9)  # std/skw/kurt and grad block
@@ -404,10 +393,9 @@ def test_features_constant_volume():
 
 def test_features_flat_interface_geometry():
     lab = two_region_volume(shape=(12, 12, 12), split=6)
-    gray = scalar(np.full((12, 12, 12), 900))
-    grad = np.zeros((12, 12, 12))
+    gray = scalar(np.full((12, 12, 12), 900))  # gradient exactly 0
     g = build_region_graph(lab)
-    f = extract_edge_features(g, gray, grad, lab)[(1, 2)]
+    f = extract_edge_features(g, gray, lab)[(1, 2)]
     ev = f[8:11]
     assert ev[0] >= ev[1] >= ev[2]
     np.testing.assert_allclose(ev.sum(), 1.0)
@@ -427,10 +415,9 @@ def spherical_cap_labels(r=9.0, n=27):
 def test_features_spherical_cap_curvature():
     r, n = 9.0, 27
     lab = spherical_cap_labels(r, n)
-    gray = scalar(np.full((n, n, n), 100))
-    grad = np.zeros((n, n, n))
+    gray = scalar(np.full((n, n, n), 100))  # gradient exactly 0
     g = build_region_graph(lab)
-    f = extract_edge_features(g, gray, grad, lab)[(1, 2)]
+    f = extract_edge_features(g, gray, lab)[(1, 2)]
     assert abs(f[11] - 1.0 / r) / (1.0 / r) < 0.2
 
 
@@ -492,9 +479,9 @@ def test_curvature_bitwise_equal_to_per_centre_oracle(case, monkeypatch):
     lstsq = np.linalg.lstsq
     monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **kw: lstsq_calls.append(1) or lstsq(*a, **kw))
     shape = lab.data.shape
-    gray = scalar(np.full(shape, 100))
+    gray = scalar(np.full(shape, 100))  # gradient exactly 0
     g = build_region_graph(lab)
-    feats = extract_edge_features(g, gray, np.zeros(shape), lab)
+    feats = extract_edge_features(g, gray, lab)
     if case in ("phantom", "singular_rows"):
         assert lstsq_calls  # a singular Gram matrix took the least-squares fallback
     lab_flat = lab.data.ravel()
@@ -506,23 +493,6 @@ def test_curvature_bitwise_equal_to_per_centre_oracle(case, monkeypatch):
     ])
     assert len(got) > 0
     assert got.tobytes() == want.tobytes()
-
-
-def _assert_features_equal(got, want):
-    assert got.keys() == want.keys()
-    for edge, f in want.items():
-        assert got[edge].tobytes() == f.tobytes(), edge
-
-
-@pytest.mark.parametrize("shape", THIN_SHAPES + [(9, 10, 11)])
-def test_features_without_field_equal_with_field(rng, shape):
-    # the point-wise gradient at the neighbourhoods is the field's, bitwise
-    lab = labels(face_touching(shape, rng))
-    for data in _sobel_inputs(rng, shape):
-        gray = scalar(data)
-        g = build_region_graph(lab)
-        want = extract_edge_features(g, gray, sobel_gradient_magnitude(gray), lab)
-        _assert_features_equal(extract_edge_features(g, gray, None, lab), want)
 
 
 def _phantom_labels():
@@ -539,7 +509,7 @@ def _phantom_labels():
 
 
 def test_features_without_field_on_a_phantom_and_their_memory():
-    # without a field: the guarded labels (about 4 bytes per voxel) and
+    # no gradient field: the guarded labels (about 4 bytes per voxel) and
     # foreground-sized arrays. The full-volume gray copy and whole-volume
     # region counts took 16 beside a 40-byte Sobel field, and region sizes
     # counted over the whole volume 9 in the region graph.
@@ -547,10 +517,9 @@ def test_features_without_field_on_a_phantom_and_their_memory():
     g, peak = traced_peak(lambda: build_region_graph(lab))
     assert len(g.edges) >= 2
     assert peak / lab.data.size <= 6.5, peak / lab.data.size
-    want = extract_edge_features(g, gray, sobel_gradient_magnitude(gray), lab)
-    got, peak = traced_peak(lambda: extract_edge_features(g, gray, None, lab))
-    _assert_features_equal(got, want)
+    feats, peak = traced_peak(lambda: extract_edge_features(g, gray, lab))
     assert peak / lab.data.size <= 8, peak / lab.data.size
+    assert_moments_match_oracle(g, gray, lab, feats)
 
 
 def test_region_sizes_count_every_voxel(rng):
@@ -685,13 +654,12 @@ def test_features_invariant_under_relabeling(rng):
     if lab.n_labels < 2:
         pytest.skip("phantom produced a single region")
     g = build_region_graph(lab)
-    grad = sobel_gradient_magnitude(out.gray)
-    feats = extract_edge_features(g, out.gray, grad, lab)
+    feats = extract_edge_features(g, out.gray, lab)
 
     perm = np.r_[0, np.random.default_rng(3).permutation(lab.n_labels) + 1]
     relabeled = LabelVolume(perm[lab.data], 1.0)
     g2 = build_region_graph(relabeled)
-    feats2 = extract_edge_features(g2, out.gray, grad, relabeled)
+    feats2 = extract_edge_features(g2, out.gray, relabeled)
     for (v1, v2), f in feats.items():
         e2 = (min(perm[v1], perm[v2]), max(perm[v1], perm[v2]))
         np.testing.assert_allclose(feats2[e2], f, rtol=1e-9, atol=1e-12)
@@ -701,9 +669,8 @@ def test_gradient_block_shift_invariant(rng):
     lab = two_region_volume(shape=(8, 8, 8), split=4)
     base = rng.integers(500, 1500, (8, 8, 8)).astype(np.uint16)
     g = build_region_graph(lab)
-    f1 = extract_edge_features(g, scalar(base), sobel_gradient_magnitude(scalar(base)), lab)
-    shifted = scalar(base + 700)
-    f2 = extract_edge_features(g, shifted, sobel_gradient_magnitude(shifted), lab)
+    f1 = extract_edge_features(g, scalar(base), lab)
+    f2 = extract_edge_features(g, scalar(base + 700), lab)
     np.testing.assert_allclose(f1[(1, 2)][4:8], f2[(1, 2)][4:8], rtol=1e-9)
 
 
@@ -711,7 +678,7 @@ def test_csv_roundtrip(tmp_path, rng):
     lab = two_region_volume()
     gray = scalar(rng.integers(0, 4000, (10, 10, 10)).astype(np.uint16))
     g = build_region_graph(lab)
-    feats = extract_edge_features(g, gray, sobel_gradient_magnitude(gray), lab)
+    feats = extract_edge_features(g, gray, lab)
     path = tmp_path / "edges.csv"
     features_to_csv(path, g, feats, {(1, 2): 1})
     header = path.read_text().splitlines()[0]

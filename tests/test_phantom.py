@@ -257,9 +257,8 @@ def test_edge_training_labels():
     mask = binarize.remove_small_components(mask, 30)
     lab = watershed.watershed_segment(mask, watershed.WatershedParams(h_depth=0.2))
     graph = mergegraph.build_region_graph(lab)
-    grad = mergegraph.sobel_gradient_magnitude(out.gray)
-    feats = mergegraph.extract_edge_features(graph, out.gray, grad, lab)
-    train = edge_training_set(out, lab, graph, feats)
+    feats = mergegraph.extract_edge_features(graph, out.gray, lab)
+    train = edge_training_set(out.labels, lab, graph, feats)
     assert train.features.shape[1] == mergegraph.FEATURE_DIM
     # verify against direct majority comparison
     from tomoseg.phantom import region_majorities
