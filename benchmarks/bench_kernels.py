@@ -31,8 +31,10 @@ the few shifts that keep the whole plane inside the slice; both
 correlate a chunk of slices at a time. The phantom, MLA section, small
 components and attenuation map rows run the `register` workload's 96^3
 phantom (stream 0) and its opened Sauvola mask, whatever ``--size``; the
-map's row counts the float64 map and flags it returns (9 bytes per
-voxel). The region
+map's row counts the float32 map and flags it returns (5 bytes per
+voxel), and the predict stage's row runs `tomoseg attenuation predict` on
+those volumes' files: it loads the gray volume and the mask, maps them and
+writes the map and its flags. The region
 graph row builds the region adjacency graph of a 64^3 phantom's
 foreground, at every size, split into cells around 96 random seed voxels;
 the edge features row extracts the 18 per-edge features (curvature fits
@@ -53,6 +55,8 @@ voxel of the ROADMAP come from this one command.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import os
 import tempfile
 import time
@@ -213,7 +217,7 @@ def main():
         for name, vol in (("u16", phan.gray), ("u32 labels", cells), ("bit", BinaryVolume(fg, 1.0))):
             add(f"write volume (64^3 {name})", lambda vol=vol: volgrid.write_volume(vol, out), fg.size)
 
-    from tomoseg import attenuation
+    from tomoseg import attenuation, cli
 
     # the register workload's 96^3 phantom (stream 0) and the steps of its
     # chain that work on whole volumes, at 96^3 whatever --size
@@ -240,6 +244,20 @@ def main():
         attenuation.load_mineral_table()))
     add("attenuation map (96^3 phantom mask)",
         lambda: attenuation.predict_map(reg.gray, model, reg_mask), reg_voxels)
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {name: os.path.join(tmp, name) for name in ("gray.raw", "mask.raw", "line.txt")}
+        volgrid.write_volume(reg.gray, files["gray.raw"])
+        volgrid.write_volume(reg_mask, files["mask.raw"])
+        attenuation.save_model(model, files["line.txt"])
+
+        def predict_stage():
+            with contextlib.redirect_stdout(io.StringIO()):
+                cli.stage_attenuation_predict(vol=files["gray.raw"], mask=files["mask.raw"],
+                                              model=files["line.txt"],
+                                              out=os.path.join(tmp, "rmu.f32"))
+
+        add("attenuation predict stage (96^3 phantom mask, load, map, write)",
+            predict_stage, reg_voxels)
 
     from tomoseg.register import TranslationSolver
 

@@ -23,6 +23,10 @@ from .volgrid import (
     read_key_values, read_table, write_table,
 )
 
+# voxels per slab of the attenuation map (at least one plane): 512 KiB of
+# float64 gray values on a full mask
+SLAB_VOXELS = 1 << 16
+
 
 @dataclass(frozen=True)
 class Mineral:
@@ -274,12 +278,19 @@ def predict_map(vol: ScalarVolume, model: AttenuationModel, mask: BinaryVolume):
     """Per-voxel predicted rho*mu_m on the mask plus an out-of-range flag
     mask (voxels whose grayscale leaves the calibration interval; their
     values are still emitted), both computed on the mask's voxels only and
-    0 elsewhere."""
-    gray = vol.data[mask.data].astype(np.float64)
-    pred = np.zeros(mask.data.shape)
-    pred[mask.data] = model.predict(gray)
+    0 elsewhere. The map is float32, as its file stores it: each value is
+    the float64 ``model.predict`` rounded once. Both are filled z-slab by
+    z-slab, so the float64 temporaries stay within ``SLAB_VOXELS`` voxels."""
+    nz, ny, nx = mask.data.shape
+    pred = np.zeros(mask.data.shape, np.float32)
     out_of_range = np.zeros(mask.data.shape, bool)
-    out_of_range[mask.data] = (gray < model.gray_min) | (gray > model.gray_max)
+    step = max(1, SLAB_VOXELS // max(1, ny * nx))
+    for z0 in range(0, nz, step):
+        slab = slice(z0, z0 + step)
+        inside = mask.data[slab]
+        gray = vol.data[slab][inside].astype(np.float64)
+        pred[slab][inside] = model.predict(gray)
+        out_of_range[slab][inside] = (gray < model.gray_min) | (gray > model.gray_max)
     return pred, out_of_range
 
 

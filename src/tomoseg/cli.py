@@ -285,7 +285,7 @@ def stage_attenuation_predict(*, vol: Input, mask: Input, model: Input, out: str
     # the payload, the flags and their sidecar are renamed into place together
     flags_payload, flags_meta = _encode_volume(BinaryVolume(flags, gray_vol.spacing))
     with _atomic_files(out, out + ".flags", out + ".flags.meta") as (fh, flags_fh, meta_fh):
-        pred.astype("<f4").tofile(fh)
+        pred.astype("<f4", copy=False).tofile(fh)
         flags_fh.write(flags_payload)
         meta_fh.write(flags_meta)
     n = int(flags.sum())

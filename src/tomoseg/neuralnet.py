@@ -111,6 +111,26 @@ def cross_entropy(model: MlpModel, X: np.ndarray, y: np.ndarray) -> float:
     return float(np.sum(y * np.logaddexp(0.0, -T) + (1.0 - y) * np.logaddexp(0.0, T)))
 
 
+def _gradients(alpha0, alpha, beta0, beta, Xs, y, loss, l2, scale):
+    """The output T, its logistic p and the gradients w.r.t. (alpha0, alpha,
+    beta0, beta) of ``scale`` times the data loss plus the L2 penalty, on
+    standardized rows ``Xs``."""
+    Z, T = _raw_output(alpha0, alpha, beta0, beta, Xs)
+    p = _sigmoid(T)
+    if loss == "cross_entropy":
+        dT = p - y
+    elif loss == "sse":
+        dT = 2.0 * (p - y) * p * (1.0 - p)
+    else:
+        raise ValueError(f"unknown loss {loss!r}")
+    d_beta = scale * (Z.T @ dT) + l2 * beta
+    d_beta0 = scale * float(np.sum(dT))
+    dZ = np.outer(dT, beta) * (1.0 - Z * Z)
+    d_alpha = scale * (dZ.T @ Xs) + l2 * alpha
+    d_alpha0 = scale * dZ.sum(axis=0)
+    return T, p, (d_alpha0, d_alpha, d_beta0, d_beta)
+
+
 def loss_and_gradients(model: MlpModel, X, y, loss="cross_entropy", l2=0.0, reduction="sum"):
     """Objective value plus gradients w.r.t. (alpha0, alpha, beta0, beta).
 
@@ -121,24 +141,15 @@ def loss_and_gradients(model: MlpModel, X, y, loss="cross_entropy", l2=0.0, redu
     X = np.atleast_2d(np.asarray(X, np.float64))
     y = np.asarray(y, np.float64)
     Xs = (X - model.feat_mean) / model.feat_std
-    Z, T = _raw_output(model.alpha0, model.alpha, model.beta0, model.beta, Xs)
-    p = _sigmoid(T)
+    scale = 1.0 / X.shape[0] if reduction == "mean" else 1.0
+    T, p, grads = _gradients(model.alpha0, model.alpha, model.beta0, model.beta, Xs, y,
+                             loss, l2, scale)
     if loss == "cross_entropy":
         data = np.sum(y * np.logaddexp(0.0, -T) + (1.0 - y) * np.logaddexp(0.0, T))
-        dT = p - y
-    elif loss == "sse":
-        data = np.sum((y - p) ** 2)
-        dT = 2.0 * (p - y) * p * (1.0 - p)
     else:
-        raise ValueError(f"unknown loss {loss!r}")
-    scale = 1.0 / X.shape[0] if reduction == "mean" else 1.0
-    d_beta = scale * (Z.T @ dT) + l2 * model.beta
-    d_beta0 = scale * float(np.sum(dT))
-    dZ = np.outer(dT, model.beta) * (1.0 - Z * Z)
-    d_alpha = scale * (dZ.T @ Xs) + l2 * model.alpha
-    d_alpha0 = scale * dZ.sum(axis=0)
+        data = np.sum((y - p) ** 2)
     value = scale * data + 0.5 * l2 * (np.sum(model.alpha**2) + np.sum(model.beta**2))
-    return value, (d_alpha0, d_alpha, d_beta0, d_beta)
+    return value, grads
 
 
 @dataclass(frozen=True)
@@ -186,8 +197,11 @@ def train_detailed(X: np.ndarray, y: np.ndarray, hidden_units: int, cfg: TrainCo
         feat_mean=mean,
         feat_std=std,
     )
-    Xtr, ytr = X[tr_idx], y[tr_idx]
+    # the training rows standardized once; each step updates the four
+    # parameter arrays, and one validated model is built per epoch
+    Xtr, ytr = (X[tr_idx] - mean) / std, y[tr_idx]
     Xval, yval = X[val_idx], y[val_idx]
+    a0, a, b0, b = model.alpha0, model.alpha, model.beta0, model.beta
     best = model
     best_val = np.inf
     lr = cfg.learning_rate
@@ -195,16 +209,11 @@ def train_detailed(X: np.ndarray, y: np.ndarray, hidden_units: int, cfg: TrainCo
         order = rng.permutation(len(tr_idx))
         for start in range(0, len(order), cfg.batch_size):
             sel = order[start : start + cfg.batch_size]
-            _, (g_a0, g_a, g_b0, g_b) = loss_and_gradients(
-                model, Xtr[sel], ytr[sel], l2=cfg.l2_penalty, reduction="mean"
+            _, _, (g_a0, g_a, g_b0, g_b) = _gradients(
+                a0, a, b0, b, Xtr[sel], ytr[sel], "cross_entropy", cfg.l2_penalty, 1.0 / len(sel)
             )
-            model = replace(
-                model,
-                alpha0=model.alpha0 - lr * g_a0,
-                alpha=model.alpha - lr * g_a,
-                beta0=model.beta0 - lr * g_b0,
-                beta=model.beta - lr * g_b,
-            )
+            a0, a, b0, b = a0 - lr * g_a0, a - lr * g_a, b0 - lr * g_b0, b - lr * g_b
+        model = replace(model, alpha0=a0, alpha=a, beta0=b0, beta=b)
         if len(val_idx):
             vloss = _mean_ce(model, Xval, yval)
             if vloss < best_val:

@@ -171,7 +171,8 @@ def read_volume(path, dims: tuple[int, int, int], spacing: float, element: str):
     raw = np.fromfile(path, dtype=np.uint8)
     if element == "bit":
         bits = np.unpackbits(raw, count=nx * ny * nz, bitorder="little")
-        return BinaryVolume(bits.reshape(nz, ny, nx).astype(bool), spacing)
+        # unpackbits yields 0/1 bytes: a bool view, not a second copy
+        return BinaryVolume(bits.reshape(nz, ny, nx).view(bool), spacing)
     arr = raw.view(ELEMENT_DTYPES[element]).reshape(nz, ny, nx)
     if element == "u16":
         return ScalarVolume(arr, spacing)

@@ -139,6 +139,16 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
+def predict_map_where(vol, model, mask):
+    """The attenuation map over the whole volume in float64, masked by
+    ``np.where``: the formulation before it was computed on the mask's
+    voxels only, z-slab by z-slab, and rounded to float32."""
+    gray = vol.data.astype(np.float64)
+    pred = np.where(mask.data, model.predict(gray), 0.0)
+    out_of_range = mask.data & ((gray < model.gray_min) | (gray > model.gray_max))
+    return pred, out_of_range
+
+
 def render_section_mask(out, transform, plane_dims=None) -> np.ndarray:
     """Binary section of a phantom's ground-truth foreground sampled directly
     on the voxel lattice (one pixel per voxel edge); the cleanest

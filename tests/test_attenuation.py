@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tomoseg import attenuation
 from tomoseg.attenuation import (
     AttenuationModel,
     REFERENCE_MEAN_GRAY,
@@ -19,7 +20,7 @@ from tomoseg.attenuation import (
 from tomoseg.register import RigidTransform
 from tomoseg.volgrid import BinaryVolume, LabelPlane
 
-from conftest import scalar, traced_peak
+from conftest import predict_map_where, scalar, traced_peak
 
 IDENTITY = RigidTransform((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
 
@@ -125,9 +126,10 @@ def test_predict_affine_in_grayscale_shift():
     model = AttenuationModel(3.9e-5, -0.17, 0.0, 65535.0, 1.0, ())
     base = np.full((2, 2, 2), 20000, np.uint16)
     mask = BinaryVolume(np.ones((2, 2, 2), bool), 1.0)
-    p1, _ = predict_map(scalar(base), model, mask)
-    p2, _ = predict_map(scalar(base + 500), model, mask)
-    np.testing.assert_allclose(p2 - p1, 3.9e-5 * 500)
+    # each map is the float64 line rounded once to float32
+    for g in (base, base + 500):
+        p, _ = predict_map(scalar(g), model, mask)
+        np.testing.assert_array_equal(p, (3.9e-5 * g.astype(np.float64) - 0.17).astype(np.float32))
 
 
 def test_validate_self_consistency():
@@ -235,40 +237,36 @@ def test_erode_phase_peels_boundary():
     np.testing.assert_array_equal(erode_phase(lp, 19, table, 0), full)
 
 
-def _predict_map_where(vol, model, mask):
-    """The map over the whole volume, masked by ``np.where``: the
-    formulation before it was computed on the mask's voxels only."""
-    gray = vol.data.astype(np.float64)
-    pred = np.where(mask.data, model.predict(gray), 0.0)
-    out_of_range = mask.data & ((gray < model.gray_min) | (gray > model.gray_max))
-    return pred, out_of_range
-
-
-def test_predict_map_matches_whole_volume_where(rng):
+def test_predict_map_matches_whole_volume_where(rng, monkeypatch):
     model = AttenuationModel(3.9e-5, -0.17, 18000.0, 30000.0, 1.0, ())
     data = rng.integers(0, 65536, (9, 10, 11)).astype(np.uint16)
-    for fill in ("empty", "full", "random"):
-        m = {"empty": np.zeros(data.shape, bool), "full": np.ones(data.shape, bool),
-             "random": rng.random(data.shape) < 0.3}[fill]
-        pred, flags = predict_map(scalar(data), model, BinaryVolume(m, 1.0))
-        want_pred, want_flags = _predict_map_where(scalar(data), model, BinaryVolume(m, 1.0))
-        assert pred.dtype == np.float64 and flags.dtype == bool
-        # bit for bit, the signs of the zeros included
-        np.testing.assert_array_equal(pred.view(np.uint64), want_pred.view(np.uint64))
-        np.testing.assert_array_equal(flags, want_flags)
+    # one plane per slab (1 and 110 voxels), two planes and a one-plane
+    # remainder (250), the whole volume in one slab (the default)
+    for slab_voxels in (1, 110, 250, 1 << 16):
+        monkeypatch.setattr(attenuation, "SLAB_VOXELS", slab_voxels)
+        for fill in ("empty", "full", "random"):
+            m = {"empty": np.zeros(data.shape, bool), "full": np.ones(data.shape, bool),
+                 "random": rng.random(data.shape) < 0.3}[fill]
+            pred, flags = predict_map(scalar(data), model, BinaryVolume(m, 1.0))
+            want_pred, want_flags = predict_map_where(scalar(data), model, BinaryVolume(m, 1.0))
+            assert pred.dtype == np.float32 and flags.dtype == bool
+            # bit for bit, the signs of the zeros included
+            np.testing.assert_array_equal(pred.view(np.uint32),
+                                          want_pred.astype(np.float32).view(np.uint32))
+            np.testing.assert_array_equal(flags, want_flags)
 
 
 def test_predict_map_memory(rng):
-    # the returned float64 map and flags (9 bytes per voxel) and the mask's
-    # gray values as float64 with their prediction: about 11 bytes per voxel
-    # on a 15% mask. The whole-volume float64 gray, prediction and np.where
-    # took about 24.
+    # the returned float32 map and flags (5 bytes per voxel) and one z-slab
+    # of float64 temporaries. The float64 map computed on the mask's voxels
+    # took about 11 bytes per voxel on a 15% mask, and the whole-volume
+    # float64 gray, prediction and np.where about 24.
     data = rng.integers(0, 65536, (96, 96, 96)).astype(np.uint16)
     vol = scalar(data)
     mask = BinaryVolume(rng.random(data.shape) < 0.15, 1.0)
     model = AttenuationModel(3.9e-5, -0.17, 18000.0, 30000.0, 1.0, ())
     _, peak = traced_peak(lambda: predict_map(vol, model, mask))
-    assert peak / data.size <= 16, peak / data.size
+    assert peak / data.size <= 6, peak / data.size
 
 
 @pytest.mark.parametrize("weights, reason", [

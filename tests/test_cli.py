@@ -4,13 +4,14 @@ import json
 import numpy as np
 import pytest
 
-from tomoseg import cli
+from tomoseg import attenuation as atn
+from tomoseg import cli, phantom
 from tomoseg import neuralnet as nn
 from tomoseg.volgrid import (
     BinaryVolume, LabelPlane, LabelVolume, ScalarVolume, load_volume, read_value, write_volume,
 )
 
-from conftest import ball_mask, fill_disk_on
+from conftest import ball_mask, fill_disk_on, predict_map_where, traced_peak
 
 
 @pytest.fixture
@@ -81,6 +82,44 @@ def test_failed_flags_write_keeps_old_payload(tmp_path, monkeypatch, tiny_volume
     monkeypatch.undo()
     predict(models[1])
     assert out.read_bytes() != before["rmu.f32"]
+
+
+@pytest.fixture
+def predict_inputs(tmp_path):
+    """A 64^3 phantom's gray volume, its default Sauvola mask and a line,
+    as the files of an `attenuation predict` run."""
+    out = phantom.generate(phantom.PhantomSpec(
+        dims=(64, 64, 64), count=32, size_range_um=(25, 45), aspect_range=(1.0, 2.0),
+        n_sections=0, rng_seed=5))
+    gray, mask, model = tmp_path / "gray.raw", tmp_path / "mask.raw", tmp_path / "line.txt"
+    write_volume(out.gray, gray)
+    assert cli.main(["binarize", "--in", str(gray), "--out", str(mask)]) == 0
+    atn.save_model(atn.AttenuationModel(1 / 6000, 0.01, 10000.0, 40000.0, 0.99, ()), model)
+    argv = ["attenuation", "predict", "--vol", str(gray), "--mask", str(mask),
+            "--model", str(model), "--out", str(tmp_path / "rmu.f32")]
+    return argv, out.gray
+
+
+def test_attenuation_predict_writes_the_float64_map_as_f4(tmp_path, predict_inputs):
+    argv, gray = predict_inputs
+    assert cli.main(argv) == 0
+    mask = load_volume(tmp_path / "mask.raw")
+    want_pred, want_flags = predict_map_where(
+        gray, atn.load_model(tmp_path / "line.txt"), mask)
+    assert 0 < want_flags.sum() < mask.data.sum()
+    assert (tmp_path / "rmu.f32").read_bytes() == want_pred.astype("<f4").tobytes()
+    np.testing.assert_array_equal(load_volume(tmp_path / "rmu.f32.flags").data, want_flags)
+
+
+def test_attenuation_predict_stage_memory(predict_inputs):
+    # the u16 gray (2 bytes per voxel), the mask (1), the float32 map (4),
+    # the flags (1) and their packed bits, and one z-slab of float64
+    # temporaries: about 9 bytes per voxel at 64^3. With a float64 map and
+    # its float32 copy the stage took about 17.
+    argv, gray = predict_inputs
+    status, peak = traced_peak(lambda: cli.main(argv))
+    assert status == 0
+    assert peak / gray.data.size <= 10, peak / gray.data.size
 
 
 def test_missing_input_exit_code(tmp_path):

@@ -102,6 +102,20 @@ def test_write_volume_makes_no_payload_copy(tmp_path, rng):
         assert path.read_bytes() == _copying_payload(vol)
 
 
+def test_bit_mask_loads_without_a_second_copy(tmp_path, rng):
+    # the unpacked bits viewed as bool (1 byte per voxel) and the packed
+    # payload (1/8); converting the bits with astype took about 2.1
+    from conftest import traced_peak
+
+    vol = BinaryVolume(rng.random((64, 64, 64)) < 0.3, 1.0)
+    path = tmp_path / "m.raw"
+    write_volume(vol, path)
+    loaded, peak = traced_peak(lambda: load_volume(path))
+    assert peak / vol.data.size <= 1.3, peak / vol.data.size
+    assert loaded.data.dtype == bool and not loaded.data.flags.writeable
+    np.testing.assert_array_equal(loaded.data, vol.data)
+
+
 def test_roundtrip_is_byte_exact(tmp_path, rng):
     vol = ScalarVolume(rng.integers(0, 65536, (3, 3, 3)).astype(np.uint16), 1.0)
     p1, p2 = tmp_path / "a.raw", tmp_path / "b.raw"
