@@ -34,7 +34,10 @@ phantom (stream 0) and its opened Sauvola mask, whatever ``--size``; the
 map's row counts the float32 map and flags it returns (5 bytes per
 voxel), and the predict stage's row runs `tomoseg attenuation predict` on
 those volumes' files: it loads the gray volume and the mask, maps them and
-writes the map and its flags. The region
+writes the map and its flags. The register row registers the phantom's
+first section, as a voxel-spacing mask, in that mask with the default
+options: the lattice search and the polish, every level's solver and
+guarded copy built afresh, as `tomoseg register` runs it. The region
 graph row builds the region adjacency graph of a 64^3 phantom's
 foreground, at every size, split into cells around 96 random seed voxels;
 the edge features row extracts the 18 per-edge features (curvature fits
@@ -258,6 +261,12 @@ def main():
 
         add("attenuation predict stage (96^3 phantom mask, load, map, write)",
             predict_stage, reg_voxels)
+
+    from tomoseg import register
+
+    reg_plane = phantom.section_to_voxel_mask(sec.plane, reg.pixel_to_voxel, reg_spec.spacing)
+    add(f"register section ({reg_plane.data.shape[2]}x{reg_plane.data.shape[1]} plane, "
+        "96^3 phantom mask)", lambda: register.register_section(reg_mask, reg_plane), reg_voxels)
 
     from tomoseg.register import TranslationSolver
 

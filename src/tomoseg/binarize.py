@@ -108,8 +108,11 @@ def remove_small_components(mask: BinaryVolume, min_size: int) -> BinaryVolume:
 
     Local thresholding turns windows of pure background noise into speckle
     that the opening shrinks to small surviving specks; this removes them
-    without touching real particles.
+    without touching real particles. A ``min_size`` of 0 or 1 keeps every
+    component and returns ``mask`` itself; a negative one raises ValueError.
     """
+    if min_size < 0:
+        raise ValueError(f"min_size must be at least 0, got {min_size}")
     if min_size <= 1:
         return mask
     # the sizes do not depend on how the components are numbered, so

@@ -127,8 +127,7 @@ def stage_binarize(*, in_: Input, out: str, window: int = bz.SauvolaParams.windo
     mask = bz.sauvola_binarize(vol, bz.SauvolaParams(window_radius=window, k=k))
     if open_radius >= 1:
         mask = bz.morphological_opening(mask, open_radius)
-    if min_size > 1:
-        mask = bz.remove_small_components(mask, min_size)
+    mask = bz.remove_small_components(mask, min_size)
     write_volume(mask, out)
     return [out, out + ".meta"]
 
@@ -233,7 +232,10 @@ def stage_descriptors(*, labels: Input, out: str, slice_: tuple[str, int] | None
 def stage_register(*, vol: Input, plane: Input, out: str,
                    pyramid: tuple[int, ...] = rg.RegisterOptions.pyramid,
                    max_iter: int = rg.RegisterOptions.max_iter):
-    """locate a 2D section in the volume"""
+    """locate a 2D section in the volume
+    (max_iter caps the simplex of each pyramid level but the last, 1, which
+    only scores the carried optima before the polish; pyramid 1: seed grid,
+    then polish)"""
     opts = rg.RegisterOptions(pyramid=pyramid, max_iter=max_iter)
     result = rg.register_section(_load(vol, BinaryVolume), _load(plane, BinaryVolume), opts)
     rg.write_result(result, out)

@@ -8,9 +8,11 @@ The overlap objective
 
 is maximized exactly over x for fixed angles via zero-padded FFT
 cross-correlation, and a Nelder-Mead search handles the three rotation
-angles, coarse-to-fine over a block-OR pyramid. Splitting the search this
-way removes the three translation dimensions from the simplex search
-exactly.
+angles, coarse-to-fine over the coarse levels of a block-OR pyramid.
+Splitting the search this way removes the three translation dimensions from
+the simplex search exactly. The finest level runs no simplex: it scores the
+optima carried down from the coarse levels, and a joint simplex over all six
+parameters at subvoxel shifts (the polish) refines the best.
 
 The correlation runs in float32. Its values are integer overlaps, but at
 the finest level the proven float32 error bound (``_fft_error_bound``)
@@ -526,16 +528,22 @@ def direct_overlap(vol: BinaryVolume, plane, transform: RigidTransform, sampler=
 
 @dataclass(frozen=True)
 class RegisterOptions:
+    """Pyramid factors, coarsest first, ending at 1; ``max_iter`` caps the
+    simplex of each level above the last, which runs none."""
+
     pyramid: tuple[int, ...] = (4, 2, 1)
     max_iter: int = 200
 
     def __post_init__(self):
-        for f in self.pyramid:
+        if self.max_iter < 0:
+            raise ValueError(f"max_iter must be at least 0, got {self.max_iter}")
+        for f in self.pyramid[:-1]:
             if f not in SIMPLEX_STEP_DEG:
                 raise ValueError(
                     f"pyramid factor {f} has no simplex step (steps for {tuple(SIMPLEX_STEP_DEG)})"
                 )
-        if sorted(self.pyramid, reverse=True) != list(self.pyramid) or self.pyramid[-1] != 1:
+        if (not self.pyramid or sorted(self.pyramid, reverse=True) != list(self.pyramid)
+                or self.pyramid[-1] != 1):
             raise ValueError("pyramid must be decreasing and end at 1")
 
 
@@ -555,7 +563,7 @@ class RegistrationResult:
 # off), so the runner-up basins are kept until a finer level separates them.
 COARSE_STARTS = 3
 COARSE_SEED_DEG = 10.0  # seed grid half-width at the coarsest level
-SIMPLEX_STEP_DEG = {4: 5.0, 2: 2.5, 1: 1.0}  # initial simplex step per pyramid factor
+SIMPLEX_STEP_DEG = {4: 5.0, 2: 2.5}  # initial simplex step per coarse pyramid factor
 # Registration ends in the polish, a joint simplex over (angles, shift) with
 # subvoxel sampling: the integer lattice alone biases the tilt angles when
 # the true shift is fractional. POLISH_ITER caps each polish run; the
@@ -635,11 +643,11 @@ def _lattice_search(vol: BinaryVolume, p: np.ndarray, opts: RegisterOptions, tra
     and appends every evaluation to ``trace``.
 
     The coarsest level ranks a small angle grid and runs the simplex from
-    the best COARSE_STARTS seeds; each finer level runs it again from every
-    carried optimum, each with its own z band. At full resolution every
-    carried optimum is scored once and only the best is refined, so the
-    result can never fall below the best carried optimum re-evaluated at
-    full resolution.
+    the best COARSE_STARTS seeds; each finer level above the last runs it
+    again from every carried optimum, each with its own z band. The last
+    level (factor 1) runs no simplex: it scores each carried optimum once,
+    and the best of them is the result, which the polish refines. With a
+    single level the carried optima are the best seeds of the grid.
     """
     starts = None  # (angles, z estimate at this level's scale or None)
 
@@ -673,16 +681,16 @@ def _lattice_search(vol: BinaryVolume, p: np.ndarray, opts: RegisterOptions, tra
             ranked = sorted(seeds, key=lambda a: _prefer(a, full.result(a)))
             starts = [(a, None) for a in ranked[:COARSE_STARTS]]
         if level == len(opts.pyramid) - 1:
-            # score each carried optimum once; refine only the best
-            starts = [min(starts, key=lambda st: _prefer(st[0], objective_at(st[1]).result(st[0])))]
+            # no simplex at full resolution: the polish searches the same
+            # angles, and the shift at subvoxel steps, far more cheaply
+            optima = [(_cache_key(a), objective_at(tz).result(a)) for a, tz in starts]
+            return min(optima, key=lambda o: _prefer(*o))
         step = math.radians(SIMPLEX_STEP_DEG[factor])
         optima = [objective_at(tz).simplex(angles, step, opts.max_iter) for angles, tz in starts]
-        next_factor = opts.pyramid[level + 1] if level + 1 < len(opts.pyramid) else factor
+        next_factor = opts.pyramid[level + 1]
         starts = list(dict.fromkeys(
             (key, res.shift[2] * factor / next_factor) for key, res in optima
         ))
-
-    return min(optima, key=lambda o: _prefer(*o))
 
 
 def _polish(vol: BinaryVolume, p: np.ndarray, x0: np.ndarray, trace: list):

@@ -19,7 +19,7 @@ def test_bench_kernels_runs_every_row(tmp_path):
     rows = [line.rsplit(None, 3) for line in lines[header + 1 :] if line.strip()]
     names = [name for name, *_ in rows]
     # one row per kernel, each with its time, peak MiB and bytes per voxel
-    assert len(names) == 38 and len(set(names)) == len(names), names
+    assert len(names) == 39 and len(set(names)) == len(names), names
     for name, time, mib, per_voxel in rows:
         assert time.endswith(("ms", "us")) and float(time[:-2]) > 0, name
         assert float(mib) >= 0 and float(per_voxel) >= 0, name

@@ -426,13 +426,15 @@ def _register_inputs(tmp_path):
             "--out", str(tmp_path / "reg.txt")]
 
 
-@pytest.mark.parametrize("pyramid, steps", [("4,2,1", (5.0, 2.5, 1.0)), ("2,1", (2.5, 1.0))])
+@pytest.mark.parametrize("pyramid, steps", [("4,2,1", (5.0, 2.5)), ("2,1", (2.5,))])
 def test_register_simplex_steps_follow_register_options(tmp_path, monkeypatch, pyramid, steps):
+    # every factor but the last runs a simplex; the last, 1, runs none
     seen = []
     monkeypatch.setattr(cli.rg, "register_section", lambda vol, plane, opts: seen.append(opts))
     monkeypatch.setattr(cli.rg, "write_result", lambda result, out: None)
     assert cli.main(_register_inputs(tmp_path) + ["--pyramid", pyramid]) == 0
-    assert tuple(cli.rg.SIMPLEX_STEP_DEG[f] for f in seen[0].pyramid) == steps
+    assert seen[0].pyramid[-1] == 1
+    assert tuple(cli.rg.SIMPLEX_STEP_DEG[f] for f in seen[0].pyramid[:-1]) == steps
 
 
 def test_register_pyramid_factor_without_step_exits_3(tmp_path, monkeypatch, capsys):
@@ -441,6 +443,24 @@ def test_register_pyramid_factor_without_step_exits_3(tmp_path, monkeypatch, cap
     assert rc == cli.EXIT_STAGE_FAILURE
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "pyramid factor 8" in err[0]
+
+
+def test_register_negative_max_iter_exits_3(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli.rg, "register_section", lambda *a: pytest.fail("registration ran"))
+    rc = cli.main(_register_inputs(tmp_path) + ["--max-iter", "-4"])
+    assert rc == cli.EXIT_STAGE_FAILURE
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "max_iter" in err[0] and "-4" in err[0]
+    assert not (tmp_path / "reg.txt").exists()
+
+
+def test_binarize_negative_min_size_exits_3(tmp_path, capsys, tiny_volume):
+    out = tmp_path / "mask.raw"
+    rc = cli.main(["binarize", "--in", str(tiny_volume), "--out", str(out), "--min-size", "-3"])
+    assert rc == cli.EXIT_STAGE_FAILURE
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "min_size" in err[0] and "-3" in err[0]
+    assert not out.exists()
 
 
 def test_attenuation_subcommands_parse():

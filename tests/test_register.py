@@ -6,11 +6,13 @@ import pytest
 from tomoseg._kernels.rotate import rotate_nearest
 from tomoseg.register import (
     COARSE_SEED_DEG,
+    COARSE_STARTS,
     RegisterOptions,
     RigidTransform,
     TranslationSolver,
     _cache_key,
     _lattice_search,
+    _prefer,
     block_or_downsample,
     direct_overlap,
     nelder_mead,
@@ -586,9 +588,12 @@ def test_register_mirrored_plane_flagged():
     genuine = register_section(vol, plane)
     mirrored = register_section(vol, plane[:, ::-1].copy())
     assert mirrored.normalized_overlap < genuine.normalized_overlap
-    assert mirrored.normalized_overlap < 0.5 or mirrored.flagged is False
     # a mirror is unreachable by rotation: genuine match must be clearly better
     assert genuine.normalized_overlap - mirrored.normalized_overlap > 0.2
+    # an all-foreground plane: the volume is 12% foreground, so no pose
+    # lands even half of it on particles
+    solid = register_section(vol, np.ones_like(plane))
+    assert solid.flagged and solid.normalized_overlap < 0.5
 
 
 def test_register_pyramid_monotone():
@@ -607,6 +612,85 @@ def test_register_pyramid_monotone():
     res = register_section(vol, plane)
     _, coarse_only = _lattice_search(vol, plane, RegisterOptions(max_iter=0), [])
     assert res.overlap >= coarse_only.overlap
+
+
+def test_finest_level_scores_the_carried_optima_without_a_simplex(monkeypatch):
+    from tomoseg import phantom, register
+
+    spec = phantom.PhantomSpec(
+        dims=(64, 64, 64), count=120, size_range_um=(20, 36), aspect_range=(1.0, 2.0),
+        elongated_fraction=0.0, noise_std=0.0, rng_seed=53, n_sections=0, contact_fraction=0.2,
+    )
+    out = phantom.generate(spec)
+    vol = BinaryVolume(out.labels.data > 0, spec.spacing)
+    plane = render_section_mask(out, RigidTransform((0.03, 0.06, -0.05), (2.0, 1.0, 30.0)))
+    shape = vol.data.shape
+    rotations, finest, carried = [], [], []
+    result, simplex = register._BandObjective.result, register._BandObjective.simplex
+
+    def spy_rotate(v, rinv, center, z0=0, z1=None, guarded=None):
+        if v.shape == shape:
+            rotations.append(z1)  # None: a full-height re-solve
+        return rotate_nearest(v, rinv, center, z0, z1, guarded)
+
+    def spy_result(self, a3):
+        res = result(self, a3)
+        if self.vol.shape == shape:
+            finest.append((_cache_key(a3), res))
+        return res
+
+    def spy_simplex(self, start, step, max_iter):
+        assert self.vol.shape != shape, "a simplex ran at full resolution"
+        optimum = simplex(self, start, step, max_iter)
+        if self.vol.shape[0] == shape[0] // 2:
+            carried.append(optimum[0])
+        return optimum
+
+    monkeypatch.setattr(register, "rotate_nearest", spy_rotate)
+    monkeypatch.setattr(register._BandObjective, "result", spy_result)
+    monkeypatch.setattr(register._BandObjective, "simplex", spy_simplex)
+    angles, res = _lattice_search(vol, plane, RegisterOptions(pyramid=(4, 2, 1)), [])
+    # one band evaluation per carried optimum, plus a full-height re-solve
+    # where the band edge wins
+    bands = [z1 for z1 in rotations if z1 is not None]
+    assert 1 <= len(bands) <= COARSE_STARTS
+    assert len(rotations) - len(bands) <= len(bands)
+    # the result is the best carried optimum as scored at full resolution
+    assert len(carried) <= COARSE_STARTS and {k for k, _ in finest} == set(carried)
+    assert (angles, res) == min(finest, key=lambda o: _prefer(*o))
+    # and its overlap is the exact count at its shift on the rotated volume
+    rinv = RigidTransform(angles, (0.0, 0.0, 0.0)).rotation().T
+    rotated = rotate_nearest(vol.data, rinv, volume_center(shape))
+    sx, sy, sz = res.shift
+    ph, pw = plane.shape
+    window = rotated[sz, max(0, sy) : sy + ph, max(0, sx) : sx + pw]
+    y0, x0 = max(0, -sy), max(0, -sx)
+    cut = plane[y0 : y0 + window.shape[0], x0 : x0 + window.shape[1]]
+    assert res.overlap == int(np.count_nonzero(window & cut)) > 0
+
+
+def test_single_level_pyramid_scores_the_seed_grid_then_polishes(monkeypatch):
+    from tomoseg import register
+
+    monkeypatch.setattr(register._BandObjective, "simplex",
+                        lambda *a: pytest.fail("a lattice simplex ran"))
+    m = ball_mask((32, 32, 32), (16, 16, 16), 9) | ball_mask((32, 32, 32), (10, 20, 8), 5)
+    vol = binary(m)
+    plane = m[16][2:30, 2:30]
+    opts = RegisterOptions(pyramid=(1,))
+    trace = []
+    angles, res = _lattice_search(vol, plane, opts, trace)
+    assert len(trace) == 125  # each seed of the 5^3 grid solved once, full height
+    assert angles == (0.0, 0.0, 0.0) and res.overlap == int(plane.sum())
+    reg = register_section(vol, plane, opts)
+    assert reg.normalized_overlap == pytest.approx(1.0)
+    assert len(reg.trace) > len(trace)  # the polish ran
+
+
+@pytest.mark.parametrize("pyramid", [(), (2,), (2, 4, 1), (4, 2, 1, 1), (8, 4, 2, 1)])
+def test_register_options_refuse_a_pyramid(pyramid):
+    with pytest.raises(ValueError):
+        RegisterOptions(pyramid=pyramid)
 
 
 def test_register_deterministic():
